@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race verify cover bench bench-smoke obs-smoke serve-smoke shard-smoke plan-smoke experiments fuzz clean
+.PHONY: all build vet test test-short race eval-size verify cover bench bench-smoke obs-smoke serve-smoke shard-smoke plan-smoke experiments fuzz clean
 
 all: build vet test
 
@@ -21,18 +21,28 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The parallel engines (eval.ParallelSemiNaive, the stable evaluator's
-# frontier pool), the obs span/metrics layer, the snapshot/result-cache
-# serving path and the HTTP server are only trustworthy race-detector
-# clean; vet runs first so the race build never masks a static diagnostic.
+# The round driver's worker pool (eval/driver.go: every parallel, sharded,
+# streamed and TC-compose round), the stable evaluator's frontier fan-out,
+# the obs span/metrics layer, the snapshot/result-cache serving path and the
+# HTTP server are only trustworthy race-detector clean; vet runs first so
+# the race build never masks a static diagnostic.
 race:
 	$(GO) vet ./internal/obs ./internal/eval ./internal/server
 	$(GO) test -race ./...
 	$(GO) test -race -run 'Sharded|ChooseShards|ShardOf|PartitionTuplesByHash' -count=1 ./internal/eval ./internal/storage
 
+# ROADMAP needle 2 ("the least code"): internal/eval's non-test line count
+# may not grow past the ceiling the one-round-driver refactor left behind.
+# Raise EVAL_SIZE_MAX only in a PR that says what the new lines buy.
+EVAL_SIZE_MAX = 6328
+eval-size:
+	@n=$$(ls internal/eval/*.go | grep -v _test | xargs cat | wc -l); \
+	echo "internal/eval: $$n non-test lines (ceiling $(EVAL_SIZE_MAX))"; \
+	test $$n -le $(EVAL_SIZE_MAX)
+
 # Full pre-merge gate: build, vet, shuffled tests, race detector, shard
-# and cost-planner smokes.
-verify: build vet test race shard-smoke plan-smoke
+# and cost-planner smokes, and the eval size ceiling.
+verify: build vet test race shard-smoke plan-smoke eval-size
 
 cover:
 	$(GO) test -cover ./...

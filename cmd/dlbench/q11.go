@@ -168,16 +168,16 @@ func (r *runner) q11() {
 		r.row("shard scaling 1 -> 4 shards: %.2fx", report.ShardScaling)
 	}
 
-	// Per-round trace of the 4-shard run: the observer reports shard count
+	// Per-round trace of the 4-shard run: Stats.Trace reports shard count
 	// and exchanged tuples per round, the numbers the span tree carries.
 	r.row("per-round trace (4 shards):")
-	if _, _, err := eval.ShardedSemiNaiveOpts(prog, db, eval.Opts{
-		Shards:   4,
-		Workers:  4,
-		Observer: eval.ObserverFunc(func(rs eval.RoundStats) { r.row("%v", rs) }),
-	}); err != nil {
+	_, stTrace, err := eval.ShardedSemiNaiveOpts(prog, db, eval.Opts{Shards: 4, Workers: 4})
+	if err != nil {
 		r.check("Q11", "trace", false, err.Error())
 		return
+	}
+	for _, rs := range stTrace.Trace {
+		r.row("%v", rs)
 	}
 
 	r.check("Q11", "sharded fixpoint computes exactly the sequential semi-naive model",

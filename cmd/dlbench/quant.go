@@ -358,7 +358,7 @@ func (r *runner) q6() {
 			return
 		}
 		tPar, outPar, stPar, err = timeProg(r.reps(), func() (*storage.Database, eval.Stats, error) {
-			return eval.ParallelSemiNaiveOpts(prog, db, eval.ParallelOpts{Workers: workers})
+			return eval.ParallelSemiNaiveOpts(prog, db, eval.Opts{Workers: workers})
 		})
 		if err != nil {
 			r.check("Q6", "parallel", false, err.Error())
@@ -372,15 +372,15 @@ func (r *runner) q6() {
 			float64(tSeq)/float64(tPar), stPar.Rounds, stPar.Derived)
 		lastDB = db
 	}
-	// Per-round trace of the largest workload, from the engine's observer.
+	// Per-round trace of the largest workload.
 	fmt.Printf("  per-round trace (largest workload, %d workers):\n", workers)
-	_, _, err = eval.ParallelSemiNaiveOpts(prog, lastDB, eval.ParallelOpts{
-		Workers:  workers,
-		Observer: eval.ObserverFunc(func(rs eval.RoundStats) { r.row("%v", rs) }),
-	})
+	_, stTrace, err := eval.ParallelSemiNaiveOpts(prog, lastDB, eval.Opts{Workers: workers})
 	if err != nil {
 		r.check("Q6", "trace", false, err.Error())
 		return
+	}
+	for _, rs := range stTrace.Trace {
+		r.row("%v", rs)
 	}
 	r.check("Q6", "the worker pool computes exactly the sequential semi-naive model",
 		equal, fmt.Sprintf("IDB dumps and derived counts identical across %d workloads", len(sizes)))

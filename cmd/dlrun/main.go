@@ -159,6 +159,11 @@ func loadFacts(db *storage.Database, prog *ast.Program) error {
 
 func runQuery(strategy eval.Strategy, prog *ast.Program, q ast.Query, db *storage.Database, showStats bool) error {
 	ans, st, err := answer(strategy, prog, q, db)
+	if trace {
+		for _, r := range st.Trace {
+			fmt.Printf("%% %v\n", r)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("%v: %w", q, err)
 	}
@@ -226,7 +231,7 @@ func repl(strategy eval.Strategy, db *storage.Database, showStats bool) {
 	fmt.Println()
 }
 
-// trace enables per-round observer lines for every strategy; tracer is
+// trace enables per-round lines (Stats.Trace) for every strategy; tracer is
 // non-nil when -trace-json collects the hierarchical span tree; shards
 // forces (or disables) the sharded fixpoint kernels.
 var (
@@ -235,16 +240,10 @@ var (
 	tracer *obs.Tracer
 )
 
-// queryOpts builds the instrumentation options for one query: the round
-// observer when -trace is set, and a per-query span subtree when -trace-json
-// is set.
+// queryOpts builds the instrumentation options for one query: a per-query
+// span subtree when -trace-json is set.
 func queryOpts(q ast.Query) (eval.Opts, *obs.Span) {
 	opts := eval.Opts{Shards: shards}
-	if trace {
-		opts.Observer = eval.ObserverFunc(func(r eval.RoundStats) {
-			fmt.Printf("%% %v\n", r)
-		})
-	}
 	var qs *obs.Span
 	if tracer != nil {
 		qs = tracer.Root().Child("query").SetStr("query", q.String())

@@ -206,28 +206,8 @@ func (p *Plan) Answer(q ast.Query, db *storage.Database) (*storage.Relation, Sta
 // AnswerOpts is Answer with instrumentation threaded into the compiled
 // path's engine.
 func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, st, err := p.answer(q, db, opts)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Plan = p.planInfo(&st)
-	return rel, st, nil
-}
-
-func (p *Plan) answer(q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	if opts.book == nil {
-		opts.book = p.book
-	}
-	switch p.Kind {
-	case PlanTC:
-		return TCEvalOpts(p.sys, p.tc, q, db, opts)
-	case PlanBounded:
-		return boundedAnswer(p.sys, p.rules, q, db, opts)
-	case PlanStable:
-		return parallelAnswer(p.stable, q, db, opts)
-	default:
-		return parallelAnswer(p.sys, q, db, opts)
-	}
+	rel, _, st, err := p.answerAux(q, db, opts)
+	return rel, st, err
 }
 
 // answerAux is the serving-path variant of AnswerOpts: alongside the answer
@@ -248,12 +228,12 @@ func (p *Plan) answerAux(q ast.Query, db *storage.Database, opts Opts) (*storage
 	switch p.Kind {
 	case PlanTC:
 		var ta *tcAux
-		rel, ta, st, err = tcEvalAux(p.sys, p.tc, q, db, opts)
+		rel, ta, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, sink{})
 		if ta != nil {
 			aux = ta
 		}
 	case PlanBounded:
-		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts)
+		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, sink{})
 	case PlanStable:
 		rel, aux, st, err = fixpointAnswerAux(p.stable, q, db, opts)
 	default:
@@ -266,25 +246,14 @@ func (p *Plan) answerAux(q ast.Query, db *storage.Database, opts Opts) (*storage
 	return rel, aux, st, nil
 }
 
-// parallelAnswer runs the fixpoint engine over the system's program and
-// selects the query's answers. The engine is chosen per database: the
-// sharded kernel for large inputs (chooseShards), the plain parallel engine
-// otherwise — plans are database-independent, so the decision cannot be
+// fixpointAnswerAux runs the round driver over the system's program and
+// selects the query's answers, keeping the materialized IDB fixpoint as the
+// entry's maintenance state. The partition is chosen per database
+// (chooseShards) — plans are database-independent, so the decision cannot be
 // made at compile time.
-func parallelAnswer(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	out, st, err := shardedSemiNaive(sys.Program(), db, opts, "", nil)
-	if err != nil {
-		return nil, st, err
-	}
-	ans, err := AnswerQuery(out, q)
-	return ans, st, err
-}
-
-// fixpointAnswerAux is parallelAnswer keeping the materialized IDB fixpoint
-// as the entry's maintenance state.
 func fixpointAnswerAux(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, any, Stats, error) {
 	prog := sys.Program()
-	out, st, err := shardedSemiNaive(prog, db, opts, "", nil)
+	out, st, err := ShardedSemiNaiveOpts(prog, db, opts)
 	if err != nil {
 		return nil, nil, st, err
 	}

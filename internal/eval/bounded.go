@@ -30,12 +30,15 @@ func BoundedEvalOpts(sys *ast.RecursiveSystem, rank int, q ast.Query, db *storag
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return boundedAnswer(sys, rules, q, db, opts)
+	return boundedAnswer(sys, rules, q, db, opts, sink{})
 }
 
 // boundedAnswer evaluates a pre-expanded bounded union (from BoundedEval or a
-// compiled PlanBounded) under the engine's span and metric plumbing.
-func boundedAnswer(sys *ast.RecursiveSystem, rules []ast.Rule, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
+// compiled PlanBounded) under the engine's span and metric plumbing. With a
+// streaming sink each fresh answer is emitted the moment its expansion rule
+// derives it, and a declined emit abandons the remaining expansions with
+// errStreamStop.
+func boundedAnswer(sys *ast.RecursiveSystem, rules []ast.Rule, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {
 		return nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/%d", q, sys.Pred(), n)
@@ -44,47 +47,45 @@ func boundedAnswer(sys *ast.RecursiveSystem, rules []ast.Rule, q ast.Query, db *
 	defer fix.End()
 	answers := storage.NewRelation(n)
 	var st Stats
-	sink := newRoundSink(&st, opts, fix)
-	if err := evalNonRecursive(rules, q, db, answers, &st, &sink, opts); err != nil {
+	rs := newRoundSink(&st, opts, fix)
+	defer func() {
+		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
+		rs.stratumDone(st.Rounds)
+		flushRels(opts, &st, answers)
+	}()
+	err := unionRules(rules, q, db, answers, &st, &rs, opts, snk)
+	if err != nil && err != errStreamStop {
 		return nil, st, err
 	}
-	fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
-	sink.stratumDone(st.Rounds)
-	flushRels(opts, &st, answers)
-	return answers, st, nil
+	return answers, st, err
 }
 
-// EvalNonRecursive evaluates each non-recursive rule as a conjunctive query
-// with the query's constants pushed into the body binding, accumulating the
-// projected heads into answers. Head arguments may be constants (exit rules
-// with constant heads, and expansions whose exit unification pinned a
-// position): such a rule contributes only when the query agrees with the
-// constant, which then appears verbatim in every answer tuple. Shared by
-// BoundedEval and the auto planner's compiled bounded path.
-func EvalNonRecursive(rules []ast.Rule, q ast.Query, db *storage.Database, answers *storage.Relation, st *Stats) error {
-	sink := newRoundSink(st, Opts{}, nil)
-	return evalNonRecursive(rules, q, db, answers, st, &sink, Opts{})
-}
-
-// evalNonRecursive is EvalNonRecursive feeding the caller's round sink: one
-// round (and one join span) per expansion rule, with an abort check between
-// rules.
-func evalNonRecursive(rules []ast.Rule, q ast.Query, db *storage.Database, answers *storage.Relation, st *Stats, sink *roundSink, opts Opts) error {
+// unionRules evaluates each non-recursive rule as a conjunctive query with
+// the query's constants pushed into the body binding, accumulating the
+// projected heads into answers and showing each fresh one to the sink: one
+// round (and one join span) per rule, with an abort check between rules.
+// Head arguments may be constants (exit rules with constant heads, and
+// expansions whose exit unification pinned a position): such a rule
+// contributes only when the query agrees with the constant, which then
+// appears verbatim in every answer tuple. Shared by the bounded plan's
+// materialized, streamed and maintained paths.
+func unionRules(rules []ast.Rule, q ast.Query, db *storage.Database, answers *storage.Relation, st *Stats, rs *roundSink, opts Opts, snk sink) error {
 	n := q.Atom.Arity()
 	rels := DBRels(db)
 	// The projection buffers are written from scratch for every rule and
-	// consumed within its EvalProject call, so one pair serves all rules.
+	// consumed within its enumeration, so one set serves all rules.
 	slots := make([]int, n)
 	fixed := make(storage.Tuple, n)
+	buf := make(storage.Tuple, n)
 	for _, r := range rules {
 		if opts.canceled() {
 			return fmt.Errorf("bounded union: %w", ErrCanceled)
 		}
 		st.Rounds++
-		sink.begin()
+		rs.begin()
 		var rsp *obs.Span
-		if sink.traced() {
-			rsp = sink.rule(r.String())
+		if rs.traced() {
+			rsp = rs.rule(r.String())
 		}
 		c, binding, ok, err := bindHead(r, q, db, slots, fixed)
 		if err != nil {
@@ -92,7 +93,7 @@ func evalNonRecursive(rules []ast.Rule, q ast.Query, db *storage.Database, answe
 		}
 		if !ok {
 			rsp.End()
-			sink.end(RoundStats{Round: st.Rounds})
+			rs.end(RoundStats{Round: st.Rounds})
 			continue
 		}
 		// The plan's order book (compiled per adornment, so the pre-bound
@@ -105,11 +106,29 @@ func evalNonRecursive(rules []ast.Rule, q ast.Query, db *storage.Database, answe
 			order = ord.full
 			est = int64(ord.fullCost)
 		}
-		visited0 := st.Visited
-		d := c.EvalProjectWith(rels, binding, slots, fixed, answers, order, &st.Visited)
-		st.Derived += d
-		rsp.SetInt("derived", int64(d)).End()
-		sink.end(RoundStats{Round: st.Rounds, Derived: d, Estimated: est, Visited: st.Visited - visited0})
+		derived0, visited0 := st.Derived, st.Visited
+		stopped := false
+		c.EvalWith(rels, binding, order, &st.Visited, func(b []storage.Value) bool {
+			for i, s := range slots {
+				if s >= 0 {
+					buf[i] = b[s]
+				} else {
+					buf[i] = fixed[i]
+				}
+			}
+			if answers.Insert(buf) {
+				st.Derived++
+				// Insert copied buf into the arena; the sink sees the stable
+				// arena-backed header, not the scratch buffer.
+				stopped = !snk.fresh(q.Atom.Pred, answers.At(answers.Len()-1))
+			}
+			return !stopped
+		})
+		rsp.SetInt("derived", int64(st.Derived-derived0)).End()
+		rs.end(RoundStats{Round: st.Rounds, Derived: st.Derived - derived0, Estimated: est, Visited: st.Visited - visited0})
+		if stopped {
+			return errStreamStop
+		}
 	}
 	return nil
 }
@@ -119,8 +138,7 @@ func evalNonRecursive(rules []ast.Rule, q ast.Query, db *storage.Database, answe
 // constant head arguments), and the projection buffers are filled so slot i
 // reads body variable slots[i], or the pinned value fixed[i] when slots[i] is
 // -1. ok is false when the head cannot unify with the query — the rule
-// contributes no answers. Shared by the materializing and streaming bounded
-// paths.
+// contributes no answers.
 func bindHead(r ast.Rule, q ast.Query, db *storage.Database, slots []int, fixed storage.Tuple) (*Conj, []storage.Value, bool, error) {
 	c := CompileConj(db.Syms, r.Body)
 	binding := c.NewBinding()

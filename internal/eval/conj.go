@@ -1,8 +1,12 @@
 // Package eval implements the query-evaluation engines of the reproduction:
 //
-//   - bottom-up naive and semi-naive fixpoint evaluation (the baselines),
-//   - a parallel semi-naive engine fanning each round's delta across a
-//     worker pool, with per-round metrics (Stats.Trace, Observer),
+//   - bottom-up naive and semi-naive fixpoint evaluation (the sequential
+//     reference oracles),
+//   - the round driver (driver.go): one seed-plus-delta-rounds loop behind
+//     the parallel and sharded engines, streaming and incremental
+//     maintenance, with per-round metrics (Stats.Trace),
+//   - the transitive-closure frontier kernel (tc.go) and the bounded
+//     expansion union (bounded.go) the auto planner compiles to,
 //   - a magic-sets baseline specialized to the paper's linear systems,
 //   - the generic compiled expansion evaluator driven by resolution-graph
 //     state (the uniform strategy of the paper's §6–§9 examples),
@@ -472,15 +476,9 @@ func (s *seeder) seed(seedIdx int, seed storage.Tuple) bool {
 // be −1 to emit a fixed constant from fixed. Returns the number of new
 // tuples inserted.
 func (c *Conj) EvalProject(rels RelFunc, binding []storage.Value, slots []int, fixed storage.Tuple, out *storage.Relation) int {
-	return c.EvalProjectWith(rels, binding, slots, fixed, out, nil, nil)
-}
-
-// EvalProjectWith is EvalProject with a compiled join order and a visit
-// counter (both optional, see EvalWith).
-func (c *Conj) EvalProjectWith(rels RelFunc, binding []storage.Value, slots []int, fixed storage.Tuple, out *storage.Relation, order []int, visits *int64) int {
 	added := 0
 	buf := make(storage.Tuple, len(slots))
-	c.EvalWith(rels, binding, order, visits, func(b []storage.Value) bool {
+	c.Eval(rels, binding, func(b []storage.Value) bool {
 		for i, s := range slots {
 			if s >= 0 {
 				buf[i] = b[s]

@@ -1,0 +1,700 @@
+package eval
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"time"
+
+	"repro/internal/ast"
+	"repro/internal/obs"
+	"repro/internal/storage"
+)
+
+// The round driver. Every compiled formula is an exit relation unioned with
+// a repeatedly applied join chain, so every way of evaluating one is "a seed
+// plus delta rounds": a seed produces the first frontier, each round splits
+// the frontier into tasks, the tasks join their slice against read-only
+// snapshots of the full relations into private buffers, and a
+// single-threaded barrier merges the buffers into the head relations in
+// deterministic task order and files every fresh tuple under the next
+// round's frontier. The ways of consuming that loop differ in three small
+// values only:
+//
+//   - the seed (roundSeed): a full pass of the rules that need no derived
+//     input followed by everything in the heads (fullSeed, cold start), or
+//     the inserted tuples of a storage.SnapshotDiff over copy-on-write
+//     extended heads (diffSeed, incremental maintenance);
+//   - the partition: contiguous chunks of each predicate's frontier
+//     (engine=parallel) or hash shards by join column with owner routing
+//     and exchange counting (engine=sharded);
+//   - the sink: what else happens to a fresh head tuple at the merge —
+//     nothing (materialize), a consumer that may decline it (stream), or a
+//     work budget that may run out (maintenance).
+//
+// Answers are identical to SemiNaive whatever the combination: every
+// partition is exhaustive and disjoint, the fixpoint is confluent and the
+// merge order is deterministic.
+
+// errStreamStop is the internal sentinel an evaluation returns when the
+// sink's consumer declined further tuples (limit satisfied, goal answered,
+// iterator closed). It never escapes the package: the iterator translates it
+// to a clean end-of-stream.
+var errStreamStop = errors.New("eval: stream consumer stopped")
+
+// errOverBudget ends a maintenance pass whose sink ran out of budget; the
+// caller recomputes the entry from scratch instead.
+var errOverBudget = errors.New("eval: maintenance budget exceeded")
+
+// sink is what a barrier merge does with a fresh head tuple beyond inserting
+// it. The zero value materializes only.
+type sink struct {
+	// emit, when non-nil, is handed every fresh tuple of pred as soon as it
+	// exists, in deterministic merge order; returning false ends the
+	// evaluation with errStreamStop. Emitted tuples alias the head
+	// relation's arena and stay valid as long as it does.
+	pred string
+	emit func(storage.Tuple) bool
+	// budget, when positive, caps the derivation attempts (Stats.Facts) of
+	// the evaluation; the round that exceeds it ends it with errOverBudget.
+	budget int
+}
+
+// fresh shows a newly inserted tuple of pred to the consumer; false stops
+// the evaluation.
+func (s *sink) fresh(pred string, t storage.Tuple) bool {
+	return s.emit == nil || pred != s.pred || s.emit(t)
+}
+
+// over reports whether the evaluation has spent its budget.
+func (s *sink) over(st *Stats) bool { return s.budget > 0 && st.Facts > s.budget }
+
+// partition is how a frontier is split into tasks and which slot of the
+// next frontier a fresh tuple is filed under. shards < 2 is the contiguous
+// chunk fan-out: one slot, cut into near-equal chunks per round, so workers
+// see an arbitrary slice of the value domain. shards >= 2 hash-partitions
+// every predicate's frontier by the column cols names: slot i always
+// processes the tuples whose key hashes to i, and a tuple derived in slot i
+// whose key belongs to slot j is routed to j at the barrier — the
+// cross-shard delta exchange a distributed mode would put on the network.
+type partition struct {
+	shards int
+	cols   map[string]int
+}
+
+// owner is the slot of the next frontier a fresh tuple of pred belongs to.
+func (p partition) owner(pred string, t storage.Tuple) int {
+	if p.shards < 2 {
+		return 0
+	}
+	return storage.ShardOf(t[p.cols[pred]], p.shards)
+}
+
+// chunks cuts one slot's frontier of one predicate into task inputs: a hash
+// shard is the unit of work as it is, the single contiguous slot is cut into
+// near-equal chunks, three per worker.
+func (p partition) chunks(d []storage.Tuple, workers int) [][]storage.Tuple {
+	if p.shards > 1 {
+		return [][]storage.Tuple{d}
+	}
+	return storage.PartitionTuples(d, workers*3)
+}
+
+// frontier is a round's input: per partition slot and predicate, the tuples
+// the previous round derived. The tuples alias the head relations' arenas
+// (Insert copied them there; At returns the arena-backed header), so filing
+// one allocates nothing and task buffers return to the pool right after the
+// merge.
+type frontier []map[string][]storage.Tuple
+
+func (p partition) newFrontier() frontier {
+	fr := make(frontier, max(p.shards, 1))
+	for s := range fr {
+		fr[s] = make(map[string][]storage.Tuple)
+	}
+	return fr
+}
+
+// parTask is one unit of round work: evaluate one rule with one positive
+// body occurrence restricted to a chunk of that predicate's frontier (or,
+// for seedIdx −1, evaluate the whole rule once). A task with tc set is a
+// transitive-closure compose task instead: chunk is joined against the edge
+// index (tc.go). head is the relation the output merges into, frozen for the
+// round; workers only call Contains on it (an allocation-free word-hash
+// probe) to prefilter derivations already known, so the single-threaded
+// merge touches near-new tuples only.
+type parTask struct {
+	cr      *compiledRule
+	tc      *tcRun
+	pred    string
+	seedIdx int
+	chunk   []storage.Tuple
+	head    *storage.Relation
+	// span is the round span the task's join span attaches under; nil when
+	// untraced. Workers emit concurrently — obs.Span serializes internally.
+	span *obs.Span
+	// shard is 1 + the hash shard the chunk belongs to; 0 for contiguous
+	// chunks and seed rounds.
+	shard int
+}
+
+// parResult is a task's private output buffer, merged single-threaded. The
+// buffer relation comes from taskBuffers and is returned to it right after
+// the merge, so steady-state rounds reuse the same arenas and hash tables
+// instead of reallocating them per task.
+type parResult struct {
+	out       *storage.Relation
+	attempted int
+	// visits counts the tuples the task's enumerations walked (see
+	// Stats.Visited); accumulated task-locally, summed at the merge.
+	visits int64
+	busy   time.Duration
+}
+
+// taskBuffers recycles task output relations across rounds and evaluations.
+// A pooled relation is Reset (arena blocks and membership table kept,
+// contents dropped) before reuse, so a task buffer allocates only when the
+// task derives more than the buffer's previous users did.
+var taskBuffers sync.Pool
+
+func getTaskBuffer(arity int) *storage.Relation {
+	if v := taskBuffers.Get(); v != nil {
+		r := v.(*storage.Relation)
+		r.Reset(arity)
+		return r
+	}
+	return storage.NewRelation(arity)
+}
+
+// workerScratch holds one worker's reusable binding and head projection
+// buffers, sized up lazily to the widest rule it has run.
+type workerScratch struct {
+	binding []storage.Value
+	buf     storage.Tuple
+}
+
+func (ws *workerScratch) bindingFor(n int) []storage.Value {
+	if cap(ws.binding) < n {
+		ws.binding = make([]storage.Value, n)
+	}
+	b := ws.binding[:n]
+	for i := range b {
+		b[i] = Unbound
+	}
+	return b
+}
+
+func (ws *workerScratch) bufFor(n int) storage.Tuple {
+	if cap(ws.buf) < n {
+		ws.buf = make(storage.Tuple, n)
+	}
+	return ws.buf[:n]
+}
+
+// runTasks runs the tasks and collects one private result buffer per task
+// (indexed by task, so no locking is needed beyond the WaitGroup). A single
+// task or a single worker runs on the calling goroutine — a one-fact
+// maintenance delta costs no fan-out; otherwise the tasks are fanned across
+// the worker pool, the first task error aborts the remaining work, and all
+// workers are joined before return. Panics inside a task are converted to
+// errors so a misbehaving rule cannot kill unrelated goroutines.
+func runTasks(tasks []parTask, workers int, rels RelFunc) ([]parResult, time.Duration, error) {
+	if workers > len(tasks) {
+		workers = len(tasks)
+	}
+	results := make([]parResult, len(tasks))
+	if workers <= 1 {
+		var scratch workerScratch
+		for id := range tasks {
+			if err := runTask(&results[id], tasks[id], rels, &scratch); err != nil {
+				return nil, 0, err
+			}
+		}
+	} else {
+		taskCh := make(chan int)
+		errCh := make(chan error, 1)
+		abort := make(chan struct{})
+		var abortOnce sync.Once
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var scratch workerScratch
+				for {
+					select {
+					case <-abort:
+						return
+					case id, ok := <-taskCh:
+						if !ok {
+							return
+						}
+						if err := runTask(&results[id], tasks[id], rels, &scratch); err != nil {
+							select {
+							case errCh <- err:
+							default:
+							}
+							abortOnce.Do(func() { close(abort) })
+							return
+						}
+					}
+				}
+			}()
+		}
+	feed:
+		for id := range tasks {
+			select {
+			case taskCh <- id:
+			case <-abort:
+				break feed
+			}
+		}
+		close(taskCh)
+		wg.Wait()
+		select {
+		case err := <-errCh:
+			return nil, 0, err
+		default:
+		}
+	}
+	var busy time.Duration
+	for i := range results {
+		busy += results[i].busy
+	}
+	return results, busy, nil
+}
+
+// runTask evaluates one task into a pooled private buffer, reusing the
+// worker's binding and projection scratch.
+func runTask(res *parResult, task parTask, rels RelFunc, scratch *workerScratch) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("eval: round task for %s: %v", task.pred, r)
+		}
+	}()
+	start := time.Now()
+	if task.tc != nil {
+		res.out = getTaskBuffer(2)
+		res.attempted = task.tc.composeChunk(task.chunk, scratch.bufFor(2), res.out)
+		res.busy = time.Since(start)
+		return nil
+	}
+	cr := task.cr
+	// Workers attach join spans concurrently; obs.Span serializes through
+	// the tracer. Guard the rule.String() so untraced runs stay
+	// allocation-free.
+	var js *obs.Span
+	if task.span != nil {
+		js = task.span.Child("join").SetStr("rule", cr.rule.String())
+		if task.seedIdx >= 0 {
+			js.SetInt("chunk", int64(len(task.chunk)))
+		}
+		if task.shard > 0 {
+			js.SetInt("shard", int64(task.shard-1))
+		}
+	}
+	out := getTaskBuffer(len(cr.slots))
+	buf := scratch.bufFor(len(cr.slots))
+	attempted := 0
+	yield := func(b []storage.Value) bool {
+		for i, s := range cr.slots {
+			if s >= 0 {
+				buf[i] = b[s]
+			} else {
+				buf[i] = cr.fixed[i]
+			}
+		}
+		attempted++
+		// Derivations already in the head (frozen this round; reads are
+		// safe) cost one hash probe here instead of a buffer insert plus
+		// a merge insert on the coordinator.
+		if !task.head.Contains(buf) {
+			out.Insert(buf)
+		}
+		return true
+	}
+	binding := scratch.bindingFor(cr.conj.NumVars())
+	if task.seedIdx < 0 {
+		cr.conj.EvalWith(rels, binding, cr.fullOrder(), &res.visits, yield)
+	} else {
+		ord, _ := cr.seededOrder(task.seedIdx)
+		s := newSeederWith(cr.conj, rels, binding, ord, &res.visits, yield)
+		for _, t := range task.chunk {
+			s.seed(task.seedIdx, t)
+		}
+	}
+	res.out = out
+	res.attempted = attempted
+	res.busy = time.Since(start)
+	js.SetInt("attempted", int64(attempted)).SetInt("buffered", int64(out.Len())).SetInt("visited", res.visits).End()
+	return nil
+}
+
+// fixRun is the state of one evaluation on the round driver.
+type fixRun struct {
+	// work holds the head relations; full resolves the relations the tasks
+	// read (work, with its indexes built before workers share it).
+	work    *storage.Database
+	full    RelFunc
+	workers int
+	part    partition
+	snk     sink
+	rs      roundSink
+	st      Stats
+	opts    Opts
+	engine  string
+	round   int // global round number across strata
+}
+
+// run executes one round: fan the tasks out, merge their buffers into the
+// task heads in task order, file every fresh tuple under its owner slot of
+// next (nil: the round feeds no frontier), show it to the sink, and record
+// the round. It returns the number of fresh tuples. The abort channel is
+// polled once per round; a close surfaces as ErrCanceled.
+func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next frontier) (int, error) {
+	if r.opts.canceled() {
+		return 0, fmt.Errorf("%s fixpoint: %w", r.engine, ErrCanceled)
+	}
+	r.round++
+	r.st.Rounds++
+	r.rs.begin()
+	for i := range tasks {
+		tasks[i].span = r.rs.span
+	}
+	results, busy, err := runTasks(tasks, r.workers, r.full)
+	if err != nil {
+		return 0, err
+	}
+	added, attempted, exchanged := 0, 0, 0
+	var visited int64
+	stopped := false
+	for i, res := range results {
+		attempted += res.attempted
+		visited += res.visits
+		// Buffers after a stop are dropped unmerged — the consumer is gone,
+		// only the pooled capacity is worth keeping.
+		if !stopped {
+			pred, head, src := tasks[i].pred, tasks[i].head, tasks[i].shard-1
+			res.out.Each(func(t storage.Tuple) bool {
+				if !head.Insert(t) {
+					return true
+				}
+				added++
+				nt := head.At(head.Len() - 1)
+				if next != nil {
+					dest := r.part.owner(pred, nt)
+					next[dest][pred] = append(next[dest][pred], nt)
+					if src >= 0 && dest != src {
+						exchanged++
+					}
+				}
+				stopped = !r.snk.fresh(pred, nt)
+				return !stopped
+			})
+		}
+		taskBuffers.Put(res.out)
+	}
+	r.st.Facts += attempted
+	r.st.Derived += added
+	r.st.Exchanged += exchanged
+	r.st.Visited += visited
+	r.rs.end(RoundStats{
+		Round: r.round, Stratum: stratum, Tasks: len(tasks), Delta: delta,
+		Derived: added, Attempted: attempted, Workers: r.workers,
+		Shards: r.part.shards, Exchanged: exchanged, Busy: busy,
+		Estimated: est, Visited: visited,
+	})
+	switch {
+	case stopped:
+		return added, errStreamStop
+	case r.snk.over(&r.st):
+		return added, errOverBudget
+	}
+	return added, nil
+}
+
+// roundSeed produces a stratum's first frontier, running a seed round on r
+// when it needs one.
+type roundSeed interface {
+	seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error)
+}
+
+// hasLocalLit reports whether the rule reads one of the stratum's own
+// predicates positively — whether it takes part in the delta rounds.
+func hasLocalLit(cr *compiledRule, local map[string]bool) bool {
+	for _, a := range cr.rule.Body {
+		if !a.Neg && local[a.Pred] {
+			return true
+		}
+	}
+	return false
+}
+
+// fullSeed is the cold start: rules with no positive local literal run once
+// in full, one task per rule, and the first frontier is everything in the
+// head relations afterwards — pre-existing facts plus the seed derivations.
+// Partitioning begins with that frontier, not before it: the hash columns
+// are picked after the seed round so their statistics see representative
+// contents.
+type fullSeed struct{}
+
+func (fullSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
+	var tasks []parTask
+	var est int64
+	for i := range rules {
+		cr := &rules[i]
+		if hasLocalLit(cr, local) {
+			continue
+		}
+		if cr.ord != nil && cr.ord.full != nil {
+			est += int64(cr.ord.fullCost)
+		}
+		pred := cr.rule.Head.Pred
+		tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: -1, head: r.work.Rel(pred)})
+	}
+	if len(tasks) > 0 {
+		if _, err := r.run(stratum, tasks, est, 0, nil); err != nil {
+			return nil, err
+		}
+	}
+	if r.part.shards > 1 {
+		r.part.cols = shardCols(rules, local, r.work)
+	}
+	fr := r.part.newFrontier()
+	for pred := range local {
+		// One group per slot (a single one unsharded), aliasing the head:
+		// valid while it grows, appends never touch the prefix.
+		for s, part := range r.work.Rel(pred).PartitionByHash(r.part.cols[pred], r.part.shards) {
+			if len(part) > 0 {
+				fr[s][pred] = part
+			}
+		}
+	}
+	return fr, nil
+}
+
+// diffTasks builds one task per positive occurrence of a changed non-local
+// predicate: the occurrence is restricted to the inserted tuples while the
+// other occurrences read the full (new) database — the semi-naive seeded
+// join over a snapshot diff instead of a round's delta. Two changed
+// occurrences in one rule are covered pairwise: each seeding reads the other
+// occurrence's full relation.
+func diffTasks(rules []compiledRule, local map[string]bool, diff *storage.SnapshotDiff, head func(pred string) *storage.Relation) []parTask {
+	var tasks []parTask
+	for i := range rules {
+		cr := &rules[i]
+		for bi, a := range cr.rule.Body {
+			ts := diff.Inserted[a.Pred]
+			// A relation's tuples share one arity; an occurrence of another
+			// arity can never match it.
+			if a.Neg || local[a.Pred] || len(ts) == 0 || len(ts[0]) != a.Arity() {
+				continue
+			}
+			pred := cr.rule.Head.Pred
+			tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: ts, head: head(pred)})
+		}
+	}
+	return tasks
+}
+
+// diffSeed is the maintenance seed: the heads already hold the old fixpoint
+// (extended copy-on-write), inserted tuples of derived predicates enter them
+// and the frontier directly, and one seed round runs every rule occurrence
+// over a changed base predicate restricted to its inserted tuples.
+type diffSeed struct{ diff *storage.SnapshotDiff }
+
+func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
+	fr := r.part.newFrontier()
+	for pred, ts := range d.diff.Inserted {
+		if !local[pred] {
+			continue
+		}
+		head := r.work.Rel(pred)
+		for _, t := range ts {
+			if len(t) != head.Arity() {
+				return nil, fmt.Errorf("eval: inserted %s tuple of arity %d, fixpoint holds arity %d", pred, len(t), head.Arity())
+			}
+			if head.Insert(t) {
+				nt := head.At(head.Len() - 1)
+				dest := r.part.owner(pred, nt)
+				fr[dest][pred] = append(fr[dest][pred], nt)
+			}
+		}
+	}
+	if tasks := diffTasks(rules, local, d.diff, r.work.Rel); len(tasks) > 0 {
+		if _, err := r.run(stratum, tasks, 0, 0, fr); err != nil {
+			return nil, err
+		}
+	}
+	return fr, nil
+}
+
+// stratum saturates one rule group: the seed's first frontier, then delta
+// rounds — one task per (slot, rule, positive local occurrence, chunk) —
+// until a round derives nothing.
+func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bool, stratum int) error {
+	fr, err := sd.seed(r, rules, local, stratum)
+	if err != nil {
+		return err
+	}
+	for {
+		var tasks []parTask
+		var est int64
+		delta := 0
+		for s := range fr {
+			for i := range rules {
+				cr := &rules[i]
+				for bi, a := range cr.rule.Body {
+					d := fr[s][a.Pred]
+					if a.Neg || !local[a.Pred] || len(d) == 0 {
+						continue
+					}
+					if _, perTuple := cr.seededOrder(bi); perTuple > 0 {
+						est += int64(perTuple * float64(len(d)))
+					}
+					pred, shard := cr.rule.Head.Pred, 0
+					if r.part.shards > 1 {
+						shard = s + 1
+					}
+					for _, chunk := range r.part.chunks(d, r.workers) {
+						tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: chunk, head: r.work.Rel(pred), shard: shard})
+					}
+				}
+			}
+			for _, d := range fr[s] {
+				delta += len(d)
+			}
+		}
+		next := r.part.newFrontier()
+		added, err := r.run(stratum, tasks, est, delta, next)
+		if err != nil {
+			return err
+		}
+		if added == 0 {
+			return nil
+		}
+		fr = next
+	}
+}
+
+// fixpoint is the cold-start evaluation of a stratified program on the round
+// driver — the core of every parallel, sharded, streamed and auto-planned
+// fixpoint. chooseShards picks the partition per database. With a streaming
+// sink, the facts of its predicate present before any rule fires (EDB
+// tuples under the query predicate, or IDB facts loaded directly) stream
+// first; when the consumer stops, the partially saturated database is
+// returned with errStreamStop so the caller can account for it, but it is
+// NOT a fixpoint.
+func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*storage.Database, Stats, error) {
+	work, idb, err := prepare(prog, db)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	strata, err := strataOf(prog)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	// Materialize every column index up front: index construction is the
+	// only mutation on the relations' read path, so after this the workers
+	// may share the database freely (storage.Relation's concurrency
+	// contract). Inserts during the single-threaded merges keep the
+	// indexes current.
+	work.BuildIndexes()
+	// The order book (when requested and not already attached by a Plan)
+	// comes before the shard decision: chooseShards uses its cost estimate.
+	opts = opts.withAutoBook(db.Syms, prog.Rules, db)
+	r := &fixRun{work: work, full: DBRels(work), workers: opts.Workers, snk: snk, opts: opts, engine: "parallel"}
+	st := &r.st
+	if r.workers <= 0 {
+		r.workers = runtime.GOMAXPROCS(0)
+	}
+	fix := opts.parent().Child("fixpoint")
+	defer fix.End()
+	if shards := chooseShards(opts, db, prog); shards > 1 {
+		r.part.shards, r.engine, st.Shards = shards, "sharded", shards
+		fix.SetStr("engine", r.engine).SetInt("shards", int64(shards))
+	} else {
+		fix.SetStr("engine", r.engine)
+	}
+	flush := func() {
+		flushDB(opts, st, work, idb)
+		if r.part.shards > 1 {
+			reg := opts.registry()
+			reg.Counter(mShardedEvals).Inc()
+			reg.Counter(mExchanged).Add(int64(st.Exchanged))
+		}
+	}
+	if rel := work.Rel(snk.pred); snk.emit != nil && rel != nil {
+		stopped := false
+		rel.Each(func(t storage.Tuple) bool {
+			stopped = !snk.emit(t)
+			return !stopped
+		})
+		if stopped {
+			flush()
+			return work, *st, errStreamStop
+		}
+	}
+	r.rs = newRoundSink(st, opts, fix)
+	for si, group := range strata {
+		rules, err := compileRules(db.Syms, group, opts.book)
+		if err != nil {
+			return nil, *st, err
+		}
+		local := make(map[string]bool)
+		for _, rule := range group {
+			local[rule.Head.Pred] = true
+		}
+		r0 := r.round
+		if err := r.stratum(fullSeed{}, rules, local, si); err != nil {
+			if err == errStreamStop {
+				flush()
+				return work, *st, err
+			}
+			return nil, *st, err
+		}
+		r.rs.stratumDone(r.round - r0)
+	}
+	fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
+	if r.part.shards > 1 {
+		fix.SetInt("exchanged", int64(st.Exchanged))
+	}
+	flush()
+	return work, *st, nil
+}
+
+// ParallelSemiNaive is SemiNaive on the round driver: each round's delta is
+// fanned out across a worker pool as (rule, delta-occurrence, chunk) tasks
+// and merged single-threaded before the deltas swap. Answers are identical
+// to SemiNaive; per-round metrics are recorded in Stats.Trace.
+func ParallelSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
+	return ParallelSemiNaiveOpts(prog, db, Opts{})
+}
+
+// ParallelSemiNaiveOpts is ParallelSemiNaive with explicit options. An
+// explicit Opts.Shards >= 2 hash-shards the frontiers into exactly that many
+// shards; the default keeps the contiguous-chunk fan-out and never
+// auto-shards.
+func ParallelSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
+	if opts.Shards < 2 {
+		opts.Shards = 1
+	}
+	return fixpoint(prog, db, opts, sink{})
+}
+
+// ShardedSemiNaive is ParallelSemiNaive with hash-sharded frontiers and
+// cross-shard delta exchange at round barriers. Answers are identical to
+// SemiNaive; Stats.Shards reports the shard count and Stats.Exchanged the
+// number of tuples routed across shards.
+func ShardedSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
+	return ShardedSemiNaiveOpts(prog, db, Opts{})
+}
+
+// ShardedSemiNaiveOpts is ShardedSemiNaive with explicit options — the cold
+// path of every auto-planned fixpoint. When the auto policy (or an explicit
+// Opts.Shards of 1) decides against sharding, the evaluation runs on
+// contiguous chunks and Stats.Shards stays 0.
+func ShardedSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
+	return fixpoint(prog, db, opts, sink{})
+}

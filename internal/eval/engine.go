@@ -72,8 +72,8 @@ func Answer(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *storag
 }
 
 // AnswerOpts is Answer with instrumentation threaded into whichever engine
-// the strategy selects: every strategy feeds the same tracer, metrics
-// registry and (deprecated) Observer through Opts.
+// the strategy selects: every strategy feeds the same tracer and metrics
+// registry through Opts.
 func AnswerOpts(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	switch strategy {
 	case StrategyNaive:

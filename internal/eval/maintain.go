@@ -11,19 +11,19 @@ import (
 // advances the snapshot epoch, which used to cold-start every cached entry.
 // Maintain instead carries the previous epoch's entries forward: it reads
 // the insert-only diff between the two snapshots (storage.DiffSnapshots —
-// cheap, the arena is append-only) and re-runs only the delta through the
-// class-appropriate kernel:
+// cheap, the arena is append-only) and re-runs only the delta on the same
+// loops that computed the entry, seeded differently and under a budget sink:
 //
-//   - TC frontier plans restart the BFS from the new edges' endpoints
-//     against the frozen closure (bound queries), or semi-naive-compose the
+//   - TC frontier plans restart the kernel's bfs from the new edges'
+//     endpoints against the frozen closure (bound queries), or compose the
 //     new edges against the frozen closure (all-free queries). The cached
 //     exit relation and visited set captured at compute time (tcAux) make
 //     the restart O(new reachable region), never O(graph).
 //   - Bounded plans re-run only the expansion terms that mention a changed
 //     predicate, inserting into a copy-on-write clone of the old answers.
-//   - Stable/generic parallel plans run a sequential semi-naive delta pass
-//     seeded with the inserted tuples over the frozen old fixpoint (fixAux),
-//     shared by every cached query of the same program.
+//   - Stable/generic parallel plans run the round driver with a diffSeed —
+//     the inserted tuples over the frozen old fixpoint (fixAux) — shared by
+//     every cached query of the same program.
 //
 // Insert-only monotone semantics make this sound: for a positive program,
 // restarting semi-naive iteration from any pre-fixpoint (here: the old
@@ -229,7 +229,7 @@ func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
 		if p.Kind == PlanStable {
 			prog = p.stable.Program()
 		}
-		m.entryFix(prog, e, res)
+		m.entryFix(prog, e, res, ShardedSemiNaiveOpts)
 		return
 	}
 	// Fallback: recompute the entry from scratch at the new epoch.
@@ -247,13 +247,13 @@ func (m *maintainer) entryProg(e *resultEntry, res *MaintResult) {
 		m.publish(e, e.rel, e.aux, e.st, true, res)
 		return
 	}
-	m.entryFix(m.spec.Prog, e, res)
+	m.entryFix(m.spec.Prog, e, res, ParallelSemiNaiveOpts)
 }
 
 // entryFix answers the entry's query from the program's shared maintained
 // (or recomputed) fixpoint.
-func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResult) {
-	st := m.fixStateFor(prog, e)
+func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResult, cold coldFixpoint) {
+	st := m.fixStateFor(prog, e, cold)
 	if st == nil {
 		res.Skipped++
 		return
@@ -266,10 +266,16 @@ func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResul
 	m.publish(e, ans, st.aux, e.st, st.maintained, res)
 }
 
+// coldFixpoint is the entry point an entry's serving path computes its
+// fixpoint with on a miss (ShardedSemiNaiveOpts for planned systems,
+// ParallelSemiNaiveOpts for general programs); the recompute fallback goes
+// through the same one, so both make the same shard decision.
+type coldFixpoint func(*ast.Program, *storage.Database, Opts) (*storage.Database, Stats, error)
+
 // fixStateFor returns the program's maintained fixpoint, computing it on
 // first use: the incremental delta pass when the diff and the program allow
 // it, a full recompute otherwise.
-func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry) *fixState {
+func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry, cold coldFixpoint) *fixState {
 	key := e.key.program
 	if st, ok := m.fix[key]; ok {
 		return st
@@ -287,7 +293,7 @@ func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry) *fixState {
 		}
 	}
 	if st == nil {
-		if out, _, err := ParallelSemiNaiveOpts(prog, m.cur.DB(), m.spec.Opts); err == nil {
+		if out, _, err := cold(prog, m.cur.DB(), m.spec.Opts); err == nil {
 			st = &fixState{aux: newFixAux(prog, out)}
 		}
 	}
@@ -349,13 +355,13 @@ func answerFromFix(aux *fixAux, cur *storage.Snapshot, q ast.Query) (*storage.Re
 	return AnswerQuery(overlay, q)
 }
 
-// maintainTC carries one TC-frontier entry across an insert-only diff. The
-// bound cases restart the BFS from the frontier the new edges open up
-// (sources already visited, targets not yet) against the cloned visited
-// set, then emit answers only for the newly visited values (plus the new
-// exit tuples joined against the whole visited set for the closure-join
-// cases). The all-free case semi-naive-composes the new edges and exit
-// tuples against a copy-on-write clone of the frozen closure. Reports
+// maintainTC carries one TC-frontier entry across an insert-only diff on the
+// kernel of tc.go. The bound cases restart the BFS from the frontier the new
+// edges open up (sources already visited, targets not yet) against the
+// cloned visited set, adding answers only for the newly visited values (plus
+// the new exit tuples joined against the whole visited set for the
+// closure-join cases). The all-free case composes the new exit tuples and
+// the new edges against a copy-on-write clone of the frozen closure. Reports
 // ok=false — recompute instead — when negation is involved, the shapes
 // don't line up, or the budget is exceeded.
 func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *storage.Relation, aux *tcAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*storage.Relation, *tcAux, bool) {
@@ -379,49 +385,23 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 	exit := aux.exit
 	var exitDelta []storage.Tuple
 	if exitChanged {
-		// Delta-evaluate only the affected exit rules: each positive
-		// occurrence of a changed predicate runs once restricted to the new
-		// tuples, the other occurrences reading the full (new) database —
-		// the semi-naive seeded join, here over the nonrecursive exit rules.
-		// Rematerializing the whole exit relation would make every write
-		// O(database), swamping the delta pass it feeds.
+		// Delta-evaluate only the affected exit rules — one diff-seeded
+		// round over the nonrecursive exit rules. Rematerializing the whole
+		// exit relation would make every write O(database), swamping the
+		// delta pass it feeds.
 		rules, err := compileRules(db.Syms, sys.Exits, nil)
 		if err != nil {
 			return nil, nil, false
 		}
-		ne := aux.exit.CowClone()
-		rels := DBRels(db)
-		for ri := range rules {
-			cr := &rules[ri]
-			buf := make(storage.Tuple, len(cr.slots))
-			s := newSeeder(cr.conj, rels, cr.conj.NewBinding(), func(b []storage.Value) bool {
-				for i, sl := range cr.slots {
-					if sl >= 0 {
-						buf[i] = b[sl]
-					} else {
-						buf[i] = cr.fixed[i]
-					}
-				}
-				if ne.Insert(buf) {
-					exitDelta = append(exitDelta, ne.At(ne.Len()-1))
-				}
-				return true
-			})
-			for bi, a := range cr.rule.Body {
-				ts := diff.Inserted[a.Pred]
-				if a.Neg || len(ts) == 0 {
-					continue
-				}
-				arity := a.Arity()
-				for _, t := range ts {
-					if len(t) == arity {
-						s.seed(bi, t)
-					}
-				}
-			}
+		exit = aux.exit.CowClone()
+		run := fixRun{full: DBRels(db), workers: 1}
+		fr := run.part.newFrontier()
+		tasks := diffTasks(rules, nil, diff, func(string) *storage.Relation { return exit })
+		if _, err := run.run(0, tasks, 0, 0, fr); err != nil {
+			return nil, nil, false
 		}
-		ne.CompactIndexes()
-		exit = ne
+		exitDelta = fr[0][sys.Pred()]
+		exit.CompactIndexes()
 	}
 	edges := db.Rel(shape.edgePred)
 	if edges != nil && edges.Arity() != 2 {
@@ -433,213 +413,82 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		return oldRel, &tcAux{exit: exit, visited: aux.visited}, true
 	}
 
-	b0, b1 := !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
-	var c0, c1 storage.Value
-	if b0 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[0].Name)
-		if !ok {
-			return nil, nil, false
-		}
-		c0 = v
+	r := &tcRun{edges: edges, exit: exit, answers: oldRel.CowClone(), pred: q.Atom.Pred, jc: shape.joinCol(),
+		snk: sink{budget: budget}}
+	st := &r.st
+	bound, ok := r.bind(q, db.Syms)
+	if !ok {
+		return nil, nil, false
 	}
-	if b1 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[1].Name)
-		if !ok {
-			return nil, nil, false
-		}
-		c1 = v
-	}
-
-	out := oldRel.CowClone()
-	attempts, exceeded := 0, false
-	rl := shape.rightLinear
-
-	if !b0 && !b1 {
-		// All-free: the answers are the closure. Seed the delta with the new
-		// exit tuples and the new edges composed against the frozen old
-		// closure, then compose rounds against the full new edge relation.
+	if !bound {
+		// All-free: the answers are the closure. The first delta is the new
+		// exit tuples plus the new edges composed against the frozen old
+		// closure — Δq(u, v) ∘ p_old(v, y) → p(u, y), resp. p_old(x, z) ∘
+		// Δq(z, y) → p(x, y); compose rounds against the full new edge
+		// relation do the rest.
 		var delta []storage.Tuple
-		insert := func(t storage.Tuple) bool {
-			attempts++
-			if attempts > budget {
-				exceeded = true
-				return false
+		grow := func(t storage.Tuple) {
+			st.Facts++
+			if fresh, _ := r.add(t); fresh != nil {
+				delta = append(delta, fresh)
 			}
-			if out.Insert(t) {
-				delta = append(delta, out.At(out.Len()-1))
-			}
-			return true
 		}
 		for _, t := range exitDelta {
-			if !insert(t) {
-				break
-			}
+			grow(t)
 		}
-		nt := make(storage.Tuple, 2)
+		jc := r.jc
 		for _, e := range edgeDelta {
-			if exceeded {
-				break
-			}
-			if rl {
-				// Δq(u, v) ∘ p_old(v, y) → p(u, y).
-				oldRel.EachCol(0, e[1], func(p storage.Tuple) bool {
-					nt[0], nt[1] = e[0], p[1]
-					return insert(nt)
-				})
-			} else {
-				// p_old(x, z) ∘ Δq(z, y) → p(x, y).
-				oldRel.EachCol(1, e[0], func(p storage.Tuple) bool {
-					nt[0], nt[1] = p[0], e[1]
-					return insert(nt)
-				})
-			}
+			oldRel.EachCol(jc, e[1-jc], func(p storage.Tuple) bool {
+				r.buf[jc], r.buf[1-jc] = e[jc], p[1-jc]
+				grow(r.buf[:])
+				return true
+			})
 		}
-		for !exceeded && len(delta) > 0 && edges != nil {
-			round := delta
-			delta = nil
-			for _, d := range round {
-				if exceeded {
-					break
-				}
-				if rl {
-					edges.EachCol(1, d[0], func(e storage.Tuple) bool {
-						nt[0], nt[1] = e[0], d[1]
-						return insert(nt)
-					})
-				} else {
-					edges.EachCol(0, d[1], func(e storage.Tuple) bool {
-						nt[0], nt[1] = d[0], e[1]
-						return insert(nt)
-					})
-				}
-			}
-		}
-		if exceeded {
+		if r.snk.over(st) || r.compose(delta) != nil {
 			return nil, nil, false
 		}
-		out.CompactIndexes()
-		return out, &tcAux{exit: exit}, true
+		r.answers.CompactIndexes()
+		return r.answers, &tcAux{exit: exit}, true
 	}
 
-	// Bound query: restart the BFS. The traversal direction and the roles
-	// of the exit relation mirror tcEvalAux's four cases.
+	// Bound query: restart the sweep from the values the diff newly opens.
 	if aux.visited == nil {
 		return nil, nil, false
 	}
 	visited := aux.visited.Clone()
-	var newVals []storage.Value
-	addSeed := func(v storage.Value) {
-		if visited.Add(v) {
-			newVals = append(newVals, v)
-		}
-	}
-	from, to := 1, 0
-	if b0 {
-		from, to = 0, 1
-	}
-	// eJoin: the answers come from joining the visited set with the exit
-	// relation (seeds were the query constant); otherwise the exit relation
-	// provided the seeds and new exit tuples open new BFS sources. Mirrors
-	// tcEvalAux's dispatch, where b0 takes precedence over b1: a both-bound
-	// query uses the b0 strategy of its orientation.
-	eJoin := (rl && b0) || (!rl && !b0)
-	if !eJoin {
+	var seeds []storage.Value
+	if !r.eJoin {
+		// The exit relation provided the seeds: new exit tuples matching the
+		// query constant open new BFS sources.
 		for _, t := range exitDelta {
-			if rl { // seeds {z : E(z, c1)}
-				if t[1] == c1 {
-					addSeed(t[0])
-				}
-			} else { // seeds {z : E(c0, z)}
-				if t[0] == c0 {
-					addSeed(t[1])
-				}
+			if t[r.bc] == r.c {
+				seeds = append(seeds, t[1-r.bc])
 			}
 		}
 	}
 	// New edges whose source is already reachable open their targets.
 	for _, e := range edgeDelta {
-		if visited.Contains(e[from]) {
-			addSeed(e[to])
+		if visited.Contains(e[r.bc]) {
+			seeds = append(seeds, e[1-r.bc])
 		}
 	}
-	// BFS from the new values over the full (new) edge relation.
-	for qi := 0; qi < len(newVals) && !exceeded && edges != nil; qi++ {
-		edges.EachCol(from, newVals[qi], func(t storage.Tuple) bool {
-			attempts++
-			if attempts > budget {
-				exceeded = true
-				return false
-			}
-			addSeed(t[to])
-			return true
-		})
-	}
-	if exceeded {
+	if r.bfs(seeds, visited, r.contribute) != nil {
 		return nil, nil, false
 	}
-	// Emit the answers the new values (and new exit tuples) contribute.
-	nt := make(storage.Tuple, 2)
-	insert := func() bool {
-		attempts++
-		if attempts > budget {
-			exceeded = true
-			return false
-		}
-		out.Insert(nt)
-		return true
-	}
-	for _, v := range newVals {
-		if exceeded {
-			break
-		}
-		switch {
-		case rl && b0: // (c0, y) for E(v, y)
-			exit.EachCol(0, v, func(t storage.Tuple) bool {
-				if b1 && t[1] != c1 {
-					return true
-				}
-				nt[0], nt[1] = c0, t[1]
-				return insert()
-			})
-		case rl: // b1 only: every visited x answers (x, c1)
-			nt[0], nt[1] = v, c1
-			insert()
-		case b0: // !rl: every visited y answers (c0, y)
-			if !b1 || v == c1 {
-				nt[0], nt[1] = c0, v
-				insert()
-			}
-		default: // !rl, b1 only: (x, c1) for E(x, v)
-			exit.EachCol(1, v, func(t storage.Tuple) bool {
-				nt[0], nt[1] = t[0], c1
-				return insert()
-			})
-		}
-	}
-	if eJoin {
+	if r.eJoin {
 		// New exit tuples answer for every visited value, old or new.
 		for _, t := range exitDelta {
-			if exceeded {
-				break
-			}
-			if rl { // E(z, y), z visited → (c0, y)
-				if visited.Contains(t[0]) && (!b1 || t[1] == c1) {
-					nt[0], nt[1] = c0, t[1]
-					insert()
-				}
-			} else { // E(x, z), z visited → (x, c1)
-				if visited.Contains(t[1]) {
-					nt[0], nt[1] = t[0], c1
-					insert()
-				}
+			if visited.Contains(t[r.bc]) {
+				st.Facts++
+				r.answer(t[1-r.bc])
 			}
 		}
 	}
-	if exceeded {
+	if r.snk.over(st) {
 		return nil, nil, false
 	}
-	out.CompactIndexes()
-	return out, &tcAux{exit: exit, visited: visited}, true
+	r.answers.CompactIndexes()
+	return r.answers, &tcAux{exit: exit, visited: visited}, true
 }
 
 // maintainBounded carries one bounded-union entry across an insert-only
@@ -670,7 +519,8 @@ func maintainBounded(rules []ast.Rule, q ast.Query, oldRel *storage.Relation, db
 	}
 	out := oldRel.CowClone()
 	var st Stats
-	if err := EvalNonRecursive(affected, q, db, out, &st); err != nil {
+	rs := newRoundSink(&st, Opts{}, nil)
+	if err := unionRules(affected, q, db, out, &st, &rs, Opts{}, sink{}); err != nil {
 		return nil, false
 	}
 	out.CompactIndexes()
@@ -678,13 +528,14 @@ func maintainBounded(rules []ast.Rule, q ast.Query, oldRel *storage.Relation, db
 }
 
 // incrementalFixpoint carries a program's materialized least fixpoint
-// across an insert-only EDB delta: the old IDB relations are extended
-// copy-on-write, the inserted tuples seed one occurrence-restricted pass
-// per rule (the standard semi-naive seed, but over the diff instead of the
-// whole database), and delta rounds run to quiescence. Sound for positive
-// programs only — restarting semi-naive iteration from the old fixpoint
-// plus the delta converges to the new least fixpoint because evaluation is
-// monotone and the old fixpoint is a subset of the new one.
+// across an insert-only EDB delta on the round driver: the old IDB relations
+// are extended copy-on-write, the diff seeds the first frontier (diffSeed)
+// and delta rounds run to quiescence, all on the calling goroutine — the
+// budget already caps the work below what sharding or fan-out would pay
+// for. Sound for positive programs only — restarting semi-naive iteration
+// from the old fixpoint plus the delta converges to the new least fixpoint
+// because evaluation is monotone and the old fixpoint is a subset of the
+// new one.
 func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*fixAux, bool) {
 	if ast.HasNegation(prog) {
 		return nil, false
@@ -719,97 +570,9 @@ func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, d
 	if err != nil {
 		return nil, false
 	}
-	full := DBRels(work)
-
-	attempts, exceeded := 0, false
-	delta := make(map[string][]storage.Tuple)
-	// New EDB tuples of derived predicates (facts loaded for an IDB-named
-	// predicate) enter the fixpoint and the delta directly.
-	for pred, ts := range diff.Inserted {
-		wr := heads[pred]
-		if wr == nil {
-			continue
-		}
-		for _, t := range ts {
-			if len(t) != wr.Arity() {
-				return nil, false
-			}
-			if wr.Insert(t) {
-				delta[pred] = append(delta[pred], wr.At(wr.Len()-1))
-			}
-		}
-	}
-	// runOccurrence evaluates one rule with one positive body occurrence
-	// restricted to the given tuples, the other occurrences reading the
-	// full working database — the seeded join of the semi-naive engine.
-	runOccurrence := func(cr *compiledRule, bi int, tuples []storage.Tuple) {
-		head := heads[cr.rule.Head.Pred]
-		buf := make(storage.Tuple, len(cr.slots))
-		s := newSeeder(cr.conj, full, cr.conj.NewBinding(), func(b []storage.Value) bool {
-			for i, sl := range cr.slots {
-				if sl >= 0 {
-					buf[i] = b[sl]
-				} else {
-					buf[i] = cr.fixed[i]
-				}
-			}
-			attempts++
-			if attempts > budget {
-				exceeded = true
-				return false
-			}
-			if head.Insert(buf) {
-				delta[cr.rule.Head.Pred] = append(delta[cr.rule.Head.Pred], head.At(head.Len()-1))
-			}
-			return true
-		})
-		arity := cr.rule.Body[bi].Arity()
-		for _, t := range tuples {
-			if exceeded {
-				return
-			}
-			if len(t) != arity {
-				continue // the occurrence can never match this relation
-			}
-			s.seed(bi, t)
-		}
-	}
-	// Seed pass: every rule occurrence over a changed base predicate runs
-	// once with that occurrence restricted to the new tuples. Two changed
-	// occurrences in one rule are covered pairwise: each seeding reads the
-	// other occurrence's full (new) relation.
-	for ri := range rules {
-		cr := &rules[ri]
-		for bi, a := range cr.rule.Body {
-			if a.Neg || idb[a.Pred] {
-				continue
-			}
-			if ts := diff.Inserted[a.Pred]; len(ts) > 0 {
-				runOccurrence(cr, bi, ts)
-			}
-			if exceeded {
-				return nil, false
-			}
-		}
-	}
-	// Delta rounds over the derived predicates to quiescence.
-	for len(delta) > 0 {
-		round := delta
-		delta = make(map[string][]storage.Tuple)
-		for ri := range rules {
-			cr := &rules[ri]
-			for bi, a := range cr.rule.Body {
-				if a.Neg || !idb[a.Pred] {
-					continue
-				}
-				if ts := round[a.Pred]; len(ts) > 0 {
-					runOccurrence(cr, bi, ts)
-				}
-				if exceeded {
-					return nil, false
-				}
-			}
-		}
+	run := fixRun{work: work, full: DBRels(work), workers: 1, snk: sink{budget: budget}}
+	if run.stratum(diffSeed{diff}, rules, idb, 0) != nil {
+		return nil, false
 	}
 	for _, r := range heads {
 		r.CompactIndexes()

@@ -124,9 +124,9 @@ func Naive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, e
 	return NaiveOpts(prog, db, Opts{})
 }
 
-// NaiveOpts is Naive with instrumentation: per-round records in Stats.Trace
-// and through opts.Observer, spans (fixpoint → round → per-rule join) on
-// opts.Tracer, and counters on the metrics registry.
+// NaiveOpts is Naive with instrumentation: per-round records in Stats.Trace,
+// spans (fixpoint → round → per-rule join) on opts.Tracer, and counters on
+// the metrics registry.
 func NaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -221,9 +221,7 @@ func SemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stat
 }
 
 // SemiNaiveOpts is SemiNaive with instrumentation: per-round records in
-// Stats.Trace and through opts.Observer (which earlier releases silently
-// ignored for this engine), spans on opts.Tracer, and counters on the
-// metrics registry.
+// Stats.Trace, spans on opts.Tracer, and counters on the metrics registry.
 func SemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -276,17 +274,9 @@ func semiNaiveFixpoint(work *storage.Database, rules []compiledRule, local map[s
 	// whole pass is a single fixpoint round no matter how many such rules
 	// the group has, and its insertions are accumulated through the same
 	// per-round counter as the delta rounds below.
-	hasLocalLit := func(cr *compiledRule) bool {
-		for _, a := range cr.rule.Body {
-			if !a.Neg && local[a.Pred] {
-				return true
-			}
-		}
-		return false
-	}
 	seeded := false
 	for i := range rules {
-		if !hasLocalLit(&rules[i]) {
+		if !hasLocalLit(&rules[i], local) {
 			seeded = true
 			break
 		}
@@ -300,7 +290,7 @@ func semiNaiveFixpoint(work *storage.Database, rules []compiledRule, local map[s
 		var est int64
 		for i := range rules {
 			cr := &rules[i]
-			if hasLocalLit(cr) {
+			if hasLocalLit(cr, local) {
 				continue
 			}
 			var rsp *obs.Span

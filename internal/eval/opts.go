@@ -24,12 +24,14 @@ type Opts struct {
 	// Workers is the parallel engine's pool size; 0 or negative means
 	// runtime.GOMAXPROCS(0). Ignored by the sequential engines.
 	Workers int
-	// Shards controls the sharded fixpoint engine (shard.go): 0 lets the
-	// planner choose (GOMAXPROCS-many shards for large inputs, the plain
-	// parallel path otherwise), 1 disables sharding, and >= 2 forces exactly
-	// that many hash shards. Respected by every auto-planned fixpoint, the
-	// streaming path, the TC compose kernel and ParallelSemiNaiveOpts; the
-	// sequential engines ignore it.
+	// Shards controls the round driver's partition (driver.go, shard.go): 0
+	// lets chooseShards decide per database (GOMAXPROCS-many hash shards for
+	// large inputs, contiguous chunks otherwise), 1 disables sharding, and
+	// >= 2 forces exactly that many hash shards. Respected wherever the
+	// driver or the TC compose kernel runs — materialized or streamed;
+	// ParallelSemiNaiveOpts treats 0 as 1 (it never auto-shards), maintenance
+	// delta passes always run unsharded, and the sequential engines ignore
+	// it.
 	Shards int
 	// Tracer, when non-nil, receives the evaluation's hierarchical spans
 	// (fixpoint → round → per-rule join, plus classify/plan-compile from
@@ -49,14 +51,6 @@ type Opts struct {
 	// close it from Close(). Nil (the zero value) never cancels and costs
 	// one nil-channel select per round.
 	Abort <-chan struct{}
-	// Observer, when non-nil, receives one RoundStats per fixpoint round,
-	// in round order, from the coordinating goroutine.
-	//
-	// Deprecated: Observer predates the obs.Tracer span plumbing and is
-	// kept as a shim — every engine now feeds it through the same round
-	// sink that emits round spans. New callers should read Stats.Trace or
-	// attach a Tracer instead.
-	Observer Observer
 	// CostOrders makes the explicitly invoked engines (NaiveOpts,
 	// SemiNaiveOpts, the parallel/sharded entry points) compile cost-based
 	// join orders from the database's column statistics before evaluating,
@@ -157,14 +151,13 @@ func (o Opts) metricSet() *metricSet {
 	}
 }
 
-// roundSink fans one fixpoint round out to every consumer: Stats.Trace, the
-// deprecated Observer callback, one span per round under the engine's
-// fixpoint span, and the round-granularity histograms. The zero value is a
-// valid "record Stats.Trace only" sink; engines call begin at round start
-// and end exactly once per round.
+// roundSink fans one fixpoint round out to every consumer: Stats.Trace, one
+// span per round under the engine's fixpoint span, and the round-granularity
+// histograms. The zero value is a valid sink that records nothing
+// (maintenance passes run on it); engines call begin at round start and end
+// exactly once per round.
 type roundSink struct {
 	st   *Stats
-	ob   Observer
 	fix  *obs.Span // fixpoint span, parent of the round spans; nil untraced
 	ms   *metricSet
 	t0   time.Time
@@ -172,7 +165,7 @@ type roundSink struct {
 }
 
 func newRoundSink(st *Stats, o Opts, fix *obs.Span) roundSink {
-	return roundSink{st: st, ob: o.Observer, fix: fix, ms: o.metricSet()}
+	return roundSink{st: st, fix: fix, ms: o.metricSet()}
 }
 
 // begin marks the start of a round (timing plus the round span).
@@ -197,16 +190,16 @@ func (rs *roundSink) rule(name string) *obs.Span {
 }
 
 // end completes the round: fills the duration when the engine did not
-// measure one itself, appends to Stats.Trace, notifies the Observer, closes
-// the round span and feeds the histograms.
+// measure one itself, appends to Stats.Trace, closes the round span and
+// feeds the histograms.
 func (rs *roundSink) end(r RoundStats) {
+	if rs.st == nil {
+		return
+	}
 	if r.Duration == 0 {
 		r.Duration = time.Since(rs.t0)
 	}
 	rs.st.Trace = append(rs.st.Trace, r)
-	if rs.ob != nil {
-		rs.ob.Round(r)
-	}
 	if s := rs.span; s != nil {
 		s.SetInt("round", int64(r.Round))
 		s.SetInt("stratum", int64(r.Stratum))

@@ -40,7 +40,7 @@ func TestParallelMatchesSemiNaiveOnRandomSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d seminaive: %v", trial, err)
 		}
-		par, parStats, err := ParallelSemiNaiveOpts(prog, db, ParallelOpts{Workers: 1 + trial%4})
+		par, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 1 + trial%4})
 		if err != nil {
 			t.Fatalf("trial %d parallel: %v", trial, err)
 		}
@@ -80,7 +80,7 @@ func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, _, err := ParallelSemiNaiveOpts(prog, db, ParallelOpts{Workers: 1 + trial%3})
+		par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 1 + trial%3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 2, 3, 8} {
-		out, _, err := ParallelSemiNaiveOpts(prog, db, ParallelOpts{Workers: workers})
+		out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,27 +200,17 @@ func TestParallelRoundTrace(t *testing.T) {
 	if err := storage.GenChain(db, "e", 16); err != nil {
 		t.Fatal(err)
 	}
-	var observed []RoundStats
-	_, st, err := ParallelSemiNaiveOpts(prog, db, ParallelOpts{
-		Workers:  2,
-		Observer: ObserverFunc(func(r RoundStats) { observed = append(observed, r) }),
-	})
+	_, st, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Trace) != st.Rounds {
 		t.Fatalf("trace has %d records, want one per round (%d)", len(st.Trace), st.Rounds)
 	}
-	if len(observed) != len(st.Trace) {
-		t.Fatalf("observer saw %d rounds, trace holds %d", len(observed), len(st.Trace))
-	}
 	sumDerived, sumAttempted := 0, 0
 	for i, r := range st.Trace {
 		if r.Round != i+1 {
 			t.Errorf("record %d has round number %d", i, r.Round)
-		}
-		if r != observed[i] {
-			t.Errorf("record %d differs between trace and observer", i)
 		}
 		if r.Workers != 2 {
 			t.Errorf("record %d reports %d workers, want 2", i, r.Workers)
@@ -307,7 +297,7 @@ func TestParallelManyStrataStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := ParallelSemiNaiveOpts(prog, db, ParallelOpts{Workers: 4})
+	par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func NewPlannerWith(reg *obs.Registry) *Planner {
 
 // DefaultPlanner backs StrategyAuto; its counters live in obs.Default() so
 // dlrun/dlbench -serve expose them. Tools that want isolated hit/miss
-// accounting (or eager invalidation) create their own Planner.
+// accounting create their own Planner.
 var DefaultPlanner = NewPlannerWith(obs.Default())
 
 // programKey renders the system's canonical rule text: the recursive rule
@@ -264,16 +264,6 @@ func (pl *Planner) answerSnapAux(sys *ast.RecursiveSystem, q ast.Query, snap *st
 	return rel, aux, st, nil
 }
 
-// Invalidate is a no-op and always returns 0.
-//
-// Deprecated: plan-cache entries are keyed by program content and snapshot
-// epoch, so a stale plan can never be served for a modified program and
-// old epochs age out automatically — there is nothing left to invalidate
-// by hand. The shim is kept so existing callers compile.
-func (pl *Planner) Invalidate(sys *ast.RecursiveSystem) int {
-	return 0
-}
-
 // Metrics returns the hit and miss counters accumulated since the planner
 // was created or last Reset.
 func (pl *Planner) Metrics() (hits, misses uint64) {
@@ -282,8 +272,8 @@ func (pl *Planner) Metrics() (hits, misses uint64) {
 	return uint64(pl.hits.Value() - pl.baseHits), uint64(pl.misses.Value() - pl.baseMisses)
 }
 
-// Invalidations returns the number of plans dropped by Invalidate since the
-// planner was created or last Reset.
+// Invalidations returns the number of plans dropped by the automatic epoch
+// and statistics prunes since the planner was created or last Reset.
 func (pl *Planner) Invalidations() uint64 {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()

@@ -90,18 +90,6 @@ func TestPlannerInvalidation(t *testing.T) {
 		t.Errorf("plan for changed system answered %d tuples, want %d", ansA.Len(), ref.Len())
 	}
 
-	// Invalidate is a deprecated no-op: keys cover the full canonical rule
-	// text, so there is nothing stale to drop by hand.
-	if n := pl.Invalidate(sysA); n != 0 {
-		t.Errorf("Invalidate(sysA) removed %d entries, want 0 (no-op shim)", n)
-	}
-	if pl.Len() != 3 {
-		t.Errorf("cache size after Invalidate = %d, want 3 (untouched)", pl.Len())
-	}
-	if _, st, err := pl.Answer(sysA, q, db); err != nil || !st.Plan.CacheHit {
-		t.Errorf("Invalidate must not evict content-keyed plans: hit=%v err=%v", st.Plan.CacheHit, err)
-	}
-
 	pl.Reset()
 	if h, m := pl.Metrics(); pl.Len() != 0 || h != 0 || m != 0 {
 		t.Errorf("Reset left size=%d hits=%d misses=%d", pl.Len(), h, m)

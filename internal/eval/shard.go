@@ -1,53 +1,30 @@
 package eval
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
 )
 
-// The sharded parallel fixpoint. The parallel engine (parallel.go) splits
-// each round's delta into arbitrary contiguous chunks; workers therefore see
-// an unpredictable slice of the value domain every round, and nothing can be
-// owned by a worker across rounds. This engine instead hash-partitions every
-// recursive relation's frontier by its join column into N shards: shard i
-// always processes the tuples whose join key hashes to i, and a tuple
-// derived in shard i whose key belongs to shard j is routed into j's
-// next-round frontier through the single-threaded round barrier (the
-// cross-shard delta exchange). Answers are identical to SemiNaive — the
-// partition is exhaustive and disjoint, so each round still joins exactly
-// the full delta — but work now has an owner, which is the refactor a
-// multi-process distributed mode needs: the barrier's routing table is
-// precisely the network exchange such a mode would perform.
-//
-// Shard counts come from chooseShards: explicit Opts.Shards wins, otherwise
+// Shard policy for the round driver's hash partition (driver.go). Shard
+// counts come from chooseShards: explicit Opts.Shards wins, otherwise
 // GOMAXPROCS bounded by the input's size and join-column cardinality, with a
-// small-input cutoff falling back to the unsharded parallel engine (for a
-// frontier of a few thousand tuples the exchange bookkeeping costs more than
-// it buys).
+// small-input cutoff keeping the contiguous-chunk partition (for a frontier
+// of a few thousand tuples the exchange bookkeeping costs more than it
+// buys).
 
-const (
-	// shardMinTuples is the auto planner's small-input cutoff: below this
-	// many relevant input tuples the sharded engine delegates to the plain
-	// parallel engine.
-	shardMinTuples = 4096
-)
+// shardMinTuples is the auto policy's small-input cutoff: below this many
+// relevant input tuples frontiers are not hash-sharded.
+const shardMinTuples = 4096
 
-// chooseShards picks the shard count for a fixpoint over prog/db. An
+// autoShards is the policy shared by the fixpoint and TC selectors. An
 // explicit Opts.Shards setting is obeyed (1 = never shard, >= 2 = exactly
 // that many shards); 0 is the auto policy: GOMAXPROCS-many shards (or
-// Opts.Workers when set) unless the body relations are too small to be
-// worth exchanging, capped by the largest body relation's column
-// cardinality so shards are never guaranteed empty. When a compiled order
-// book is attached, its estimated enumeration cost raises the work estimate
-// above the raw input size — a small input whose joins the cost model
-// predicts to be expensive is still worth sharding (the estimate only ever
-// widens the sharded regime, so bookless behavior is unchanged).
-func chooseShards(opts Opts, db *storage.Database, prog *ast.Program) int {
+// Opts.Workers when set) unless the work estimate is below shardMinTuples,
+// capped by the largest input relation's column cardinality so shards are
+// never guaranteed empty.
+func autoShards(opts Opts, workEst int, largest *storage.Relation) int {
 	if opts.Shards == 1 {
 		return 1
 	}
@@ -58,9 +35,19 @@ func chooseShards(opts Opts, db *storage.Database, prog *ast.Program) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if n < 2 {
+	if n < 2 || largest == nil || workEst < shardMinTuples {
 		return 1
 	}
+	return capShards(n, relCardinality(largest))
+}
+
+// chooseShards picks the shard count for a fixpoint over prog/db from the
+// summed size of the body relations. When a compiled order book is
+// attached, its estimated enumeration cost raises the work estimate above
+// the raw input size — a small input whose joins the cost model predicts to
+// be expensive is still worth sharding (the estimate only ever widens the
+// sharded regime, so bookless behavior is unchanged).
+func chooseShards(opts Opts, db *storage.Database, prog *ast.Program) int {
 	seen := make(map[string]bool)
 	total := 0
 	var largest *storage.Relation
@@ -80,18 +67,25 @@ func chooseShards(opts Opts, db *storage.Database, prog *ast.Program) int {
 			}
 		}
 	}
-	workEst := total
-	if opts.book != nil && opts.book.cost > float64(workEst) {
+	if opts.book != nil && opts.book.cost > float64(total) {
 		if opts.book.cost > 1e9 {
-			workEst = 1 << 30
+			total = 1 << 30
 		} else {
-			workEst = int(opts.book.cost)
+			total = int(opts.book.cost)
 		}
 	}
-	if workEst < shardMinTuples || largest == nil {
-		return 1
+	return autoShards(opts, total, largest)
+}
+
+// chooseShardsTC is the policy for the transitive-closure compose kernel:
+// the relevant input is the edge relation alone, and the useful shard bound
+// is its endpoint cardinality.
+func chooseShardsTC(opts Opts, edges *storage.Relation) int {
+	n := 0
+	if edges != nil {
+		n = edges.Len()
 	}
-	return capShards(n, relCardinality(largest))
+	return autoShards(opts, n, edges)
 }
 
 // relCardinality returns the largest per-column distinct-value count of the
@@ -116,99 +110,6 @@ func capShards(n, card int) int {
 		return 1
 	}
 	return n
-}
-
-// ShardedSemiNaive is ParallelSemiNaive with hash-sharded frontiers and
-// cross-shard delta exchange at round barriers. Answers are identical to
-// SemiNaive; Stats.Shards reports the shard count and Stats.Exchanged the
-// number of tuples routed across shards.
-func ShardedSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
-	return ShardedSemiNaiveOpts(prog, db, Opts{})
-}
-
-// ShardedSemiNaiveOpts is ShardedSemiNaive with explicit options. When the
-// auto policy (or an explicit Opts.Shards of 1) decides against sharding,
-// the evaluation runs on the plain parallel engine and Stats.Shards stays 0.
-func ShardedSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
-	return shardedSemiNaive(prog, db, opts, "", nil)
-}
-
-// shardedSemiNaive is the sharded core shared by the materializing and
-// streaming entry points, with the same emit contract as parallelSemiNaive.
-// It delegates to the parallel engine when chooseShards says sharding is not
-// worth it, so every auto-path caller can use it unconditionally.
-func shardedSemiNaive(prog *ast.Program, db *storage.Database, opts Opts, streamPred string, emit func(storage.Tuple) bool) (*storage.Database, Stats, error) {
-	// Compile the order book (when requested and not already attached by a
-	// Plan) before the shard decision: chooseShards uses its cost estimate.
-	opts = opts.withAutoBook(db.Syms, prog.Rules, db)
-	shards := chooseShards(opts, db, prog)
-	if shards < 2 {
-		return parallelSemiNaive(prog, db, opts, streamPred, emit)
-	}
-	work, idb, err := prepare(prog, db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	strata, err := strataOf(prog)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	work.BuildIndexes()
-	fix := opts.parent().Child("fixpoint").SetStr("engine", "sharded").SetInt("shards", int64(shards))
-	defer fix.End()
-	st := Stats{Shards: shards}
-	if emit != nil {
-		stopped := false
-		if rel := work.Rel(streamPred); rel != nil {
-			rel.Each(func(t storage.Tuple) bool {
-				if !emit(t) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		}
-		if stopped {
-			flushSharded(opts, &st, work, idb)
-			return work, st, errStreamStop
-		}
-	}
-	sink := newRoundSink(&st, opts, fix)
-	round := 0
-	for si, group := range strata {
-		rules, err := compileRules(db.Syms, group, opts.book)
-		if err != nil {
-			return nil, st, err
-		}
-		local := make(map[string]bool)
-		for _, r := range group {
-			local[r.Head.Pred] = true
-		}
-		r0 := round
-		if err := shardedFixpoint(work, rules, local, workers, shards, si, &round, &sink, &st, opts, streamPred, emit); err != nil {
-			if err == errStreamStop {
-				flushSharded(opts, &st, work, idb)
-				return work, st, err
-			}
-			return nil, st, err
-		}
-		sink.stratumDone(round - r0)
-	}
-	fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived)).SetInt("exchanged", int64(st.Exchanged))
-	flushSharded(opts, &st, work, idb)
-	return work, st, nil
-}
-
-// flushSharded is flushDB plus the sharded engine's own counters.
-func flushSharded(opts Opts, st *Stats, work *storage.Database, idb map[string]bool) {
-	flushDB(opts, st, work, idb)
-	reg := opts.registry()
-	reg.Counter(mShardedEvals).Inc()
-	reg.Counter(mExchanged).Add(int64(st.Exchanged))
 }
 
 // shardCols picks, for each of the stratum's local predicates, the column
@@ -289,418 +190,4 @@ func shardCols(rules []compiledRule, local map[string]bool, work *storage.Databa
 		cols[pred] = best
 	}
 	return cols
-}
-
-// shardedFixpoint saturates one rule group with per-shard delta evaluation:
-// each round fans one task per (shard, rule, delta-occurrence) across the
-// worker pool, then the single-threaded barrier merges the task buffers in
-// deterministic task order and routes every fresh tuple to the shard owning
-// its join-column hash — the cross-shard delta exchange. Tuples whose owner
-// differs from the shard that derived them are counted into
-// Stats.Exchanged.
-func shardedFixpoint(work *storage.Database, rules []compiledRule, local map[string]bool, workers, shards, stratum int, round *int, sink *roundSink, st *Stats, opts Opts, streamPred string, emit func(storage.Tuple) bool) error {
-	full := DBRels(work)
-	cols := shardCols(rules, local, work)
-	pool := &relPool{}
-	stopped := false
-
-	// next[s][pred] is shard s's frontier for the following round. Frontier
-	// tuples alias the head relations' arenas exactly as in the parallel
-	// engine: Insert copied them, At returns the arena-backed header.
-	merge := func(tasks []parTask, results []parResult, next []map[string][]storage.Tuple) (added, attempted, exchanged int) {
-		for i, res := range results {
-			attempted += res.attempted
-			st.Visited += res.visits
-			pred := tasks[i].cr.rule.Head.Pred
-			head := work.Rel(pred)
-			if !stopped {
-				col := cols[pred]
-				src := tasks[i].shard - 1 // -1 for the (unsharded) seed round
-				res.out.Each(func(t storage.Tuple) bool {
-					if head.Insert(t) {
-						added++
-						nt := head.At(head.Len() - 1)
-						if next != nil {
-							dest := storage.ShardOf(nt[col], shards)
-							next[dest][pred] = append(next[dest][pred], nt)
-							if src >= 0 && dest != src {
-								exchanged++
-							}
-						}
-						if emit != nil && pred == streamPred && !emit(nt) {
-							stopped = true
-							return false
-						}
-					}
-					return true
-				})
-			}
-			pool.put(res.out)
-			results[i].out = nil
-		}
-		return added, attempted, exchanged
-	}
-
-	// Seed round: rules with no positive local literal run once in full,
-	// exactly as in the parallel engine — sharding begins with the first
-	// frontier, not before it.
-	hasLocal := func(cr *compiledRule) bool {
-		for _, a := range cr.rule.Body {
-			if !a.Neg && local[a.Pred] {
-				return true
-			}
-		}
-		return false
-	}
-	hasSeed := false
-	for i := range rules {
-		if !hasLocal(&rules[i]) {
-			hasSeed = true
-			break
-		}
-	}
-	if hasSeed {
-		if opts.canceled() {
-			return fmt.Errorf("sharded fixpoint: %w", ErrCanceled)
-		}
-		*round++
-		st.Rounds++
-		start := time.Now()
-		sink.begin()
-		var seedTasks []parTask
-		var est int64
-		for i := range rules {
-			cr := &rules[i]
-			if hasLocal(cr) {
-				continue
-			}
-			if cr.ord != nil && cr.ord.full != nil {
-				est += int64(cr.ord.fullCost)
-			}
-			seedTasks = append(seedTasks, parTask{cr: cr, seedIdx: -1, head: work.Rel(cr.rule.Head.Pred), span: sink.span})
-		}
-		visited0 := st.Visited
-		results, busy, err := runTasks(seedTasks, workers, full, pool)
-		if err != nil {
-			return err
-		}
-		added, attempted, _ := merge(seedTasks, results, nil)
-		st.Facts += attempted
-		st.Derived += added
-		sink.end(RoundStats{
-			Round: *round, Stratum: stratum, Tasks: len(seedTasks),
-			Derived: added, Attempted: attempted, Workers: workers, Shards: shards,
-			Duration: time.Since(start), Busy: busy,
-			Estimated: est, Visited: st.Visited - visited0,
-		})
-		if stopped {
-			return errStreamStop
-		}
-	}
-
-	// Initial frontiers: everything in the head relations after the seed
-	// round, hash-partitioned by each predicate's join column.
-	fr := make([]map[string][]storage.Tuple, shards)
-	for s := range fr {
-		fr[s] = make(map[string][]storage.Tuple)
-	}
-	for pred := range local {
-		for s, part := range work.Rel(pred).PartitionByHash(cols[pred], shards) {
-			if len(part) > 0 {
-				fr[s][pred] = part
-			}
-		}
-	}
-
-	for {
-		if opts.canceled() {
-			return fmt.Errorf("sharded fixpoint: %w", ErrCanceled)
-		}
-		*round++
-		st.Rounds++
-		start := time.Now()
-		sink.begin()
-		deltaSize := 0
-		var tasks []parTask
-		var est int64
-		for s := 0; s < shards; s++ {
-			for i := range rules {
-				cr := &rules[i]
-				for bi, a := range cr.rule.Body {
-					if a.Neg || !local[a.Pred] {
-						continue
-					}
-					d := fr[s][a.Pred]
-					if len(d) == 0 {
-						continue
-					}
-					if _, perTuple := cr.seededOrder(bi); perTuple > 0 {
-						est += int64(perTuple * float64(len(d)))
-					}
-					tasks = append(tasks, parTask{cr: cr, seedIdx: bi, chunk: d, head: work.Rel(cr.rule.Head.Pred), span: sink.span, shard: s + 1})
-				}
-			}
-			for _, d := range fr[s] {
-				deltaSize += len(d)
-			}
-		}
-		next := make([]map[string][]storage.Tuple, shards)
-		for s := range next {
-			next[s] = make(map[string][]storage.Tuple)
-		}
-		added, attempted, exchanged := 0, 0, 0
-		var busy time.Duration
-		visited0 := st.Visited
-		if len(tasks) > 0 {
-			results, b, err := runTasks(tasks, workers, full, pool)
-			if err != nil {
-				return err
-			}
-			busy = b
-			added, attempted, exchanged = merge(tasks, results, next)
-		}
-		st.Facts += attempted
-		st.Derived += added
-		st.Exchanged += exchanged
-		sink.end(RoundStats{
-			Round: *round, Stratum: stratum, Tasks: len(tasks), Delta: deltaSize,
-			Derived: added, Attempted: attempted, Workers: workers,
-			Shards: shards, Exchanged: exchanged,
-			Duration: time.Since(start), Busy: busy,
-			Estimated: est, Visited: st.Visited - visited0,
-		})
-		if stopped {
-			return errStreamStop
-		}
-		if added == 0 {
-			return nil
-		}
-		fr = next
-	}
-}
-
-// chooseShardsTC is the auto policy for the transitive-closure compose
-// kernel: the relevant input is the edge relation alone, and the useful
-// shard bound is its endpoint cardinality.
-func chooseShardsTC(opts Opts, edges *storage.Relation) int {
-	if opts.Shards == 1 {
-		return 1
-	}
-	if opts.Shards > 1 {
-		return opts.Shards
-	}
-	n := opts.Workers
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 2 || edges == nil || edges.Len() < shardMinTuples {
-		return 1
-	}
-	return capShards(n, relCardinality(edges))
-}
-
-// shardedCompose is composeClosure with the delta hash-partitioned by its
-// join endpoint — d[0] for the right-linear orientation (joined against
-// edge column 1), d[1] for the left-linear one — across per-shard parallel
-// compose tasks. Each task joins its shard of the delta against the shared
-// edge index into a private pooled buffer, prefiltered against the
-// round-start answers (reads only: nothing mutates answers during the
-// parallel phase). The barrier then merges buffers in shard order and
-// routes each fresh closure tuple to the shard owning its join key.
-func shardedCompose(edges, exitRel *storage.Relation, rightLinear bool, answers *storage.Relation, shards int, st *Stats, sink *roundSink, opts Opts) error {
-	joinCol := 0
-	if !rightLinear {
-		joinCol = 1
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Seed: the exit relation, single-threaded (it is one pass of inserts),
-	// then hash-partitioned into the first per-shard frontiers.
-	sink.begin()
-	delta := make([]storage.Tuple, 0, exitRel.Len())
-	exitRel.Each(func(t storage.Tuple) bool {
-		st.Facts++
-		if answers.Insert(t) {
-			st.Derived++
-			delta = append(delta, answers.At(answers.Len()-1))
-		}
-		return true
-	})
-	if len(delta) > 0 {
-		st.Rounds++
-	}
-	sink.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: exitRel.Len(), Shards: shards})
-	if edges == nil {
-		return nil
-	}
-	// Publish the edge index before workers share it: probeIndex may build
-	// lazily, which must not happen concurrently.
-	edges.BuildIndexes()
-
-	fr := storage.PartitionTuplesByHash(delta, joinCol, shards)
-	pool := &relPool{}
-	deltaLen := len(delta)
-	for deltaLen > 0 {
-		if opts.canceled() {
-			return fmt.Errorf("tc-frontier sharded compose: %w", ErrCanceled)
-		}
-		st.Rounds++
-		sink.begin()
-
-		outs, attempted, busy, err := runComposeTasks(edges, rightLinear, answers, fr, workers, pool)
-		if err != nil {
-			return err
-		}
-
-		// Barrier: merge in shard order, route fresh tuples to their owner.
-		next := make([][]storage.Tuple, shards)
-		derived, exchanged := 0, 0
-		for s, out := range outs {
-			if out == nil {
-				continue
-			}
-			out.Each(func(t storage.Tuple) bool {
-				if answers.Insert(t) {
-					derived++
-					nt := answers.At(answers.Len() - 1)
-					dest := storage.ShardOf(nt[joinCol], shards)
-					next[dest] = append(next[dest], nt)
-					if dest != s {
-						exchanged++
-					}
-				}
-				return true
-			})
-			pool.put(out)
-			outs[s] = nil
-		}
-		st.Facts += attempted
-		st.Derived += derived
-		st.Exchanged += exchanged
-		sink.end(RoundStats{
-			Round: st.Rounds, Tasks: shards, Delta: deltaLen, Derived: derived,
-			Attempted: attempted, Workers: workers, Shards: shards,
-			Exchanged: exchanged, Busy: busy,
-		})
-		fr = next
-		deltaLen = 0
-		for _, d := range fr {
-			deltaLen += len(d)
-		}
-	}
-	return nil
-}
-
-// runComposeTasks fans the per-shard compose joins across the worker pool:
-// task s joins fr[s] against the published edge index into a pooled private
-// buffer. Panics are converted to errors as in runTasks; all workers are
-// joined before return.
-func runComposeTasks(edges *storage.Relation, rightLinear bool, answers *storage.Relation, fr [][]storage.Tuple, workers int, pool *relPool) ([]*storage.Relation, int, time.Duration, error) {
-	shards := len(fr)
-	outs := make([]*storage.Relation, shards)
-	attempts := make([]int, shards)
-	busies := make([]time.Duration, shards)
-	if workers > shards {
-		workers = shards
-	}
-	taskCh := make(chan int)
-	errCh := make(chan error, 1)
-	abort := make(chan struct{})
-	var abortOnce sync.Once
-	fail := func(err error) {
-		select {
-		case errCh <- err:
-		default:
-		}
-		abortOnce.Do(func() { close(abort) })
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nt := make(storage.Tuple, 2)
-			for {
-				select {
-				case <-abort:
-					return
-				case s, ok := <-taskCh:
-					if !ok {
-						return
-					}
-					if err := runComposeTask(edges, rightLinear, answers, fr[s], nt, pool, &outs[s], &attempts[s], &busies[s]); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-feed:
-	for s := range fr {
-		if len(fr[s]) == 0 {
-			continue
-		}
-		select {
-		case taskCh <- s:
-		case <-abort:
-			break feed
-		}
-	}
-	close(taskCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, 0, 0, err
-	default:
-	}
-	attempted := 0
-	var busy time.Duration
-	for s := range fr {
-		attempted += attempts[s]
-		busy += busies[s]
-	}
-	return outs, attempted, busy, nil
-}
-
-// runComposeTask joins one shard's delta against the edge index into a
-// pooled private buffer, prefiltering tuples already in the answers
-// relation (frozen for the round; reads are safe).
-func runComposeTask(edges *storage.Relation, rightLinear bool, answers *storage.Relation, delta []storage.Tuple, nt storage.Tuple, pool *relPool, out **storage.Relation, attempted *int, busy *time.Duration) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("eval: sharded compose task: %v", r)
-		}
-	}()
-	start := time.Now()
-	buf := pool.get(2)
-	n := 0
-	for _, d := range delta {
-		if rightLinear {
-			edges.EachCol(1, d[0], func(e storage.Tuple) bool {
-				n++
-				nt[0], nt[1] = e[0], d[1]
-				if !answers.Contains(nt) {
-					buf.Insert(nt)
-				}
-				return true
-			})
-		} else {
-			edges.EachCol(0, d[1], func(e storage.Tuple) bool {
-				n++
-				nt[0], nt[1] = d[0], e[1]
-				if !answers.Contains(nt) {
-					buf.Insert(nt)
-				}
-				return true
-			})
-		}
-	}
-	*out = buf
-	*attempted = n
-	*busy = time.Since(start)
-	return nil
 }

@@ -243,6 +243,20 @@ func TestShardedTCComposeReportsShards(t *testing.T) {
 	if st.Exchanged == 0 {
 		t.Error("60-node chain closure across 4 shards exchanged no tuples")
 	}
+
+	// The streamed all-free query runs the same compose, so it shards too.
+	p, err := CompilePlan(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := p.Stream(q, db, Opts{Shards: 4, Workers: 2}, 0)
+	if got := drainStream(t, it); !rowsEqual(got, relRows(base)) {
+		t.Errorf("sharded streamed TC compose: %d rows, want %d", len(got), base.Len())
+	}
+	if st := it.Stats(); st.Shards != 4 || st.Plan == nil || st.Plan.Shards != 4 || st.Exchanged == 0 {
+		t.Errorf("streamed stats shards=%d plan=%v exchanged=%d, want 4 shards and exchange traffic",
+			st.Shards, st.Plan, st.Exchanged)
+	}
 }
 
 // TestShardedStreamMatchesMaterialized: the streaming path runs the sharded

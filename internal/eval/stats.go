@@ -19,9 +19,8 @@ type Stats struct {
 	// Facts is the number of tuple insertions attempted (including
 	// duplicates) — the naive evaluator's wasted-rederivation measure.
 	Facts int
-	// Trace holds one record per fixpoint round when the engine collects
-	// per-round metrics (currently the parallel semi-naive engine); nil
-	// otherwise.
+	// Trace holds one record per fixpoint round, in round order; every
+	// engine fills it.
 	Trace []RoundStats
 	// Plan reports the auto planner's decision when the query went through
 	// StrategyAuto (or a Planner directly); nil for the explicit engines.
@@ -204,22 +203,3 @@ func (r RoundStats) String() string {
 	}
 	return s + fmt.Sprintf(" wall=%v", r.Duration)
 }
-
-// Observer receives one callback per fixpoint round. Calls are made from
-// the coordinating goroutine only, in round order, so implementations need
-// no locking. Every engine feeds it through the same round sink that emits
-// round spans, so it now fires for the sequential engines too (it was
-// silently ignored by them before).
-//
-// Deprecated: Observer predates the obs.Tracer span plumbing. New callers
-// should read Stats.Trace after evaluation or attach an Opts.Tracer for
-// live, hierarchical data.
-type Observer interface {
-	Round(RoundStats)
-}
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(RoundStats)
-
-// Round implements Observer.
-func (f ObserverFunc) Round(r RoundStats) { f(r) }

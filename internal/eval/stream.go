@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
-	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -17,12 +16,6 @@ import (
 // backpressure, and closing the iterator (or an external Opts.Abort) stops
 // the producing fixpoint at its next round boundary. Cached results stream
 // through the same interface with no evaluation and no copying.
-
-// errStreamStop is the internal sentinel a streaming engine returns when the
-// consumer declined further tuples (limit satisfied, goal answered, iterator
-// closed). It never escapes the package: the iterator and streamInto
-// translate it to a clean end-of-stream.
-var errStreamStop = errors.New("eval: stream consumer stopped")
 
 // streamChanSize bounds the producer/consumer channel: enough slack that the
 // producer is not re-scheduled per tuple, small enough that an abandoned
@@ -111,11 +104,12 @@ type evalIterator struct {
 // newEvalIterator starts run in a producer goroutine. run must feed every
 // answer to emit and return its Stats; emit returning false means "stop now"
 // (run should return errStreamStop, which is not an error). limit > 0 cuts
-// the stream after limit tuples and sets Stats.Truncated. opts.Abort, when
+// the stream after limit tuples and sets Stats.Truncated when the engine
+// derived one more. opts.Abort, when
 // non-nil, cancels the stream from outside (a watcher goroutine forwards it
 // to the producer); Err then reports ErrCanceled. Emitted tuples must stay
-// valid until the evaluation's working storage is garbage — engines emit
-// arena-backed or freshly allocated tuples, never reused scratch buffers.
+// valid until the evaluation's working storage is garbage — every sink is
+// handed arena-backed tuples, never reused scratch buffers.
 func newEvalIterator(opts Opts, limit int, run func(ro Opts, emit func(storage.Tuple) bool) (Stats, error)) *evalIterator {
 	it := &evalIterator{
 		ch:       make(chan storage.Tuple, streamChanSize),
@@ -129,16 +123,18 @@ func newEvalIterator(opts Opts, limit int, run func(ro Opts, emit func(storage.T
 	emitted := 0
 	truncated := false
 	emit := func(t storage.Tuple) bool {
+		// The limit declines the tuple after the last one it wanted, so
+		// Truncated means the same as on the cached path: more existed.
+		if limit > 0 && emitted >= limit {
+			truncated = true
+			return false
+		}
 		select {
 		case it.ch <- t:
 		case <-it.abort:
 			return false
 		}
 		emitted++
-		if limit > 0 && emitted >= limit {
-			truncated = true
-			return false
-		}
 		return true
 	}
 
@@ -225,11 +221,12 @@ func (it *evalIterator) Close() {
 
 // Stream evaluates the query along the compiled path, delivering answers
 // through an Iterator as they are derived. limit > 0 stops the evaluation
-// once limit answers were delivered (Stats.Truncated set). Bound-argument
-// queries on TC plans additionally exit as soon as the answer set is
-// complete — a fully bound tc(a, b)? stops at its first derivation without
-// computing the rest of the closure. The iterator's answers equal
-// AnswerOpts' answer relation, in deterministic order per plan.
+// once limit answers were delivered and one more was derived
+// (Stats.Truncated set). Bound-argument queries on TC plans additionally
+// exit as soon as the answer set is complete — a fully bound tc(a, b)? stops
+// at its first derivation without computing the rest of the closure. The
+// iterator's answers equal AnswerOpts' answer relation, in deterministic
+// order per plan.
 func (p *Plan) Stream(q ast.Query, db *storage.Database, opts Opts, limit int) Iterator {
 	return newEvalIterator(opts, limit, func(ro Opts, emit func(storage.Tuple) bool) (Stats, error) {
 		return p.streamInto(q, db, ro, emit)
@@ -245,11 +242,12 @@ func (p *Plan) streamInto(q ast.Query, db *storage.Database, opts Opts, emit fun
 	if opts.book == nil {
 		opts.book = p.book
 	}
+	snk := sink{pred: q.Atom.Pred, emit: emit}
 	switch p.Kind {
 	case PlanTC:
-		st, err = tcStream(p.sys, p.tc, q, db, opts, emit)
+		_, _, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk)
 	case PlanBounded:
-		st, err = streamNonRecursive(p.sys, p.rules, q, db, opts, emit)
+		_, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)
 	case PlanStable:
 		st, err = streamFixpoint(p.stable.Program(), q, db, opts, emit)
 	default:
@@ -264,19 +262,19 @@ func (p *Plan) streamInto(q ast.Query, db *storage.Database, opts Opts, emit fun
 
 // StreamProgram streams a query over a general stratified program (the
 // serving path for programs that are not a single recursive system): the
-// parallel semi-naive engine runs with a merge-time emit hook, so answers
-// flow out as rounds complete and an early stop abandons the rest of the
-// fixpoint.
+// round driver runs with a streaming sink, so answers flow out as rounds
+// complete and an early stop abandons the rest of the fixpoint.
 func StreamProgram(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, limit int) Iterator {
 	return newEvalIterator(opts, limit, func(ro Opts, emit func(storage.Tuple) bool) (Stats, error) {
 		return streamFixpoint(prog, q, db, ro, emit)
 	})
 }
 
-// streamFixpoint runs the parallel semi-naive engine with an emit hook on
-// the query predicate, filtering each emitted tuple against the query's
-// bound constants (the same selection AnswerQuery applies to the finished
-// fixpoint).
+// streamFixpoint runs the round driver with a streaming sink on the query
+// predicate, filtering each emitted tuple against the query's bound
+// constants (the same selection AnswerQuery applies to the finished
+// fixpoint). The driver makes the same per-database partition choice as the
+// materializing path.
 func streamFixpoint(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, emit func(storage.Tuple) bool) (Stats, error) {
 	n := q.Atom.Arity()
 	bound := make([]bool, n)
@@ -307,87 +305,6 @@ func streamFixpoint(prog *ast.Program, q ast.Query, db *storage.Database, opts O
 		}
 		return emit(t)
 	}
-	// The sharded core delegates to the parallel engine for small inputs, so
-	// the streaming path gets the same per-database engine choice as the
-	// materializing one; shard outputs flow through the same merge-time emit
-	// hook, in deterministic barrier order.
-	_, st, err := shardedSemiNaive(prog, db, opts, q.Atom.Pred, filtered)
+	_, st, err := fixpoint(prog, db, opts, sink{pred: q.Atom.Pred, emit: filtered})
 	return st, err
-}
-
-// streamNonRecursive is the bounded-union plan's streaming path: expansion
-// rules run in order, each fresh (deduplicated) head projection is emitted
-// immediately, and a declined emit abandons the remaining expansions.
-func streamNonRecursive(sys *ast.RecursiveSystem, rules []ast.Rule, q ast.Query, db *storage.Database, opts Opts, emit func(storage.Tuple) bool) (Stats, error) {
-	n := sys.Arity()
-	var st Stats
-	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {
-		return st, fmt.Errorf("eval: query %v does not match predicate %s/%d", q, sys.Pred(), n)
-	}
-	fix := opts.parent().Child("fixpoint").SetStr("engine", "bounded")
-	defer fix.End()
-	answers := storage.NewRelation(n)
-	sink := newRoundSink(&st, opts, fix)
-	defer func() {
-		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
-		sink.stratumDone(st.Rounds)
-		flushRels(opts, &st, answers)
-	}()
-	rels := DBRels(db)
-	slots := make([]int, n)
-	fixed := make(storage.Tuple, n)
-	buf := make(storage.Tuple, n)
-	for _, r := range rules {
-		if opts.canceled() {
-			return st, fmt.Errorf("bounded union: %w", ErrCanceled)
-		}
-		st.Rounds++
-		sink.begin()
-		var rsp *obs.Span
-		if sink.traced() {
-			rsp = sink.rule(r.String())
-		}
-		c, binding, ok, err := bindHead(r, q, db, slots, fixed)
-		if err != nil {
-			return st, err
-		}
-		d0 := st.Derived
-		stopped := false
-		var est int64
-		visited0 := st.Visited
-		if ok {
-			// Same order application as evalNonRecursive: the plan's book was
-			// compiled per adornment, matching the constants bindHead pushed.
-			var order []int
-			if ord := opts.book.orderFor(r); ord != nil && ord.full != nil {
-				order = ord.full
-				est = int64(ord.fullCost)
-			}
-			c.EvalWith(rels, binding, order, &st.Visited, func(b []storage.Value) bool {
-				for i, s := range slots {
-					if s >= 0 {
-						buf[i] = b[s]
-					} else {
-						buf[i] = fixed[i]
-					}
-				}
-				if answers.Insert(buf) {
-					st.Derived++
-					// Insert copied buf into the arena; emit the stable
-					// arena-backed header, not the scratch buffer.
-					if !emit(answers.At(answers.Len() - 1)) {
-						stopped = true
-						return false
-					}
-				}
-				return true
-			})
-		}
-		rsp.SetInt("derived", int64(st.Derived-d0)).End()
-		sink.end(RoundStats{Round: st.Rounds, Derived: st.Derived - d0, Estimated: est, Visited: st.Visited - visited0})
-		if stopped {
-			return st, errStreamStop
-		}
-	}
-	return st, nil
 }

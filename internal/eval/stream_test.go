@@ -260,6 +260,24 @@ func TestStreamLimit(t *testing.T) {
 	if got := drainStream(t, p.Stream(q, db, Opts{}, full.Len()+5)); !rowsEqual(got, fullRows) {
 		t.Errorf("over-limit stream delivered %d rows, want %d", len(got), len(fullRows))
 	}
+
+	// Truncated means "more existed" on the evaluating and the cached path
+	// alike — in particular not at a limit of exactly the answer count.
+	for _, c := range []struct {
+		limit     int
+		truncated bool
+	}{{10, true}, {full.Len() - 1, true}, {full.Len(), false}, {full.Len() + 5, false}} {
+		for name, it := range map[string]Iterator{
+			"evaluated": p.Stream(q, db, Opts{}, c.limit),
+			"cached":    NewRelationIterator(full, c.limit, Stats{}),
+		} {
+			n := len(drainStream(t, it))
+			if want := min(c.limit, full.Len()); n != want || it.Stats().Truncated != c.truncated {
+				t.Errorf("%s limit %d of %d: %d rows truncated=%v, want %d rows truncated=%v",
+					name, c.limit, full.Len(), n, it.Stats().Truncated, want, c.truncated)
+			}
+		}
+	}
 }
 
 // TestStreamBoundTargetEarlyExit: a fully bound tc(a, b)? must stop the BFS

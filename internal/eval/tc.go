@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -27,6 +28,16 @@ type tcShape struct {
 	// rightLinear: the edge literal precedes the recursive literal
 	// (p = ∪ q^k ∘ E); otherwise left-linear (p = ∪ E ∘ q^k).
 	rightLinear bool
+}
+
+// joinCol is the delta column the compose joins on: 0 for the right-linear
+// orientation (q ∘ Δ: new (x, y) from q(x, z), Δ(z, y)), 1 for the
+// left-linear one (Δ ∘ q).
+func (s *tcShape) joinCol() int {
+	if s.rightLinear {
+		return 0
+	}
+	return 1
 }
 
 // detectTC matches the recursive rule against the two transitive-closure
@@ -78,15 +89,76 @@ func TCEval(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.D
 // TCEvalOpts is TCEval with instrumentation: each BFS level (or compose
 // round) becomes one round under a "fixpoint" span tagged engine=tc-frontier.
 func TCEvalOpts(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, _, st, err := tcEvalAux(sys, shape, q, db, opts)
+	rel, _, st, err := tcEvalAux(sys, shape, q, db, opts, sink{})
 	return rel, st, err
 }
 
-// tcEvalAux is TCEvalOpts additionally returning the kernel's maintenance
-// state: the materialized exit relation plus, for bound queries, the BFS
-// visited set. A nil aux (the early-return paths for constants the symbol
+// tcRun is the state of one evaluation (or maintenance pass) on the kernel.
+// Every distinct answer lands in answers, which doubles as the dedup table;
+// a fresh one counts as derived and is shown to the sink.
+type tcRun struct {
+	edges, exit, answers *storage.Relation
+	pred                 string
+	// jc is the shape's joinCol, also the column the compose frontier is
+	// sharded by.
+	jc   int
+	part partition
+	st   Stats
+	rs   roundSink
+	opts Opts
+	snk  sink
+
+	// The anchor of a bound query's sweep. The BFS follows edges from
+	// column bc (0 when the first argument is bound — it takes precedence —
+	// else 1) to the other one. With eJoin the sweep starts at the
+	// constant c and each visited value z answers through its exit tuples
+	// (right-linear from the front, left-linear from the back: p(x, y) ⟺
+	// x →q* z ∧ E(z, y), resp. E(x, z) ∧ z →q* y); otherwise the exit
+	// tuples matching c supply the seeds and each visited value v answers
+	// (c, v) itself. both filters on the second constant c1.
+	bc    int
+	c, c1 storage.Value
+	eJoin bool
+	both  bool
+	buf   [2]storage.Value
+}
+
+// bind resolves the query's constants and fixes the sweep's anchor. bound is
+// false for the all-free query; ok is false when a constant was never
+// interned — no tuple can match.
+func (r *tcRun) bind(q ast.Query, syms *storage.Symbols) (bound, ok bool) {
+	var b [2]bool
+	var c [2]storage.Value
+	for i, t := range q.Atom.Args {
+		if b[i] = !t.IsVar(); b[i] {
+			if c[i], ok = syms.Lookup(t.Name); !ok {
+				return false, false
+			}
+		}
+	}
+	if !b[0] && !b[1] {
+		return false, true
+	}
+	if !b[0] {
+		r.bc = 1
+	}
+	r.c, r.c1, r.both = c[r.bc], c[1], b[0] && b[1]
+	r.eJoin = (r.jc == 0) == (r.bc == 0)
+	return true, true
+}
+
+// tcEvalAux runs the query on the kernel, additionally returning the
+// maintenance state: the materialized exit relation plus, for bound queries,
+// the BFS visited set. A nil aux (the early return for constants the symbol
 // table has never seen) tells the maintenance pass to recompute instead.
-func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, *tcAux, Stats, error) {
+//
+// With a streaming sink each answer is emitted the moment its BFS level (or
+// compose round) derives it, and — the goal-directed win — a fully bound
+// tc(a, b)? walks outward from a and ends with errStreamStop at the FIRST
+// frontier value proving the answer, never finishing the closure. Without
+// one the bound cases sweep the complete closure before answering, because
+// maintenance restarts from the complete visited set.
+func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, *tcAux, Stats, error) {
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 {
 		return nil, nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
 	}
@@ -98,251 +170,311 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 	if edges != nil && edges.Arity() != 2 {
 		return nil, nil, Stats{}, fmt.Errorf("eval: edge relation %s has arity %d, want 2", shape.edgePred, edges.Arity())
 	}
-	answers := storage.NewRelation(2)
-	aux := &tcAux{exit: exitRel}
-	var st Stats
 	fix := opts.parent().Child("fixpoint").SetStr("engine", "tc-frontier")
+	if snk.emit != nil {
+		fix.SetStr("mode", "stream")
+	}
 	defer fix.End()
-	sink := newRoundSink(&st, opts, fix)
+	r := &tcRun{edges: edges, exit: exitRel, answers: storage.NewRelation(2), pred: q.Atom.Pred, jc: shape.joinCol(),
+		opts: opts, snk: snk}
+	st := &r.st
+	r.rs = newRoundSink(st, opts, fix)
 	defer func() {
 		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
-		sink.stratumDone(st.Rounds)
-		flushRels(opts, &st, answers, exitRel)
+		r.rs.stratumDone(st.Rounds)
+		flushRels(opts, st, r.answers, exitRel)
 	}()
-
-	var c0, c1 storage.Value
-	b0, b1 := !q.Atom.Args[0].IsVar(), !q.Atom.Args[1].IsVar()
-	if b0 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[0].Name)
-		if !ok {
-			return answers, nil, st, nil
-		}
-		c0 = v
+	bound, ok := r.bind(q, db.Syms)
+	if !ok {
+		return r.answers, nil, *st, nil
 	}
-	if b1 {
-		v, ok := db.Syms.Lookup(q.Atom.Args[1].Name)
-		if !ok {
-			return answers, nil, st, nil
+	aux := &tcAux{exit: exitRel}
+	if !bound {
+		// All free: semi-naive compose seeded with E, hash-sharded by the
+		// join endpoint when the edge relation is large enough.
+		if shards := chooseShardsTC(opts, edges); shards > 1 {
+			st.Shards = shards
+			r.part = partition{shards: shards, cols: map[string]int{r.pred: r.jc}}
 		}
-		c1 = v
-	}
-
-	buf := make(storage.Tuple, 2)
-	if shape.rightLinear {
-		// p(x, y) ⟺ ∃z: x →q* z ∧ E(z, y).
-		switch {
-		case b0:
-			// Forward BFS from c0 over q, then join the closure with E.
-			closure, err := bfsClosure(edges, 0, 1, []storage.Value{c0}, &st, &sink, opts)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			aux.visited = closure
-			closure.Each(func(z storage.Value) bool {
-				exitRel.EachCol(0, z, func(t storage.Tuple) bool {
-					st.Facts++
-					buf[0], buf[1] = c0, t[1]
-					if (!b1 || t[1] == c1) && answers.Insert(buf) {
-						st.Derived++
-					}
-					return true
-				})
-				return true
-			})
-		case b1:
-			// Seeds {z : E(z, c1)}, then reverse BFS over q: every x that
-			// reaches a seed is an answer.
-			var seeds []storage.Value
-			exitRel.EachCol(1, c1, func(t storage.Tuple) bool {
-				seeds = append(seeds, t[0])
-				return true
-			})
-			visited, err := bfsClosure(edges, 1, 0, seeds, &st, &sink, opts)
-			if err != nil {
-				return nil, nil, st, err
-			}
-			aux.visited = visited
-			aux.visited.Each(func(x storage.Value) bool {
-				st.Facts++
-				buf[0], buf[1] = x, c1
-				if answers.Insert(buf) {
-					st.Derived++
-				}
-				return true
-			})
-		default:
-			// All free: semi-naive compose P ← P ∪ q ∘ ΔP seeded with E,
-			// hash-sharded by the join endpoint when the edge relation is
-			// large enough (chooseShardsTC).
-			if shards := chooseShardsTC(opts, edges); shards > 1 {
-				st.Shards = shards
-				if err := shardedCompose(edges, exitRel, true, answers, shards, &st, &sink, opts); err != nil {
-					return nil, nil, st, err
-				}
-			} else if err := composeClosure(edges, exitRel, true, answers, &st, &sink, opts); err != nil {
-				return nil, nil, st, err
-			}
+		var delta []storage.Tuple
+		if delta, err = r.seedExit(); err == nil {
+			err = r.compose(delta)
 		}
 	} else {
-		// p(x, y) ⟺ ∃z: E(x, z) ∧ z →q* y.
+		seeds := r.seeds()
+		visited := storage.NewValueSet(len(seeds))
 		switch {
-		case b0:
-			var seeds []storage.Value
-			exitRel.EachCol(0, c0, func(t storage.Tuple) bool {
-				seeds = append(seeds, t[1])
-				return true
-			})
-			visited, err := bfsClosure(edges, 0, 1, seeds, &st, &sink, opts)
-			if err != nil {
-				return nil, nil, st, err
-			}
+		case snk.emit == nil:
 			aux.visited = visited
-			aux.visited.Each(func(y storage.Value) bool {
+			if err = r.bfs(seeds, visited, nil); err == nil {
+				visited.Each(r.contribute)
+			}
+		case r.both:
+			// Goal-directed point query: probe each newly reached value for
+			// the single exit tuple (resp. the target itself). The first hit
+			// IS the complete answer set — stop the sweep right there.
+			probe := storage.Tuple{0, r.c1}
+			found := false
+			err = r.bfs(seeds, visited, func(v storage.Value) bool {
 				st.Facts++
-				buf[0], buf[1] = c0, y
-				if (!b1 || y == c1) && answers.Insert(buf) {
-					st.Derived++
+				if r.eJoin {
+					probe[0] = v
+					found = exitRel.Contains(probe)
+				} else {
+					found = v == r.c1
 				}
-				return true
+				return !found
 			})
-		case b1:
-			// Reverse BFS from c1 over q, then join the closure with E.
-			closure, err := bfsClosure(edges, 1, 0, []storage.Value{c1}, &st, &sink, opts)
-			if err != nil {
-				return nil, nil, st, err
+			if err == nil || err == errStreamStop {
+				if found {
+					r.buf[0], r.buf[1] = r.c, r.c1
+					r.add(r.buf[:])
+				}
+				err = errStreamStop
 			}
-			aux.visited = closure
-			closure.Each(func(z storage.Value) bool {
-				exitRel.EachCol(1, z, func(t storage.Tuple) bool {
-					st.Facts++
-					buf[0], buf[1] = t[0], c1
-					if answers.Insert(buf) {
-						st.Derived++
-					}
-					return true
-				})
-				return true
-			})
 		default:
-			// All free: semi-naive compose P ← P ∪ ΔP ∘ q seeded with E,
-			// hash-sharded by the join endpoint when the edge relation is
-			// large enough (chooseShardsTC).
-			if shards := chooseShardsTC(opts, edges); shards > 1 {
-				st.Shards = shards
-				if err := shardedCompose(edges, exitRel, false, answers, shards, &st, &sink, opts); err != nil {
-					return nil, nil, st, err
-				}
-			} else if err := composeClosure(edges, exitRel, false, answers, &st, &sink, opts); err != nil {
-				return nil, nil, st, err
-			}
+			err = r.bfs(seeds, visited, r.contribute)
 		}
 	}
-	return answers, aux, st, nil
+	if err != nil && err != errStreamStop {
+		return nil, nil, *st, err
+	}
+	return r.answers, aux, *st, err
 }
 
-// bfsClosure returns the set of values reachable from the seeds (seeds
-// included) by repeatedly following edge tuples from column `from` to
-// column `to`. Each BFS level counts as one round; each edge traversal
-// counts as one attempted fact. The visited set is a word-hashed
-// storage.ValueSet, so the sweep allocates only for set growth and the
-// frontier slices.
-func bfsClosure(edges *storage.Relation, from, to int, seeds []storage.Value, st *Stats, sink *roundSink, opts Opts) (*storage.ValueSet, error) {
-	visited := storage.NewValueSet(len(seeds))
+// add inserts the derivation t into the answers. A fresh tuple counts as
+// derived, is shown to the sink and is returned as its arena-backed header
+// (nil for a duplicate); ok is false when the sink's consumer stopped.
+func (r *tcRun) add(t storage.Tuple) (fresh storage.Tuple, ok bool) {
+	if !r.answers.Insert(t) {
+		return nil, true
+	}
+	r.st.Derived++
+	fresh = r.answers.At(r.answers.Len() - 1)
+	return fresh, r.snk.fresh(r.pred, fresh)
+}
+
+// seeds returns the values a bound query's sweep starts from.
+func (r *tcRun) seeds() []storage.Value {
+	if r.eJoin {
+		return []storage.Value{r.c}
+	}
+	var seeds []storage.Value
+	r.exit.EachCol(r.bc, r.c, func(t storage.Tuple) bool {
+		seeds = append(seeds, t[1-r.bc])
+		return true
+	})
+	return seeds
+}
+
+// contribute adds the answers a visited value stands for; it is the bfs
+// visit callback of the streamed and maintained sweeps.
+func (r *tcRun) contribute(v storage.Value) bool {
+	if !r.eJoin {
+		r.st.Facts++
+		return r.answer(v)
+	}
+	ok := true
+	r.exit.EachCol(r.bc, v, func(t storage.Tuple) bool {
+		r.st.Facts++
+		ok = r.answer(t[1-r.bc])
+		return ok
+	})
+	return ok
+}
+
+// answer adds the pair of the anchor constant and w, unless the query's
+// second constant rules it out.
+func (r *tcRun) answer(w storage.Value) bool {
+	if r.both && w != r.c1 {
+		return true
+	}
+	r.buf[r.bc], r.buf[1-r.bc] = r.c, w
+	_, ok := r.add(r.buf[:])
+	return ok
+}
+
+// bfs sweeps breadth-first from the seeds not yet in visited (a
+// pre-populated set restarts an earlier sweep: maintenance), following edge
+// tuples from column bc to the other one. Every value entering the visited
+// set, seeds included, is handed to visit (when non-nil) before its edges
+// are expanded; visit returning false ends the sweep with errStreamStop.
+// Each BFS level counts as one round, each edge traversal as one attempted
+// fact. The visited set is a word-hashed storage.ValueSet, so the sweep
+// allocates only for set growth and the frontier slices.
+func (r *tcRun) bfs(seeds []storage.Value, visited *storage.ValueSet, visit func(storage.Value) bool) error {
+	st := &r.st
 	frontier := make([]storage.Value, 0, len(seeds))
 	for _, v := range seeds {
 		if visited.Add(v) {
+			if visit != nil && !visit(v) {
+				return errStreamStop
+			}
 			frontier = append(frontier, v)
 		}
 	}
-	if edges == nil {
+	if r.edges == nil {
 		if len(frontier) > 0 {
 			st.Rounds++
-			sink.begin()
-			sink.end(RoundStats{Round: st.Rounds, Delta: len(frontier)})
+			r.rs.begin()
+			r.rs.end(RoundStats{Round: st.Rounds, Delta: len(frontier)})
 		}
-		return visited, nil
+		return nil
 	}
 	for len(frontier) > 0 {
-		if opts.canceled() {
-			return nil, fmt.Errorf("tc-frontier bfs: %w", ErrCanceled)
+		if r.opts.canceled() {
+			return fmt.Errorf("tc-frontier bfs: %w", ErrCanceled)
 		}
 		st.Rounds++
-		sink.begin()
-		facts0 := st.Facts
+		r.rs.begin()
+		attempted, stopped := 0, false
 		var next []storage.Value
 		for _, v := range frontier {
-			edges.EachCol(from, v, func(t storage.Tuple) bool {
-				st.Facts++
-				if w := t[to]; visited.Add(w) {
+			r.edges.EachCol(r.bc, v, func(t storage.Tuple) bool {
+				attempted++
+				if w := t[1-r.bc]; visited.Add(w) {
+					if visit != nil && !visit(w) {
+						stopped = true
+						return false
+					}
 					next = append(next, w)
 				}
 				return true
 			})
+			if stopped {
+				break
+			}
 		}
-		sink.end(RoundStats{Round: st.Rounds, Delta: len(frontier), Derived: len(next), Attempted: st.Facts - facts0})
+		st.Facts += attempted
+		r.rs.end(RoundStats{Round: st.Rounds, Delta: len(frontier), Derived: len(next), Attempted: attempted})
+		switch {
+		case stopped:
+			return errStreamStop
+		case r.snk.over(st):
+			return errOverBudget
+		}
 		frontier = next
 	}
-	return visited, nil
+	return nil
 }
 
-// composeClosure computes the full closure relation for the all-free query:
-// answers start as the exit relation and each round composes the previous
-// delta with the edge relation — q ∘ Δ for the right-linear orientation
-// (new (x, y) from q(x, z), Δ(z, y)), Δ ∘ q for the left-linear one. Delta
-// entries alias the answers relation's arena (At after a successful
-// Insert), so no tuple is ever cloned.
-func composeClosure(edges, exitRel *storage.Relation, rightLinear bool, answers *storage.Relation, st *Stats, sink *roundSink, opts Opts) error {
-	sink.begin()
-	delta := make([]storage.Tuple, 0, exitRel.Len())
-	exitRel.Each(func(t storage.Tuple) bool {
+// seedExit is the all-free query's seed round: the exit relation enters the
+// answers single-threaded (it is one pass of inserts) and its fresh tuples
+// are the first delta.
+func (r *tcRun) seedExit() ([]storage.Tuple, error) {
+	st := &r.st
+	r.rs.begin()
+	delta := make([]storage.Tuple, 0, r.exit.Len())
+	ok := true
+	r.exit.Each(func(t storage.Tuple) bool {
 		st.Facts++
-		if answers.Insert(t) {
-			st.Derived++
-			delta = append(delta, answers.At(answers.Len()-1))
+		var fresh storage.Tuple
+		if fresh, ok = r.add(t); fresh != nil {
+			delta = append(delta, fresh)
 		}
-		return true
+		return ok
 	})
 	if len(delta) > 0 {
 		st.Rounds++
 	}
-	sink.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: exitRel.Len()})
-	if edges == nil {
+	r.rs.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: r.exit.Len(), Shards: r.part.shards})
+	if !ok {
+		return nil, errStreamStop
+	}
+	return delta, nil
+}
+
+// compose closes the answers under the edge relation semi-naively: each
+// round joins the previous round's delta — one task per partition slot, run
+// through the driver's worker pool — against the edge index and merges the
+// task buffers in slot order, routing each fresh closure tuple to the slot
+// owning its join key. Delta entries alias the answers relation's arena (At
+// after a successful Insert), so no tuple is ever cloned.
+func (r *tcRun) compose(delta []storage.Tuple) error {
+	if r.edges == nil {
 		return nil
 	}
-	nt := make(storage.Tuple, 2)
-	for len(delta) > 0 {
-		if opts.canceled() {
+	st, sharded := &r.st, r.part.shards > 1
+	workers := r.opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if sharded {
+		// Publish the edge index before workers share it: probeIndex may
+		// build lazily, which must not happen concurrently.
+		r.edges.BuildIndexes()
+	}
+	fr := storage.PartitionTuplesByHash(delta, r.jc, r.part.shards)
+	for n := len(delta); n > 0; {
+		if r.opts.canceled() {
 			return fmt.Errorf("tc-frontier compose: %w", ErrCanceled)
 		}
 		st.Rounds++
-		sink.begin()
-		facts0, derived0 := st.Facts, st.Derived
-		var next []storage.Tuple
-		for _, d := range delta {
-			if rightLinear {
-				edges.EachCol(1, d[0], func(e storage.Tuple) bool {
-					st.Facts++
-					nt[0], nt[1] = e[0], d[1]
-					if answers.Insert(nt) {
-						st.Derived++
-						next = append(next, answers.At(answers.Len()-1))
-					}
-					return true
-				})
-			} else {
-				edges.EachCol(0, d[1], func(e storage.Tuple) bool {
-					st.Facts++
-					nt[0], nt[1] = d[0], e[1]
-					if answers.Insert(nt) {
-						st.Derived++
-						next = append(next, answers.At(answers.Len()-1))
-					}
-					return true
-				})
+		r.rs.begin()
+		var tasks []parTask
+		for s, d := range fr {
+			if len(d) > 0 {
+				tasks = append(tasks, parTask{tc: r, pred: r.pred, chunk: d, shard: s + 1})
 			}
 		}
-		sink.end(RoundStats{Round: st.Rounds, Delta: len(delta), Derived: st.Derived - derived0, Attempted: st.Facts - facts0})
-		delta = next
+		results, busy, err := runTasks(tasks, workers, nil)
+		if err != nil {
+			return err
+		}
+		next := make([][]storage.Tuple, len(fr))
+		derived, attempted, exchanged := 0, 0, 0
+		ok := true
+		for i, res := range results {
+			attempted += res.attempted
+			if ok {
+				res.out.Each(func(t storage.Tuple) bool {
+					var fresh storage.Tuple
+					if fresh, ok = r.add(t); fresh != nil {
+						derived++
+						dest := r.part.owner(r.pred, fresh)
+						next[dest] = append(next[dest], fresh)
+						if dest != tasks[i].shard-1 {
+							exchanged++
+						}
+					}
+					return ok
+				})
+			}
+			taskBuffers.Put(res.out)
+		}
+		st.Facts += attempted
+		st.Exchanged += exchanged
+		round := RoundStats{Round: st.Rounds, Delta: n, Derived: derived, Attempted: attempted}
+		if sharded {
+			round.Tasks, round.Workers, round.Busy = r.part.shards, workers, busy
+			round.Shards, round.Exchanged = r.part.shards, exchanged
+		}
+		r.rs.end(round)
+		switch {
+		case !ok:
+			return errStreamStop
+		case r.snk.over(st):
+			return errOverBudget
+		}
+		fr, n = next, derived
 	}
 	return nil
+}
+
+// composeChunk joins one chunk of the delta against the edge index into
+// out, prefiltering tuples already in the answers (frozen for the round;
+// reads are safe). It returns the number of derivations attempted.
+func (r *tcRun) composeChunk(delta []storage.Tuple, nt storage.Tuple, out *storage.Relation) int {
+	n, jc := 0, r.jc
+	for _, d := range delta {
+		r.edges.EachCol(1-jc, d[jc], func(e storage.Tuple) bool {
+			n++
+			nt[jc], nt[1-jc] = e[jc], d[1-jc]
+			if !r.answers.Contains(nt) {
+				out.Insert(nt)
+			}
+			return true
+		})
+	}
+	return n
 }

@@ -167,31 +167,6 @@ func TestUntracedRoundSinkZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestObserverFiresForSequentialEngines locks in the satellite fix: the
-// Observer shim now receives rounds from the sequential engines too (it was
-// silently ignored by them before).
-func TestObserverFiresForSequentialEngines(t *testing.T) {
-	sys := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
-	q, err := parser.ParseQuery("?- p(n0, Y).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Strategy{StrategyNaive, StrategySemiNaive, StrategyParallel, StrategyState} {
-		rounds := 0
-		opts := Opts{Observer: ObserverFunc(func(r RoundStats) { rounds++ })}
-		_, st, err := AnswerOpts(s, sys, q, chainDB(t, 5), opts)
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		if rounds == 0 {
-			t.Errorf("%v: observer never fired", s)
-		}
-		if rounds != len(st.Trace) {
-			t.Errorf("%v: observer saw %d rounds, Stats.Trace has %d", s, rounds, len(st.Trace))
-		}
-	}
-}
-
 // TestMetricsRegistryPerEvaluation checks that one evaluation flushes the
 // logical and storage counters into the Opts registry exactly once.
 func TestMetricsRegistryPerEvaluation(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -137,6 +138,28 @@ func TestServerStreamLimit(t *testing.T) {
 	}
 	if got := s.Registry().Counter(mRowsStreamed).Value(); got != 4 {
 		t.Errorf("%s = %d, want 4", mRowsStreamed, got)
+	}
+}
+
+// TestServerLimitHitEqualsMiss: a limit of exactly the answer count is
+// answered the same from the evaluating path (a result-cache miss) and from
+// the cached relation (a hit) — all rows, not truncated.
+func TestServerLimitHitEqualsMiss(t *testing.T) {
+	_, ts := newTestServer(t, tcProgram)
+	limited := "?- p(a, Y).&limit=3"
+	miss := getQuery(t, ts, limited)
+	getQuery(t, ts, "?- p(a, Y).") // unlimited: fills the cache
+	hit := getQuery(t, ts, limited)
+	if miss.Cached || !hit.Cached {
+		t.Fatalf("cached = %v then %v, want a miss then a hit", miss.Cached, hit.Cached)
+	}
+	for _, res := range []*QueryResult{&miss, &hit} {
+		sort.Slice(res.Answers, func(i, j int) bool { return fmt.Sprint(res.Answers[i]) < fmt.Sprint(res.Answers[j]) })
+	}
+	a, _ := json.Marshal(map[string]any{"answers": miss.Answers, "count": miss.Count, "truncated": miss.Truncated, "limit": miss.Limit})
+	b, _ := json.Marshal(map[string]any{"answers": hit.Answers, "count": hit.Count, "truncated": hit.Truncated, "limit": hit.Limit})
+	if string(a) != string(b) || miss.Truncated || miss.Count != 3 {
+		t.Errorf("exact-limit answer differs between miss and hit (want 3 rows, not truncated):\nmiss: %s\nhit:  %s", a, b)
 	}
 }
 
