@@ -181,6 +181,11 @@ func TestCLIDlbenchQuickFigures(t *testing.T) {
 	if strings.Contains(out, "FAIL") || !strings.Contains(out, "all checks passed") {
 		t.Errorf("dlbench figures:\n%s", out)
 	}
+	// The report ends at Q7: the served system's performance is bench's job.
+	out, _ = runToolErr(t, "", "run", "./cmd/dlbench", "-experiment", "q9")
+	if !strings.Contains(out, "exit status 2") || !strings.Contains(out, "(want all, figures, examples, theorems, q1, q2, q3, q4, q5, q6, q7)") {
+		t.Errorf("dlbench -experiment q9: want exit status 2 and an experiment list ending at q7:\n%s", out)
+	}
 }
 
 func TestExamplesRun(t *testing.T) {

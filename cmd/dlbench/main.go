@@ -2,22 +2,18 @@
 // paper's figures (F1–F6) as graph structures, the worked examples
 // (E1–E12) with their classifications, compiled plans and engine
 // cross-checks, the theorem property sweeps (T), and the quantitative
-// comparisons (Q1–Q12) between the paper's compiled plans and the
-// bottom-up / magic-sets / parallel baselines (Q8 benchmarks the storage
-// core itself and writes BENCH_storage.json; Q9 benchmarks the snapshot-
-// isolated serving stack behind dlserve, Q10 the streaming/early-
-// termination path, Q11 the sharded-fixpoint scale-out and Q12 the
-// cost-based join ordering against the greedy baseline, all writing
-// into BENCH_serve.json).
+// comparisons (Q1–Q7) between the paper's compiled plans and the
+// bottom-up / magic-sets / parallel baselines. The served system's
+// performance is measured by `go run ./bench`, not here.
 //
 // Usage:
 //
-//	dlbench [-experiment all|figures|examples|theorems|q1|q2|q3|q4|q5|q6|q7|q8|q9|q10|q11|q12] [-quick] [-serve ADDR]
+//	dlbench [-experiment all|figures|examples|theorems|q1|q2|q3|q4|q5|q6|q7] [-quick] [-serve ADDR]
 //
 // Output is a plain-text report; EXPERIMENTS.md embeds a captured run.
 // -serve exposes /metrics, /debug/vars and /debug/pprof/ on ADDR for the
-// duration of the run, so CPU and heap profiles of any experiment (e.g. Q6
-// or Q8) can be captured while it executes; see EXPERIMENTS.md.
+// duration of the run, so CPU and heap profiles of any experiment (e.g.
+// Q6) can be captured while it executes; see EXPERIMENTS.md.
 package main
 
 import (
@@ -57,13 +53,8 @@ func main() {
 		"q5":       r.q5,
 		"q6":       r.q6,
 		"q7":       r.q7,
-		"q8":       r.q8,
-		"q9":       r.q9,
-		"q10":      r.q10,
-		"q11":      r.q11,
-		"q12":      r.q12,
 	}
-	order := []string{"figures", "examples", "theorems", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8", "q9", "q10", "q11", "q12"}
+	order := []string{"figures", "examples", "theorems", "q1", "q2", "q3", "q4", "q5", "q6", "q7"}
 	if *experiment == "all" {
 		for _, g := range order {
 			groups[g]()

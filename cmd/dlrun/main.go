@@ -57,7 +57,7 @@ func main() {
 		serveAddr    = flag.String("serve", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address and block after the queries")
 	)
 	flag.BoolVar(&trace, "trace", false, "print one line per fixpoint round (every strategy) and the compiled plan (auto)")
-	flag.IntVar(&shards, "shards", 0, "fixpoint hash-shard count (0 = auto: sharded kernels for large inputs, 1 = never shard)")
+	flag.IntVar(&shards, "shards", 0, "fixpoint hash-shard count (>= 2 hash-shards the fixpoint frontiers; 0 and 1 both mean unsharded)")
 	flag.Parse()
 
 	strategy, err := parseStrategy(*strategyName)
@@ -233,7 +233,7 @@ func repl(strategy eval.Strategy, db *storage.Database, showStats bool) {
 
 // trace enables per-round lines (Stats.Trace) for every strategy; tracer is
 // non-nil when -trace-json collects the hierarchical span tree; shards
-// forces (or disables) the sharded fixpoint kernels.
+// >= 2 selects the sharded fixpoint kernels.
 var (
 	trace  bool
 	shards int

@@ -78,7 +78,7 @@ func main() {
 		factsPath   = flag.String("facts", "", "bulk-load additional ground facts from this file at startup (readiness gates on it)")
 		cacheBytes  = flag.Int64("cache-bytes", eval.DefaultResultCacheBytes, "result-cache byte budget")
 		workers     = flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 0, "fixpoint hash-shard count (0 = auto: sharded kernels for large inputs, 1 = never shard)")
+		shards      = flag.Int("shards", 0, "fixpoint hash-shard count (>= 2 hash-shards the fixpoint frontiers; 0 and 1 both mean unsharded)")
 		maxFacts    = flag.Int64("max-facts-bytes", server.DefaultMaxFactsBytes, "POST /facts body size cap (negative = unlimited)")
 		maxQuery    = flag.Int64("max-query-bytes", server.DefaultMaxQueryBytes, "POST /query body size cap (negative = unlimited)")
 		rhTimeout   = flag.Duration("read-header-timeout", obs.DefaultReadHeaderTimeout, "http.Server ReadHeaderTimeout (slowloris bound; negative = disabled)")

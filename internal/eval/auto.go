@@ -248,12 +248,10 @@ func (p *Plan) answerAux(q ast.Query, db *storage.Database, opts Opts) (*storage
 
 // fixpointAnswerAux runs the round driver over the system's program and
 // selects the query's answers, keeping the materialized IDB fixpoint as the
-// entry's maintenance state. The partition is chosen per database
-// (chooseShards) — plans are database-independent, so the decision cannot be
-// made at compile time.
+// entry's maintenance state.
 func fixpointAnswerAux(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, any, Stats, error) {
 	prog := sys.Program()
-	out, st, err := ShardedSemiNaiveOpts(prog, db, opts)
+	out, st, err := ParallelSemiNaiveOpts(prog, db, opts)
 	if err != nil {
 		return nil, nil, st, err
 	}

@@ -146,8 +146,8 @@ type ruleOrder struct {
 
 // orderBook maps every rule of a compiled program to its ordering decision,
 // keyed by the rule's canonical string. cost is the summed full-evaluation
-// estimate — the planner's work proxy for strategy thresholds — and desc
-// holds one human-readable line per rule for PlanInfo.
+// estimate and desc holds one human-readable line per rule, both reported
+// through PlanInfo.
 type orderBook struct {
 	orders map[string]*ruleOrder
 	cost   float64
@@ -338,16 +338,4 @@ func compileOrderBook(syms *storage.Symbols, rules []ast.Rule, db *storage.Datab
 	}
 	sort.Strings(book.desc)
 	return book
-}
-
-// withAutoBook compiles an order book on demand: engines invoked directly
-// (not through a Plan, which carries its own book) honor Opts.CostOrders by
-// compiling against the database they are about to read. No-op when cost
-// ordering is off or a book is already attached.
-func (o Opts) withAutoBook(syms *storage.Symbols, rules []ast.Rule, db *storage.Database) Opts {
-	if o.book != nil || !o.CostOrders {
-		return o
-	}
-	o.book = compileOrderBook(syms, rules, db, nil)
-	return o
 }

@@ -15,30 +15,46 @@ import (
 // skewDB builds the workload the greedy per-step ordering mishandles:
 //
 //	r(Z, X): a small relation whose every tuple carries the hot key.
-//	s(Z, W): hot-key tuples fanning into many distinct W values.
-//	t(W, Y): a large key-like relation.
+//	s(Z, W): skewHot hot-key tuples fanning into distinct W values, plus a
+//	         few cold singleton keys so the column's average bucket is tiny.
+//	t(W, Y): a large key-like relation holding every 31st W, so only a
+//	         sliver of the hot fan-out survives the join into it.
+//	link, live: a short chain over the y values, so a recursive rule over
+//	         the join has genuine delta rounds.
 //
 // Greedy starts at the smallest relation (r), binds Z to the hot key, and
 // then every s probe returns the whole hot bucket; the cost model's
 // max-bucket fan-out sees the explosion upfront and orders the key-like
 // joins first.
-func skewDB(t testing.TB, rHot, sHot, sCold, tRows int) *storage.Database {
+const skewHot = 1000
+
+func skewDB(t testing.TB) *storage.Database {
 	t.Helper()
 	db := storage.NewDatabase()
-	for i := 0; i < rHot; i++ {
-		db.Insert("r", "hot", fmt.Sprintf("x%d", i%50))
+	for i := 0; i < 20; i++ {
+		db.Insert("r", "hot", fmt.Sprintf("x%d", i))
+		db.Insert("s", fmt.Sprintf("z%d", i), fmt.Sprintf("w%d", skewHot+i))
 	}
-	for i := 0; i < sHot; i++ {
+	for i := 0; i < skewHot; i++ {
 		db.Insert("s", "hot", fmt.Sprintf("w%d", i))
 	}
-	for i := 0; i < sCold; i++ {
-		db.Insert("s", fmt.Sprintf("z%d", i), fmt.Sprintf("w%d", sHot+i))
+	for i := 0; i < 1200; i++ {
+		db.Insert("t", fmt.Sprintf("w%d", i*31), fmt.Sprintf("y%d", i))
+		db.Insert("live", fmt.Sprintf("y%d", i))
 	}
-	for i := 0; i < tRows; i++ {
-		db.Insert("t", fmt.Sprintf("w%d", i), fmt.Sprintf("y%d", i))
+	for i := 0; i+1 < 15; i++ {
+		db.Insert("link", fmt.Sprintf("y%d", i), fmt.Sprintf("y%d", i+1))
 	}
 	db.BuildIndexes()
 	return db
+}
+
+// costed attaches the order book compiled for prog from db's statistics —
+// the switch between the greedy ordering and compiled orders, with
+// everything else about the engine held fixed.
+func costed(prog *ast.Program, db *storage.Database, opts Opts) Opts {
+	opts.book = compileOrderBook(db.Syms, prog.Rules, db, nil)
+	return opts
 }
 
 // TestCostModelSkew pins the cost model's load-bearing choice: the per-probe
@@ -47,7 +63,7 @@ func skewDB(t testing.TB, rHot, sHot, sCold, tRows int) *storage.Database {
 // hot bucket dominates actual work; an average-based model would cost the
 // greedy order as cheap and keep its mistake.
 func TestCostModelSkew(t *testing.T) {
-	db := skewDB(t, 200, 300, 50, 5000)
+	db := skewDB(t)
 	rule, err := parser.ParseRule("q(X, Y) :- r(Z, X), s(Z, W), t(W, Y).")
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +81,8 @@ func TestCostModelSkew(t *testing.T) {
 	}
 	bound := make([]bool, c.NumVars())
 	bound[c.VarID("Z")] = true
-	if fan := m.fanout(sAtom, bound); fan != 300 {
-		t.Errorf("fanout(s | Z bound) = %v, want 300 (the hot bucket)", fan)
+	if fan := m.fanout(sAtom, bound); fan != skewHot {
+		t.Errorf("fanout(s | Z bound) = %v, want %d (the hot bucket)", fan, skewHot)
 	}
 
 	// The search must not start at r (smallest relation, greedy's pick):
@@ -81,26 +97,32 @@ func TestCostModelSkew(t *testing.T) {
 	}
 
 	// And the compiled order must actually do less work: A/B the same
-	// engine with only CostOrders toggled, on the same counter.
-	prog := &ast.Program{Rules: []ast.Rule{rule}}
+	// engine with only the order book toggled, on the same counter. The
+	// recursive rule makes the seeded orders part of the A/B.
+	rec, err := parser.ParseRule("q(X, Y) :- q(X, Z2), link(Z2, Y), live(Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &ast.Program{Rules: []ast.Rule{rule, rec}}
 	_, greedy, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, costed, err := SemiNaiveOpts(prog, db, Opts{CostOrders: true})
+	_, ordered, err := SemiNaiveOpts(prog, db, costed(prog, db, Opts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if costed.Visited >= greedy.Visited {
-		t.Errorf("compiled order visited %d tuples, greedy %d: no win on the skew workload",
-			costed.Visited, greedy.Visited)
+	if ordered.Visited*3 > greedy.Visited {
+		t.Errorf("compiled order visited %d tuples, greedy %d: want >=3x fewer on the skew workload",
+			ordered.Visited, greedy.Visited)
 	}
 }
 
 // TestCompiledOrdersMatchGreedyRandom is the differential gate for the
-// tentpole: with CostOrders on, every engine must derive tuple-identical
-// results to its greedy self across randomized systems, databases and
-// adornments — a compiled order may only change the work, never the answer.
+// tentpole: with an order book attached, every engine must derive
+// tuple-identical results to its greedy self across randomized systems,
+// databases and adornments — a compiled order may only change the work,
+// never the answer.
 func TestCompiledOrdersMatchGreedyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	trials := 80
@@ -132,28 +154,28 @@ func TestCompiledOrdersMatchGreedyRandom(t *testing.T) {
 			run  func() (*storage.Relation, error)
 		}{
 			{"seminaive+cost", func() (*storage.Relation, error) {
-				out, _, err := SemiNaiveOpts(sys.Program(), db, Opts{CostOrders: true})
+				out, _, err := SemiNaiveOpts(sys.Program(), db, costed(sys.Program(), db, Opts{}))
 				if err != nil {
 					return nil, err
 				}
 				return AnswerQuery(out, q)
 			}},
 			{"naive+cost", func() (*storage.Relation, error) {
-				out, _, err := NaiveOpts(sys.Program(), db, Opts{CostOrders: true})
+				out, _, err := NaiveOpts(sys.Program(), db, costed(sys.Program(), db, Opts{}))
 				if err != nil {
 					return nil, err
 				}
 				return AnswerQuery(out, q)
 			}},
 			{"parallel+cost", func() (*storage.Relation, error) {
-				out, _, err := ParallelSemiNaiveOpts(sys.Program(), db, Opts{CostOrders: true})
+				out, _, err := ParallelSemiNaiveOpts(sys.Program(), db, costed(sys.Program(), db, Opts{}))
 				if err != nil {
 					return nil, err
 				}
 				return AnswerQuery(out, q)
 			}},
 			{"sharded+cost", func() (*storage.Relation, error) {
-				out, _, err := ShardedSemiNaiveOpts(sys.Program(), db, Opts{CostOrders: true, Shards: 2})
+				out, _, err := ParallelSemiNaiveOpts(sys.Program(), db, costed(sys.Program(), db, Opts{Shards: 2}))
 				if err != nil {
 					return nil, err
 				}
@@ -224,7 +246,7 @@ func TestCompiledOrdersMatchGreedyNegation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := SemiNaiveOpts(prog, db, Opts{CostOrders: true})
+			got, _, err := SemiNaiveOpts(prog, db, costed(prog, db, Opts{}))
 			if err != nil {
 				t.Fatalf("prog %d seed %d: %v", pi, seed, err)
 			}

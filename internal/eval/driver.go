@@ -580,12 +580,12 @@ func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bo
 
 // fixpoint is the cold-start evaluation of a stratified program on the round
 // driver — the core of every parallel, sharded, streamed and auto-planned
-// fixpoint. chooseShards picks the partition per database. With a streaming
-// sink, the facts of its predicate present before any rule fires (EDB
-// tuples under the query predicate, or IDB facts loaded directly) stream
-// first; when the consumer stops, the partially saturated database is
-// returned with errStreamStop so the caller can account for it, but it is
-// NOT a fixpoint.
+// fixpoint. Opts.Shards >= 2 hash-partitions the frontiers into that many
+// shards; anything else runs contiguous chunks. With a streaming sink, the
+// facts of its predicate present before any rule fires (EDB tuples under the
+// query predicate, or IDB facts loaded directly) stream first; when the
+// consumer stops, the partially saturated database is returned with
+// errStreamStop so the caller can account for it, but it is NOT a fixpoint.
 func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -601,9 +601,6 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 	// contract). Inserts during the single-threaded merges keep the
 	// indexes current.
 	work.BuildIndexes()
-	// The order book (when requested and not already attached by a Plan)
-	// comes before the shard decision: chooseShards uses its cost estimate.
-	opts = opts.withAutoBook(db.Syms, prog.Rules, db)
 	r := &fixRun{work: work, full: DBRels(work), workers: opts.Workers, snk: snk, opts: opts, engine: "parallel"}
 	st := &r.st
 	if r.workers <= 0 {
@@ -611,9 +608,9 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 	}
 	fix := opts.parent().Child("fixpoint")
 	defer fix.End()
-	if shards := chooseShards(opts, db, prog); shards > 1 {
-		r.part.shards, r.engine, st.Shards = shards, "sharded", shards
-		fix.SetStr("engine", r.engine).SetInt("shards", int64(shards))
+	if opts.Shards > 1 {
+		r.part.shards, r.engine, st.Shards = opts.Shards, "sharded", opts.Shards
+		fix.SetStr("engine", r.engine).SetInt("shards", int64(opts.Shards))
 	} else {
 		fix.SetStr("engine", r.engine)
 	}
@@ -672,29 +669,12 @@ func ParallelSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Databa
 	return ParallelSemiNaiveOpts(prog, db, Opts{})
 }
 
-// ParallelSemiNaiveOpts is ParallelSemiNaive with explicit options. An
-// explicit Opts.Shards >= 2 hash-shards the frontiers into exactly that many
-// shards; the default keeps the contiguous-chunk fan-out and never
-// auto-shards.
+// ParallelSemiNaiveOpts is ParallelSemiNaive with explicit options — the
+// cold path of every auto-planned fixpoint. Opts.Shards >= 2 hash-shards the
+// frontiers into exactly that many shards with cross-shard delta exchange at
+// round barriers (Stats.Shards reports the count, Stats.Exchanged the tuples
+// routed across shards); otherwise the evaluation runs on contiguous chunks
+// and Stats.Shards stays 0.
 func ParallelSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
-	if opts.Shards < 2 {
-		opts.Shards = 1
-	}
-	return fixpoint(prog, db, opts, sink{})
-}
-
-// ShardedSemiNaive is ParallelSemiNaive with hash-sharded frontiers and
-// cross-shard delta exchange at round barriers. Answers are identical to
-// SemiNaive; Stats.Shards reports the shard count and Stats.Exchanged the
-// number of tuples routed across shards.
-func ShardedSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
-	return ShardedSemiNaiveOpts(prog, db, Opts{})
-}
-
-// ShardedSemiNaiveOpts is ShardedSemiNaive with explicit options — the cold
-// path of every auto-planned fixpoint. When the auto policy (or an explicit
-// Opts.Shards of 1) decides against sharding, the evaluation runs on
-// contiguous chunks and Stats.Shards stays 0.
-func ShardedSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	return fixpoint(prog, db, opts, sink{})
 }

@@ -14,7 +14,8 @@ import (
 // per plan class, unsharded and hash-sharded, the materialized answer, the
 // stream drained to exhaustion and the entry maintained across an insert
 // batch all equal the naive oracle — and the materialized and streamed runs
-// do the same work (identical rounds and derivations).
+// do the same work (identical rounds and derivations). Sharding is explicit:
+// only Opts.Shards >= 2 shards, whatever the size of the EDB.
 
 // oracleRows answers q by naive evaluation.
 func oracleRows(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) []string {
@@ -32,19 +33,23 @@ func oracleRows(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *storage
 
 func TestDriverModesAgree(t *testing.T) {
 	fixtures := []struct {
-		id   string
-		kind PlanKind
+		id             string
+		kind           PlanKind
+		domain, tuples int // per EDB relation
 	}{
-		{"s1a", PlanTC},
-		{"s10", PlanBounded},
-		{"s4a", PlanStable},
-		{"s11", PlanGeneric},
+		{"s1a", PlanTC, 6, 14},
+		{"s10", PlanBounded, 6, 14},
+		{"s4a", PlanStable, 6, 14},
+		{"s11", PlanGeneric, 6, 14},
+		// 4 500 EDB tuples, sparse enough that the fixpoint stays small: no
+		// input size makes the zero Opts shard.
+		{"s12", PlanGeneric, 300, 900},
 	}
 	for _, f := range fixtures {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{0, 1, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", f.id, shards), func(t *testing.T) {
 				sys := mustStatement(t, f.id).System()
-				db, err := dlgen.RandomDB(sys, 6, 14, 3)
+				db, err := dlgen.RandomDB(sys, f.domain, f.tuples, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,6 +69,18 @@ func TestDriverModesAgree(t *testing.T) {
 					}
 					if !rowsEqual(relRows(mat), want) {
 						t.Errorf("%v: materialized %d rows, oracle %d", q, mat.Len(), len(want))
+					}
+					// Both queries of a generic plan run the whole program, and
+					// these fixtures keep deriving after the seed round.
+					if f.kind == PlanGeneric {
+						wantShards := 0
+						if shards > 1 {
+							wantShards = shards
+						}
+						if mst.Shards != wantShards || (mst.Exchanged > 0) != (wantShards > 0) {
+							t.Errorf("%v: Stats.Shards=%d Exchanged=%d, want %d shards and exchange traffic only when sharded",
+								q, mst.Shards, mst.Exchanged, wantShards)
+						}
 					}
 					p, _, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), opts)
 					if err != nil {

@@ -229,7 +229,7 @@ func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
 		if p.Kind == PlanStable {
 			prog = p.stable.Program()
 		}
-		m.entryFix(prog, e, res, ShardedSemiNaiveOpts)
+		m.entryFix(prog, e, res)
 		return
 	}
 	// Fallback: recompute the entry from scratch at the new epoch.
@@ -247,13 +247,13 @@ func (m *maintainer) entryProg(e *resultEntry, res *MaintResult) {
 		m.publish(e, e.rel, e.aux, e.st, true, res)
 		return
 	}
-	m.entryFix(m.spec.Prog, e, res, ParallelSemiNaiveOpts)
+	m.entryFix(m.spec.Prog, e, res)
 }
 
 // entryFix answers the entry's query from the program's shared maintained
 // (or recomputed) fixpoint.
-func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResult, cold coldFixpoint) {
-	st := m.fixStateFor(prog, e, cold)
+func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResult) {
+	st := m.fixStateFor(prog, e)
 	if st == nil {
 		res.Skipped++
 		return
@@ -266,16 +266,10 @@ func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResul
 	m.publish(e, ans, st.aux, e.st, st.maintained, res)
 }
 
-// coldFixpoint is the entry point an entry's serving path computes its
-// fixpoint with on a miss (ShardedSemiNaiveOpts for planned systems,
-// ParallelSemiNaiveOpts for general programs); the recompute fallback goes
-// through the same one, so both make the same shard decision.
-type coldFixpoint func(*ast.Program, *storage.Database, Opts) (*storage.Database, Stats, error)
-
 // fixStateFor returns the program's maintained fixpoint, computing it on
 // first use: the incremental delta pass when the diff and the program allow
 // it, a full recompute otherwise.
-func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry, cold coldFixpoint) *fixState {
+func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry) *fixState {
 	key := e.key.program
 	if st, ok := m.fix[key]; ok {
 		return st
@@ -293,7 +287,7 @@ func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry, cold coldFix
 		}
 	}
 	if st == nil {
-		if out, _, err := cold(prog, m.cur.DB(), m.spec.Opts); err == nil {
+		if out, _, err := ParallelSemiNaiveOpts(prog, m.cur.DB(), m.spec.Opts); err == nil {
 			st = &fixState{aux: newFixAux(prog, out)}
 		}
 	}

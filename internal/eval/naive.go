@@ -136,7 +136,6 @@ func NaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Dat
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	opts = opts.withAutoBook(db.Syms, prog.Rules, db)
 	fix := opts.parent().Child("fixpoint").SetStr("engine", "naive")
 	defer fix.End()
 	var st Stats
@@ -231,7 +230,6 @@ func SemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	opts = opts.withAutoBook(db.Syms, prog.Rules, db)
 	fix := opts.parent().Child("fixpoint").SetStr("engine", "seminaive")
 	defer fix.End()
 	var st Stats

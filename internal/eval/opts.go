@@ -24,12 +24,10 @@ type Opts struct {
 	// Workers is the parallel engine's pool size; 0 or negative means
 	// runtime.GOMAXPROCS(0). Ignored by the sequential engines.
 	Workers int
-	// Shards controls the round driver's partition (driver.go, shard.go): 0
-	// lets chooseShards decide per database (GOMAXPROCS-many hash shards for
-	// large inputs, contiguous chunks otherwise), 1 disables sharding, and
-	// >= 2 forces exactly that many hash shards. Respected wherever the
-	// driver or the TC compose kernel runs — materialized or streamed;
-	// ParallelSemiNaiveOpts treats 0 as 1 (it never auto-shards), maintenance
+	// Shards controls the round driver's partition (driver.go, shard.go):
+	// >= 2 hash-shards every frontier into exactly that many shards, 0 and 1
+	// both mean unsharded (contiguous chunks). Respected wherever the driver
+	// or the TC compose kernel runs — materialized or streamed; maintenance
 	// delta passes always run unsharded, and the sequential engines ignore
 	// it.
 	Shards int
@@ -51,18 +49,11 @@ type Opts struct {
 	// close it from Close(). Nil (the zero value) never cancels and costs
 	// one nil-channel select per round.
 	Abort <-chan struct{}
-	// CostOrders makes the explicitly invoked engines (NaiveOpts,
-	// SemiNaiveOpts, the parallel/sharded entry points) compile cost-based
-	// join orders from the database's column statistics before evaluating,
-	// instead of the per-step greedy ordering. The auto planner ignores this
-	// flag: plans compiled through a Planner always carry their own order
-	// book. Off by default so the explicit engines stay exact ablation
-	// baselines (dlbench Q12 A/B-tests precisely this switch).
-	CostOrders bool
 	// book, when non-nil, is the compiled join-order book the evaluation
-	// uses (set by the auto planner from its cached Plan, or compiled on
-	// demand when CostOrders is set). Unexported: Opts is passed by value
-	// everywhere, so plans can attach it without callers forging one.
+	// uses instead of the per-step greedy ordering (set by the auto planner
+	// from its cached Plan; the explicitly invoked engines run greedy, which
+	// keeps them exact ablation baselines). Unexported: Opts is passed by
+	// value everywhere, so plans can attach it without callers forging one.
 	book *orderBook
 }
 

@@ -16,9 +16,8 @@ import (
 // semi-naive: hash partitioning only moves ownership of frontier tuples
 // between workers, never changes what is derivable, and the barrier merge
 // is single-threaded in task order so even the insertion order of the
-// output relations is deterministic. Every test here forces Opts.Shards
-// past the auto planner's small-input cutoff — the point is the exchange
-// machinery, not the policy.
+// output relations is deterministic. Every test here sets Opts.Shards — the
+// only way an evaluation shards.
 
 // TestShardedMatchesSemiNaiveOnRandomSystems: randomly generated recursive
 // systems across all classes, forced shard counts 2..5 with varying worker
@@ -41,7 +40,7 @@ func TestShardedMatchesSemiNaiveOnRandomSystems(t *testing.T) {
 			t.Fatalf("trial %d seminaive: %v", trial, err)
 		}
 		shards := 2 + trial%4
-		sh, shStats, err := ShardedSemiNaiveOpts(prog, db, Opts{Shards: shards, Workers: 1 + trial%4})
+		sh, shStats, err := ParallelSemiNaiveOpts(prog, db, Opts{Shards: shards, Workers: 1 + trial%4})
 		if err != nil {
 			t.Fatalf("trial %d sharded: %v", trial, err)
 		}
@@ -85,7 +84,7 @@ func TestShardedMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, _, err := ShardedSemiNaiveOpts(prog, db, Opts{Shards: 2 + trial%3, Workers: 1 + trial%3})
+		sh, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Shards: 2 + trial%3, Workers: 1 + trial%3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +95,8 @@ func TestShardedMatchesSemiNaiveWithNegation(t *testing.T) {
 }
 
 // TestShardedDeterministicAcrossShardCounts: the output must not depend on
-// the shard count, the worker count, or the auto policy's pick — including
-// byte-identical insertion order from the deterministic barrier merge.
+// the shard count or the worker count — including byte-identical insertion
+// order from the deterministic barrier merge.
 func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 	prog, _ := parseProg(t, `
 		p(X, Y) :- e(X, Y).
@@ -109,7 +108,7 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 	}
 	var want string
 	for _, shards := range []int{0, 1, 2, 3, 4, 8} {
-		out, _, err := ShardedSemiNaiveOpts(prog, db, Opts{Shards: shards, Workers: 3})
+		out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Shards: shards, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +137,7 @@ func TestShardedExchangeOnChain(t *testing.T) {
 	if err := storage.GenChain(db, "e", n); err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := ShardedSemiNaiveOpts(prog, db, Opts{Shards: 4, Workers: 2})
+	out, st, err := ParallelSemiNaiveOpts(prog, db, Opts{Shards: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +273,7 @@ func TestShardedStreamMatchesMaterialized(t *testing.T) {
 	}
 	q := queries[0]
 
-	out, _, err := ShardedSemiNaiveOpts(prog, db, Opts{Shards: 3})
+	out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +321,9 @@ func TestShardedStreamMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestChooseShards pins the auto policy: explicit settings win outright,
-// single-worker hosts never shard, small inputs fall back, and the count is
-// capped by the largest body relation's column cardinality.
+// TestChooseShards pins the shard policy: the count is exactly what
+// Opts.Shards asks for, whatever the input size or worker count, and both 0
+// and 1 mean unsharded.
 func TestChooseShards(t *testing.T) {
 	prog, _ := parseProg(t, `
 		p(X, Y) :- e(X, Y).
@@ -334,43 +333,23 @@ func TestChooseShards(t *testing.T) {
 	if err := storage.GenRandomGraph(small, "e", 20, 40, 1); err != nil {
 		t.Fatal(err)
 	}
-	big := storage.NewDatabase()
-	if err := storage.GenRandomGraph(big, "e", 400, 2*shardMinTuples, 2); err != nil {
-		t.Fatal(err)
-	}
-	hot := storage.NewDatabase()
-	for i := 0; i < shardMinTuples+64; i++ {
-		if _, err := hot.Insert("e", "k", fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot.Rel("e").BuildIndexes()
-
 	cases := []struct {
 		name string
 		opts Opts
-		db   *storage.Database
 		want int
 	}{
-		{"explicit wins over tiny input", Opts{Shards: 7}, small, 7},
-		{"explicit 1 disables", Opts{Shards: 1, Workers: 8}, big, 1},
-		{"single worker never shards", Opts{Workers: 1}, big, 1},
-		{"small input falls back", Opts{Workers: 8}, small, 1},
-		{"large input shards to workers", Opts{Workers: 8}, big, 8},
-		// The cardinality bound is the max over columns: a hot join key in
-		// one column does not cap the count while another column is wide.
-		{"hot key in one column does not cap", Opts{Workers: 8}, hot, 8},
+		{"explicit wins over tiny input", Opts{Shards: 7}, 7},
+		{"explicit 1 disables", Opts{Shards: 1, Workers: 8}, 0},
+		{"zero is unsharded", Opts{Workers: 8}, 0},
 	}
 	for _, c := range cases {
-		if got := chooseShards(c.opts, c.db, prog); got != c.want {
-			t.Errorf("%s: chooseShards = %d, want %d", c.name, got, c.want)
+		_, st, err := ParallelSemiNaiveOpts(prog, small, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if got := capShards(8, 3); got != 3 {
-		t.Errorf("capShards(8, 3) = %d, want 3", got)
-	}
-	if got := capShards(8, 1); got != 1 {
-		t.Errorf("capShards(8, 1) = %d, want 1", got)
+		if st.Shards != c.want {
+			t.Errorf("%s: Stats.Shards = %d, want %d", c.name, st.Shards, c.want)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ type Stats struct {
 	// evaluation's cost.
 	Truncated bool
 	// Shards is the hash-shard count of the sharded fixpoint engine
-	// (shard.go); 0 when the evaluation ran unsharded.
+	// (driver.go's hash partition); 0 when the evaluation ran unsharded.
 	Shards int
 	// Exchanged counts the tuples routed across shards at round barriers:
 	// derived in one shard, owned (by join-column hash) by another. Always 0
@@ -100,10 +100,9 @@ type PlanInfo struct {
 	// CacheHit reports that the plan was served from the planner's cache,
 	// skipping classification and rewriting.
 	CacheHit bool
-	// Shards is the hash-shard count the evaluation ran with (0 or 1 means
-	// the unsharded engine). The shard decision is per-database — plans are
-	// database-independent — so it is recorded here at answer time, not
-	// compile time.
+	// Shards is the hash-shard count the evaluation ran with (0 means the
+	// unsharded engine). It comes from the answering call's Opts.Shards, not
+	// from the plan, so it is recorded at answer time.
 	Shards int
 	// Cost is the plan's estimated full-evaluation cost in tuples visited,
 	// summed over the compiled rule orders (0 when the plan carries no order

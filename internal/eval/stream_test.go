@@ -211,14 +211,15 @@ s(X) :- t(n0, X).
 }
 
 // TestStreamLimit: a limit cuts the stream at exactly k rows with Truncated
-// set; a limit past the answer set delivers everything without it.
+// set, deriving >=5x fewer tuples than the full answer; a limit past the
+// answer set delivers everything without it.
 func TestStreamLimit(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
 	p, err := CompilePlan(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := chainDB(t, 50)
+	db := chainDB(t, 100)
 	q, _ := parser.ParseQuery("?- p(n0, Y).")
 	full, _, err := p.AnswerOpts(q, db, Opts{})
 	if err != nil {
@@ -241,8 +242,8 @@ func TestStreamLimit(t *testing.T) {
 	if !st.Truncated {
 		t.Error("limited stream did not set Stats.Truncated")
 	}
-	if st.Derived >= full.Len() {
-		t.Errorf("limited stream derived %d tuples, full evaluation %d: no early stop",
+	if st.Derived*5 > full.Len() {
+		t.Errorf("limited stream derived %d tuples, full evaluation %d: want >=5x fewer",
 			st.Derived, full.Len())
 	}
 	it.Close()

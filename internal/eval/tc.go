@@ -79,20 +79,6 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 	return nil, false
 }
 
-// TCEval answers the query with the frontier kernel. The exit relation is
-// materialized from the system's exit rules; the edge relation is read from
-// the database (an absent edge relation leaves only the k = 0 stratum).
-func TCEval(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return TCEvalOpts(sys, shape, q, db, Opts{})
-}
-
-// TCEvalOpts is TCEval with instrumentation: each BFS level (or compose
-// round) becomes one round under a "fixpoint" span tagged engine=tc-frontier.
-func TCEvalOpts(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, _, st, err := tcEvalAux(sys, shape, q, db, opts, sink{})
-	return rel, st, err
-}
-
 // tcRun is the state of one evaluation (or maintenance pass) on the kernel.
 // Every distinct answer lands in answers, which doubles as the dedup table;
 // a fresh one counts as derived and is shown to the sink.
@@ -191,10 +177,10 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 	aux := &tcAux{exit: exitRel}
 	if !bound {
 		// All free: semi-naive compose seeded with E, hash-sharded by the
-		// join endpoint when the edge relation is large enough.
-		if shards := chooseShardsTC(opts, edges); shards > 1 {
-			st.Shards = shards
-			r.part = partition{shards: shards, cols: map[string]int{r.pred: r.jc}}
+		// join endpoint when Opts.Shards asks for it.
+		if opts.Shards > 1 {
+			st.Shards = opts.Shards
+			r.part = partition{shards: opts.Shards, cols: map[string]int{r.pred: r.jc}}
 		}
 		var delta []storage.Tuple
 		if delta, err = r.seedExit(); err == nil {

@@ -106,9 +106,8 @@ type Config struct {
 	CacheBytes int64
 	// Workers is handed to eval.Opts.Workers for the parallel engine.
 	Workers int
-	// Shards is handed to eval.Opts.Shards: 0 lets the engine pick its
-	// shard count per query (sharded fixpoint for large inputs), 1 disables
-	// sharding, >= 2 forces that many hash shards.
+	// Shards is handed to eval.Opts.Shards: >= 2 hash-shards every
+	// fixpoint into that many shards, 0 and 1 both mean unsharded.
 	Shards int
 	// MaxFactsBytes caps the POST /facts request body; 0 means
 	// DefaultMaxFactsBytes, negative means no limit.

@@ -19,74 +19,6 @@ func skewedRelation(t *testing.T, db *Database, pred string, hot, cold int) *Rel
 	return db.Rel(pred)
 }
 
-// TestColCardinalityContract pins the contract ColCardinality documents:
-// 0 only for an empty relation, otherwise within [1, Len()], on the
-// indexed path, the unindexed sampled path, and after overflow inserts.
-func TestColCardinalityContract(t *testing.T) {
-	t.Run("empty", func(t *testing.T) {
-		r := NewRelation(2)
-		for col := 0; col < 2; col++ {
-			if got := r.ColCardinality(col); got != 0 {
-				t.Errorf("empty relation col %d: cardinality = %d, want 0", col, got)
-			}
-		}
-	})
-	t.Run("out_of_range", func(t *testing.T) {
-		db := NewDatabase()
-		db.Insert("e", "a", "b")
-		if got := db.Rel("e").ColCardinality(5); got != 0 {
-			t.Errorf("out-of-range column: cardinality = %d, want 0", got)
-		}
-	})
-
-	check := func(t *testing.T, r *Relation, col, want int) {
-		t.Helper()
-		got := r.ColCardinality(col)
-		if got < 1 || got > r.Len() {
-			t.Fatalf("col %d: cardinality = %d outside [1, %d]", col, got, r.Len())
-		}
-		if want > 0 && got != want {
-			t.Errorf("col %d: cardinality = %d, want %d", col, got, want)
-		}
-	}
-
-	t.Run("indexed_exact", func(t *testing.T) {
-		db := NewDatabase()
-		r := skewedRelation(t, db, "s", 40, 10)
-		db.BuildIndexes()
-		check(t, r, 0, 11) // h + c0..c9
-		check(t, r, 1, 50) // all distinct
-	})
-	t.Run("unindexed_sampled", func(t *testing.T) {
-		// A fresh unpublished relation built with raw Inserts has no index
-		// and probeIndex builds lazily; go through a relation large enough
-		// that the sample path (sampleCol) is what a published, index-less
-		// column would use. Exercise sampleCol directly via an unbuilt
-		// column of a cloned published relation.
-		db := NewDatabase()
-		r := skewedRelation(t, db, "s", 600, 100)
-		// No BuildIndexes: probeIndex on an unpublished relation builds the
-		// index, which is also a legal path — the contract must hold there.
-		check(t, r, 0, 101)
-		check(t, r, 1, 0) // bounds only; sampled estimates may be inexact
-	})
-	t.Run("overflow_inserts", func(t *testing.T) {
-		db := NewDatabase()
-		r := skewedRelation(t, db, "s", 20, 5)
-		db.BuildIndexes()
-		// Post-publish inserts land in the overflow map.
-		db.Insert("s", "new1", "x1")
-		db.Insert("s", "new2", "x2")
-		got := r.ColCardinality(0)
-		if got < 1 || got > r.Len() {
-			t.Fatalf("overflow: cardinality = %d outside [1, %d]", got, r.Len())
-		}
-		if got != 8 { // h, c0..c4, new1, new2
-			t.Errorf("overflow: cardinality = %d, want 8", got)
-		}
-	})
-}
-
 // TestColStatsExactWhenIndexed checks Distinct/MaxBucket/AvgBucket against
 // a hand-built skewed distribution, including exact overflow folding.
 func TestColStatsExactWhenIndexed(t *testing.T) {

@@ -65,37 +65,3 @@ func PartitionTuplesByHash(tuples []Tuple, col, shards int) [][]Tuple {
 func (r *Relation) PartitionByHash(col, shards int) [][]Tuple {
 	return PartitionTuplesByHash(r.tuples, col, shards)
 }
-
-// ColCardinality estimates the number of distinct values in the column —
-// the fan-out statistic the sharded planner uses to bound its shard count
-// (more shards than distinct join keys only guarantees empty shards). The
-// estimate reads the column's CSR index when one exists (exact over the
-// built prefix, plus one per overflow value); a published relation
-// missing the index falls back to a strided read-only sample of at most
-// sampleCap tuples (see sampleCol) rather than the raw tuple count, so a
-// low-cardinality unindexed column cannot masquerade as key-like. Contract
-// (pinned by TestColCardinalityContract): never 0 for a non-empty relation,
-// never exceeds Len(). The indexed path never allocates and never builds an
-// index on a published relation.
-func (r *Relation) ColCardinality(col int) int {
-	if col < 0 || col >= r.arity {
-		return 0
-	}
-	n := len(r.tuples)
-	if n == 0 {
-		return 0
-	}
-	ci := r.probeIndex(col)
-	if ci == nil {
-		distinct, _ := sampleCol(r.tuples, col)
-		return distinct
-	}
-	// Exact over the built prefix (counted during the CSR build's bucket
-	// scan); overflow inserts may carry values the prefix never saw, so
-	// each overflow value bounds the count from above by one.
-	distinct := int(ci.distinct) + ci.nextra
-	if distinct > n {
-		distinct = n
-	}
-	return distinct
-}

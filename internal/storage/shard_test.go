@@ -169,39 +169,3 @@ func TestRelationPartitionByHash(t *testing.T) {
 		}
 	}
 }
-
-// TestColCardinality: the estimate must never undercount so badly that
-// capShards zeroes out a usable shard count — it is an upper-bounded
-// estimate in [distinct values .. Len], exact on the degenerate cases the
-// shard planner cares about (single hot key → 1).
-func TestColCardinality(t *testing.T) {
-	db := NewDatabase()
-	// 10 distinct sources × 5 sinks each.
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 5; j++ {
-			if _, err := db.Insert("e", fmt.Sprintf("s%d", i), fmt.Sprintf("t%d", j)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	r := db.Rel("e")
-	r.BuildIndexes()
-	if c := r.ColCardinality(0); c < 10 || c > r.Len() {
-		t.Errorf("col 0 cardinality %d, want in [10, %d]", c, r.Len())
-	}
-	if c := r.ColCardinality(1); c < 5 || c > r.Len() {
-		t.Errorf("col 1 cardinality %d, want in [5, %d]", c, r.Len())
-	}
-
-	hot := NewDatabase()
-	for i := 0; i < 64; i++ {
-		if _, err := hot.Insert("h", "k", fmt.Sprintf("v%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hr := hot.Rel("h")
-	hr.BuildIndexes()
-	if c := hr.ColCardinality(0); c != 1 {
-		t.Errorf("single-key column cardinality %d, want 1", c)
-	}
-}
