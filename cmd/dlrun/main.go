@@ -277,38 +277,12 @@ func answer(strategy eval.Strategy, prog *ast.Program, q ast.Query, db *storage.
 		ans, err := eval.AnswerQuery(out, q)
 		return ans, st, err
 	default:
-		sys, err := systemOf(prog)
+		sys, err := ast.SystemOf(prog)
 		if err != nil {
 			return nil, eval.Stats{}, fmt.Errorf("strategy %v needs a single linear recursive system: %w", strategy, err)
 		}
 		return eval.AnswerOpts(strategy, sys, q, db, opts)
 	}
-}
-
-// systemOf extracts the single linear recursive system from the program.
-func systemOf(prog *ast.Program) (*ast.RecursiveSystem, error) {
-	var rec *ast.Rule
-	var exits []ast.Rule
-	for i := range prog.Rules {
-		r := prog.Rules[i]
-		if len(r.RecursiveAtoms()) > 0 {
-			if rec != nil {
-				return nil, fmt.Errorf("multiple recursive rules")
-			}
-			rec = &prog.Rules[i]
-		} else {
-			exits = append(exits, r)
-		}
-	}
-	if rec == nil {
-		return nil, fmt.Errorf("no recursive rule")
-	}
-	for _, e := range exits {
-		if e.Head.Pred != rec.Head.Pred {
-			return nil, fmt.Errorf("rule %v is not an exit rule for %s", e, rec.Head.Pred)
-		}
-	}
-	return ast.NewRecursiveSystem(*rec, exits...)
 }
 
 func parseStrategy(name string) (eval.Strategy, error) {

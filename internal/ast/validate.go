@@ -130,6 +130,31 @@ func NewRecursiveSystem(rec Rule, exits ...Rule) (*RecursiveSystem, error) {
 	return &RecursiveSystem{Recursive: rec, Exits: exits}, nil
 }
 
+// SystemOf extracts the program's single linear recursive system: the one
+// rule that mentions its own head predicate in its body, with every other
+// rule as an exit rule for that predicate (NewRecursiveSystem validates
+// both). Facts are ignored, and a system without exit rules is admissible
+// here; callers that need one check Exits.
+func SystemOf(prog *Program) (*RecursiveSystem, error) {
+	var rec *Rule
+	var exits []Rule
+	for i := range prog.Rules {
+		r := &prog.Rules[i]
+		switch {
+		case len(r.RecursiveAtoms()) == 0:
+			exits = append(exits, *r)
+		case rec != nil:
+			return nil, fmt.Errorf("more than one recursive rule (%v and %v)", *rec, *r)
+		default:
+			rec = r
+		}
+	}
+	if rec == nil {
+		return nil, errors.New("no recursive rule")
+	}
+	return NewRecursiveSystem(*rec, exits...)
+}
+
 // Pred returns the recursive predicate name.
 func (s *RecursiveSystem) Pred() string { return s.Recursive.Head.Pred }
 

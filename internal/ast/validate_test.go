@@ -119,6 +119,42 @@ func TestNewRecursiveSystem(t *testing.T) {
 	}
 }
 
+func TestSystemOf(t *testing.T) {
+	rec := NewRule(NewAtom("p", V("X"), V("Y")),
+		NewAtom("a", V("X"), V("Z")), NewAtom("p", V("Z"), V("Y")))
+	rec2 := NewRule(NewAtom("p", V("X"), V("Y")),
+		NewAtom("p", V("X"), V("Z")), NewAtom("b", V("Z"), V("Y")))
+	exit := DefaultExit("p", 2, "e")
+	other := NewRule(NewAtom("q", V("X"), V("Y")), NewAtom("e", V("X"), V("Y")))
+	cases := []struct {
+		name  string
+		rules []Rule
+		exits int // -1: want an error
+	}{
+		{"no recursive rule", []Rule{exit}, -1},
+		{"two recursive rules", []Rule{rec, rec2, exit}, -1},
+		{"exit for another predicate", []Rule{rec, other}, -1},
+		{"exit first, two exits", []Rule{exit, rec, DefaultExit("p", 2, "f")}, 2},
+		{"no exit rule", []Rule{rec}, 0},
+	}
+	for _, c := range cases {
+		sys, err := SystemOf(&Program{Rules: c.rules, Facts: []Atom{NewAtom("e", C("a"), C("b"))}})
+		if c.exits < 0 {
+			if err == nil {
+				t.Errorf("%s: accepted as %v", c.name, sys.Program())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if sys.Recursive.String() != rec.String() || len(sys.Exits) != c.exits {
+			t.Errorf("%s: recursive %v with %d exits, want %v with %d", c.name, sys.Recursive, len(sys.Exits), rec, c.exits)
+		}
+	}
+}
+
 func TestDefaultExit(t *testing.T) {
 	e := DefaultExit("p", 3, "base")
 	if e.String() != "p(x1, x2, x3) :- base(x1, x2, x3)." {

@@ -71,33 +71,14 @@ func Parse(src string) (*Compilation, error) {
 	if len(prog.Facts) > 0 {
 		return nil, fmt.Errorf("core: unexpected fact %v in system text (facts belong in the database)", prog.Facts[0])
 	}
-	var recursive *ast.Rule
-	for i := range prog.Rules {
-		r := prog.Rules[i]
-		if len(r.RecursiveAtoms()) > 0 {
-			if recursive != nil {
-				return nil, fmt.Errorf("core: more than one recursive rule (%v and %v); the paper's systems are single recursions", *recursive, r)
-			}
-			recursive = &prog.Rules[i]
-		}
+	sys, err := ast.SystemOf(prog)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if recursive == nil {
-		return nil, fmt.Errorf("core: no recursive rule in input")
+	if len(sys.Exits) == 0 {
+		return nil, fmt.Errorf("core: recursive rule %v has no exit rule", sys.Recursive)
 	}
-	var exits []ast.Rule
-	for _, r := range prog.Rules {
-		if len(r.RecursiveAtoms()) > 0 {
-			continue
-		}
-		if r.Head.Pred != recursive.Head.Pred {
-			return nil, fmt.Errorf("core: rule %v defines %s, expected exit rules for %s", r, r.Head.Pred, recursive.Head.Pred)
-		}
-		exits = append(exits, r)
-	}
-	if len(exits) == 0 {
-		return nil, fmt.Errorf("core: recursive rule %v has no exit rule", *recursive)
-	}
-	return Analyze(*recursive, exits...)
+	return AnalyzeSystem(sys)
 }
 
 // MustParse is Parse that panics on error; for fixtures and examples.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/classify"
 	"repro/internal/parser"
 	"repro/internal/storage"
 )
@@ -115,41 +114,6 @@ func BenchmarkStableDepth(b *testing.B) {
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := ClassEval(sys, q, db); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStableParallel compares serial and parallel per-cycle frontier
-// advancement (the paper's brace notation) on a 3-cycle stable system with
-// large frontiers. On a single-CPU host the two are expected to tie; the
-// parallel path's value shows on multi-core hardware (it is race-detector
-// verified either way).
-func BenchmarkStableParallel(b *testing.B) {
-	sys := mustStatement(b, "s3").System()
-	res := classify.MustClassify(sys.Recursive)
-	db := storage.NewDatabase()
-	storage.GenRandomGraph(db, "a", 150, 600, 1)
-	storage.GenRandomGraph(db, "b", 150, 600, 2)
-	storage.GenRandomGraph(db, "c", 150, 600, 3)
-	storage.GenRandomRelation(db, "e", 3, 150, 250, 4)
-	db.BuildIndexes()
-	q, _ := parser.ParseQuery("?- p(n0, n1, Z).")
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				se, err := NewStableEval(sys, res, db)
-				if err != nil {
-					b.Fatal(err)
-				}
-				se.Parallel = parallel
-				if _, _, err := se.Answer(q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,11 +2,9 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/classify"
@@ -30,12 +28,6 @@ type StableEval struct {
 	// trivialConj is the conjunction of atoms in components with no
 	// directed edge: a pure existence check, identical at every expansion.
 	trivialConj *Conj
-	// Parallel advances the independent cycle frontiers concurrently — the
-	// literal reading of the paper's brace notation ("{σA^k, σB^k} are
-	// evaluated independently"). All column indexes are materialized up
-	// front so concurrent readers never race on lazy index builds. Worth it
-	// only when the per-depth frontiers are large.
-	Parallel bool
 }
 
 // posComponent is the per-position cycle machinery.
@@ -350,20 +342,9 @@ func (se *StableEval) AnswerOpts(q ast.Query, opts Opts) (*storage.Relation, Sta
 		seenStates[stateKey()] = true
 	}
 
-	parallel := se.Parallel
-	if parallel {
-		// Lazy index building is the only mutation concurrent readers could
-		// race on; materialize everything first.
-		se.db.BuildIndexes()
-		se.exit.BuildIndexes()
-	}
-
-	nextBound := func(p int) valueSet {
-		return se.comps[p].down(rels, D[p])
-	}
-	advanceKeys := func(p int, old pairRel, keys []storage.Value, out pairRel) {
-		for _, e := range keys {
-			mids := old[e]
+	nextFree := func(p int) pairRel {
+		nw := make(pairRel, len(W[p]))
+		for e, mids := range W[p] {
 			step := se.comps[p].up(rels, mids)
 			acc := make(valueSet)
 			for mid := range mids {
@@ -372,50 +353,7 @@ func (se *StableEval) AnswerOpts(q ast.Query, opts Opts) (*storage.Relation, Sta
 				}
 			}
 			if len(acc) > 0 {
-				out[e] = acc
-			}
-		}
-	}
-	nextFree := func(p int) pairRel {
-		old := W[p]
-		keys := make([]storage.Value, 0, len(old))
-		for e := range old {
-			keys = append(keys, e)
-		}
-		// The up-chains of distinct exit values are independent; with many
-		// of them, chunk the key space across the CPUs (the inner level of
-		// the paper's "evaluated independently").
-		chunks := runtime.NumCPU()
-		if !parallel || len(keys) < 4*chunks {
-			nw := make(pairRel, len(old))
-			advanceKeys(p, old, keys, nw)
-			return nw
-		}
-		partial := make([]pairRel, chunks)
-		var wg sync.WaitGroup
-		per := (len(keys) + chunks - 1) / chunks
-		for c := 0; c < chunks; c++ {
-			lo := c * per
-			if lo >= len(keys) {
-				break
-			}
-			hi := lo + per
-			if hi > len(keys) {
-				hi = len(keys)
-			}
-			wg.Add(1)
-			go func(c, lo, hi int) {
-				defer wg.Done()
-				out := make(pairRel, hi-lo)
-				advanceKeys(p, old, keys[lo:hi], out)
-				partial[c] = out
-			}(c, lo, hi)
-		}
-		wg.Wait()
-		nw := make(pairRel, len(old))
-		for _, part := range partial {
-			for e, hs := range part {
-				nw[e] = hs
+				nw[e] = acc
 			}
 		}
 		return nw
@@ -429,35 +367,12 @@ func (se *StableEval) AnswerOpts(q ast.Query, opts Opts) (*storage.Relation, Sta
 		st.Rounds++
 		sink.begin()
 		facts0, derived0 = st.Facts, st.Derived
-		// Advance every cycle one step, independently — concurrently when
-		// Parallel is set. Each goroutine computes its own frontier; the
-		// shared maps are committed serially afterwards.
-		newD := make([]valueSet, len(movingBound))
-		newW := make([]pairRel, len(movingFree))
-		if parallel {
-			var wg sync.WaitGroup
-			for i, p := range movingBound {
-				wg.Add(1)
-				go func(i, p int) { defer wg.Done(); newD[i] = nextBound(p) }(i, p)
-			}
-			for i, p := range movingFree {
-				wg.Add(1)
-				go func(i, p int) { defer wg.Done(); newW[i] = nextFree(p) }(i, p)
-			}
-			wg.Wait()
-		} else {
-			for i, p := range movingBound {
-				newD[i] = nextBound(p)
-			}
-			for i, p := range movingFree {
-				newW[i] = nextFree(p)
-			}
+		// Advance every cycle one step; each reads only its own frontier.
+		for _, p := range movingBound {
+			D[p] = se.comps[p].down(rels, D[p])
 		}
-		for i, p := range movingBound {
-			D[p] = newD[i]
-		}
-		for i, p := range movingFree {
-			W[p] = newW[i]
+		for _, p := range movingFree {
+			W[p] = nextFree(p)
 		}
 		for _, p := range movingBound {
 			if len(D[p]) == 0 {

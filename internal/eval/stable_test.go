@@ -222,43 +222,3 @@ func TestStableCyclicDataTerminates(t *testing.T) {
 		t.Errorf("rounds = %d: cycle detection failed to stop at the period", st.Rounds)
 	}
 }
-
-// TestStableParallelMatchesSerial: the parallel per-cycle advance (the
-// paper's brace notation taken literally) must produce identical answers.
-func TestStableParallelMatchesSerial(t *testing.T) {
-	sys := stableSystem(t,
-		"p(X, Y, Z) :- a(X, U), b(Y, V), p(U, V, W), c(W, Z).",
-		"p(X, Y, Z) :- e(X, Y, Z).")
-	res := classify.MustClassify(sys.Recursive)
-	db := storage.NewDatabase()
-	storage.GenRandomGraph(db, "a", 30, 60, 1)
-	storage.GenRandomGraph(db, "b", 30, 60, 2)
-	storage.GenRandomGraph(db, "c", 30, 60, 3)
-	storage.GenRandomRelation(db, "e", 3, 30, 40, 4)
-	for _, qs := range []string{"?- p(n0, n1, Z).", "?- p(n0, Y, Z).", "?- p(X, Y, Z)."} {
-		q, err := parser.ParseQuery(qs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := NewStableEval(sys, res, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _, err := serial.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := NewStableEval(sys, res, db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.Parallel = true
-		b, _, err := par.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(b) {
-			t.Errorf("%s: parallel %d tuples vs serial %d", qs, b.Len(), a.Len())
-		}
-	}
-}

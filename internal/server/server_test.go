@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
 	"repro/internal/parser"
 )
@@ -272,7 +273,7 @@ func TestServerConcurrentReadWrite(t *testing.T) {
 	if final.Epoch != snap.Epoch() {
 		t.Errorf("final query epoch %d != snapshot epoch %d", final.Epoch, snap.Epoch())
 	}
-	sys, err := systemOf(s.prog)
+	sys, err := ast.SystemOf(s.prog)
 	if err != nil {
 		t.Fatal(err)
 	}
