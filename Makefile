@@ -21,8 +21,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The round driver's worker pool (eval/driver.go: every parallel, sharded,
-# streamed and TC-compose round), the obs span/metrics layer, the
+# The round driver's worker pool (eval/driver.go: every parallel, streamed
+# and maintained round), the obs span/metrics layer, the
 # snapshot/result-cache serving path and the HTTP server are only
 # trustworthy race-detector clean; vet runs first so the race build never
 # masks a static diagnostic.
@@ -30,13 +30,14 @@ race:
 	$(GO) vet ./internal/obs ./internal/eval ./internal/server
 	$(GO) test -race ./...
 
-# ROADMAP needle 2 ("the least code"): the non-test line counts of the two
-# packages that grew fastest may not pass the ceilings the last shrinking PR
+# ROADMAP needle 2 ("the least code"): the non-test line counts of the
+# three biggest packages may not pass the ceilings the last shrinking PR
 # left behind. Raise one only in a PR that says what the new lines buy.
-EVAL_SIZE_MAX = 6067
+EVAL_SIZE_MAX = 5741
 SERVER_SIZE_MAX = 1029
+STORAGE_SIZE_MAX = 1925
 size:
-	@for row in internal/eval:$(EVAL_SIZE_MAX) internal/server:$(SERVER_SIZE_MAX); do \
+	@for row in internal/eval:$(EVAL_SIZE_MAX) internal/server:$(SERVER_SIZE_MAX) internal/storage:$(STORAGE_SIZE_MAX); do \
 		pkg=$${row%:*}; max=$${row#*:}; \
 		n=$$(ls $$pkg/*.go | grep -v _test | xargs cat | wc -l); \
 		echo "$$pkg: $$n non-test lines (ceiling $$max)"; \

@@ -510,7 +510,7 @@ func BenchmarkQ6ParallelSemiNaive(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.ParallelSemiNaive(prog, db); err != nil {
+			if _, _, err := eval.ParallelSemiNaiveOpts(prog, db, eval.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

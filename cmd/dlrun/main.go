@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dlrun [-strategy naive|seminaive|parallel|magic|state|class|auto]
-//	      [-stats] [-shards N] [-trace] [-trace-json FILE] [-serve ADDR] [file]
+//	      [-stats] [-trace] [-trace-json FILE] [-serve ADDR] [file]
 //
 // Example input:
 //
@@ -57,7 +57,6 @@ func main() {
 		serveAddr    = flag.String("serve", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address and block after the queries")
 	)
 	flag.BoolVar(&trace, "trace", false, "print one line per fixpoint round (every strategy) and the compiled plan (auto)")
-	flag.IntVar(&shards, "shards", 0, "fixpoint hash-shard count (>= 2 hash-shards the fixpoint frontiers; 0 and 1 both mean unsharded)")
 	flag.Parse()
 
 	strategy, err := parseStrategy(*strategyName)
@@ -232,18 +231,16 @@ func repl(strategy eval.Strategy, db *storage.Database, showStats bool) {
 }
 
 // trace enables per-round lines (Stats.Trace) for every strategy; tracer is
-// non-nil when -trace-json collects the hierarchical span tree; shards
-// >= 2 selects the sharded fixpoint kernels.
+// non-nil when -trace-json collects the hierarchical span tree.
 var (
 	trace  bool
-	shards int
 	tracer *obs.Tracer
 )
 
 // queryOpts builds the instrumentation options for one query: a per-query
 // span subtree when -trace-json is set.
 func queryOpts(q ast.Query) (eval.Opts, *obs.Span) {
-	opts := eval.Opts{Shards: shards}
+	var opts eval.Opts
 	var qs *obs.Span
 	if tracer != nil {
 		qs = tracer.Root().Child("query").SetStr("query", q.String())

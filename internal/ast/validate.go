@@ -155,6 +155,33 @@ func SystemOf(prog *Program) (*RecursiveSystem, error) {
 	return NewRecursiveSystem(*rec, exits...)
 }
 
+// Arities returns the arity of every predicate the program mentions — in a
+// rule head, a body literal or a fact — or an error when the program uses
+// one predicate with two different arities.
+func (p *Program) Arities() (map[string]int, error) {
+	arities := make(map[string]int)
+	note := func(a Atom) error {
+		if n, seen := arities[a.Pred]; seen && n != a.Arity() {
+			return fmt.Errorf("predicate %s is used with arity %d and with arity %d", a.Pred, n, a.Arity())
+		}
+		arities[a.Pred] = a.Arity()
+		return nil
+	}
+	for _, r := range p.Rules {
+		for _, a := range append([]Atom{r.Head}, r.Body...) {
+			if err := note(a); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, f := range p.Facts {
+		if err := note(f); err != nil {
+			return nil, err
+		}
+	}
+	return arities, nil
+}
+
 // Pred returns the recursive predicate name.
 func (s *RecursiveSystem) Pred() string { return s.Recursive.Head.Pred }
 

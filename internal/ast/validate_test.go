@@ -2,6 +2,7 @@ package ast
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -151,6 +152,33 @@ func TestSystemOf(t *testing.T) {
 		}
 		if sys.Recursive.String() != rec.String() || len(sys.Exits) != c.exits {
 			t.Errorf("%s: recursive %v with %d exits, want %v with %d", c.name, sys.Recursive, len(sys.Exits), rec, c.exits)
+		}
+	}
+}
+
+func TestProgramArities(t *testing.T) {
+	rec := NewRule(NewAtom("p", V("X"), V("Y")),
+		NewAtom("a", V("X"), V("Z")), NewAtom("p", V("Z"), V("Y")))
+	exit := DefaultExit("p", 2, "e")
+	cases := []struct {
+		name  string
+		rules []Rule
+		facts []Atom
+		want  map[string]int // nil: want an error
+	}{
+		{"heads, body literals and facts", []Rule{rec, exit}, []Atom{NewAtom("f", C("a")), NewAtom("flag")},
+			map[string]int{"p": 2, "a": 2, "e": 2, "f": 1, "flag": 0}},
+		{"empty program", nil, nil, map[string]int{}},
+		{"two heads disagree", []Rule{rec, DefaultExit("p", 3, "g")}, nil, nil},
+		{"body literal against a head", []Rule{exit, NewRule(NewAtom("q", V("X")), NewAtom("p", V("X")))}, nil, nil},
+		{"two body literals disagree", []Rule{exit, NewRule(NewAtom("q", V("X")), NewAtom("e", V("X")))}, nil, nil},
+		{"fact against a body literal", []Rule{exit}, []Atom{NewAtom("e", C("a"))}, nil},
+		{"two facts disagree", []Rule{exit}, []Atom{NewAtom("f", C("a")), NewAtom("f", C("a"), C("b"))}, nil},
+	}
+	for _, c := range cases {
+		got, err := (&Program{Rules: c.rules, Facts: c.facts}).Arities()
+		if (err != nil) != (c.want == nil) || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Arities() = %v, %v; want %v", c.name, got, err, c.want)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/storage"
 )
 
-// The classification-driven compiler layer. CompilePlan classifies a
+// The classification-driven compiler layer. CompilePlanOpts classifies a
 // recursive system once and fixes the evaluation strategy the paper's
 // analysis licenses, materializing the database-independent rewriting
 // artifacts (the bounded expansion union, the stabilized system) so that
@@ -67,23 +67,18 @@ type Plan struct {
 
 	// book holds the cost-based join orders compiled from the plan
 	// database's column statistics (cost.go); nil when the plan was
-	// compiled without a database (CompilePlan/CompilePlanOpts) or for the
+	// compiled without a database (CompilePlanOpts) or for the
 	// TC kernel, which never enumerates conjunctions. The planner's cache
 	// key includes the database's statistics epoch, so a book can never
 	// outlive the statistics it was computed from.
 	book *orderBook
 }
 
-// CompilePlan classifies the system and compiles the class-appropriate
+// CompilePlanOpts classifies the system and compiles the class-appropriate
 // plan. Selection order: the transitive-closure shape (its kernel beats
 // every generic engine on its workload), then boundedness (recursion
 // elimination), then transformability (stabilize, then parallel
-// semi-naive), then the generic parallel engine.
-func CompilePlan(sys *ast.RecursiveSystem) (*Plan, error) {
-	return CompilePlanOpts(sys, Opts{})
-}
-
-// CompilePlanOpts is CompilePlan with instrumentation: the classification is
+// semi-naive), then the generic parallel engine. The classification is
 // recorded under a "classify" span (class code, rank when bounded) and the
 // strategy selection plus rewriting under a "plan-compile" span (kind).
 func CompilePlanOpts(sys *ast.RecursiveSystem, opts Opts) (*Plan, error) {
@@ -156,8 +151,8 @@ func (p *Plan) compileBook(db *storage.Database, bound []bool) {
 }
 
 // planInfo builds the Stats.Plan record for one answered query.
-func (p *Plan) planInfo(st *Stats) *PlanInfo {
-	pi := &PlanInfo{Class: p.Class, Strategy: p.Kind.String(), Shards: st.Shards}
+func (p *Plan) planInfo() *PlanInfo {
+	pi := &PlanInfo{Class: p.Class, Strategy: p.Kind.String()}
 	if p.book != nil {
 		pi.Cost = int64(p.book.cost)
 		pi.Orders = p.book.desc
@@ -242,7 +237,7 @@ func (p *Plan) answerAux(q ast.Query, db *storage.Database, opts Opts) (*storage
 	if err != nil {
 		return nil, nil, st, err
 	}
-	st.Plan = p.planInfo(&st)
+	st.Plan = p.planInfo()
 	return rel, aux, st, nil
 }
 

@@ -27,7 +27,7 @@ func TestCompilePlanSelection(t *testing.T) {
 	}
 	for _, c := range cases {
 		sys := mustStatement(t, c.id).System()
-		p, err := CompilePlan(sys)
+		p, err := CompilePlanOpts(sys, Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.id, err)
 		}
@@ -114,7 +114,7 @@ func TestTCEvalMatchesNaive(t *testing.T) {
 	}
 	for _, rule := range rules {
 		sys := mustSystem(t, rule, "p(X, Y) :- e(X, Y).")
-		if p, err := CompilePlan(sys); err != nil || p.Kind != PlanTC {
+		if p, err := CompilePlanOpts(sys, Opts{}); err != nil || p.Kind != PlanTC {
 			t.Fatalf("%s: plan %v err %v, want PlanTC", rule, p, err)
 		}
 		for seed := int64(1); seed <= 5; seed++ {
@@ -208,7 +208,7 @@ func TestAutoDifferentialRandomSystems(t *testing.T) {
 	kinds := make(map[PlanKind]int)
 	for trial := 0; trial < 60; trial++ {
 		sys := dlgen.RandomSystem(rng, dlgen.Config{MaxArity: 3, MaxAtoms: 3})
-		p, err := CompilePlan(sys)
+		p, err := CompilePlanOpts(sys, Opts{})
 		if err != nil {
 			t.Fatalf("%v: %v", sys.Recursive, err)
 		}

@@ -113,7 +113,7 @@ func BenchmarkStableDepth(b *testing.B) {
 		q, _ := parser.ParseQuery("?- p(n0, Y).")
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ClassEval(sys, q, db); err != nil {
+				if _, _, err := ClassEvalOpts(sys, q, db, Opts{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,8 +3,8 @@
 //   - bottom-up naive and semi-naive fixpoint evaluation (the sequential
 //     reference oracles),
 //   - the round driver (driver.go): one seed-plus-delta-rounds loop behind
-//     the parallel and sharded engines, streaming and incremental
-//     maintenance, with per-round metrics (Stats.Trace),
+//     the parallel engine, streaming and incremental maintenance, with
+//     per-round metrics (Stats.Trace),
 //   - the transitive-closure frontier kernel (tc.go) and the bounded
 //     expansion union (bounded.go) the auto planner compiles to,
 //   - a magic-sets baseline specialized to the paper's linear systems,
@@ -25,7 +25,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -513,11 +512,4 @@ func HeadSlots(c *Conj, syms *storage.Symbols, head ast.Atom) (slots []int, fixe
 		}
 	}
 	return slots, fixed, nil
-}
-
-// SortedVarNames returns the conjunction's variables sorted, for diagnostics.
-func (c *Conj) SortedVarNames() []string {
-	out := append([]string(nil), c.varNames...)
-	sort.Strings(out)
-	return out
 }

@@ -174,13 +174,6 @@ func TestCompiledOrdersMatchGreedyRandom(t *testing.T) {
 				}
 				return AnswerQuery(out, q)
 			}},
-			{"sharded+cost", func() (*storage.Relation, error) {
-				out, _, err := ParallelSemiNaiveOpts(sys.Program(), db, costed(sys.Program(), db, Opts{Shards: 2}))
-				if err != nil {
-					return nil, err
-				}
-				return AnswerQuery(out, q)
-			}},
 			{"auto-with-book", func() (*storage.Relation, error) {
 				// The planner path compiles the plan's own book (the db is
 				// non-nil), exercising whichever of the four plan classes

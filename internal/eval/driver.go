@@ -19,23 +19,21 @@ import (
 // snapshots of the full relations into private buffers, and a
 // single-threaded barrier merges the buffers into the head relations in
 // deterministic task order and files every fresh tuple under the next
-// round's frontier. The ways of consuming that loop differ in three small
-// values only:
+// round's frontier. The ways of consuming that loop differ in two small
+// values only — seed × sink:
 //
 //   - the seed (roundSeed): a full pass of the rules that need no derived
 //     input followed by everything in the heads (fullSeed, cold start), or
 //     the inserted tuples of a storage.SnapshotDiff over copy-on-write
 //     extended heads (diffSeed, incremental maintenance);
-//   - the partition: contiguous chunks of each predicate's frontier
-//     (engine=parallel) or hash shards by join column with owner routing
-//     and exchange counting (engine=sharded);
 //   - the sink: what else happens to a fresh head tuple at the merge —
 //     nothing (materialize), a consumer that may decline it (stream), or a
 //     work budget that may run out (maintenance).
 //
-// Answers are identical to SemiNaive whatever the combination: every
-// partition is exhaustive and disjoint, the fixpoint is confluent and the
-// merge order is deterministic.
+// A round's tasks are contiguous chunks of each predicate's frontier, three
+// per worker. Answers are identical to SemiNaive whatever the combination
+// and the worker count: the chunks are exhaustive and disjoint, the fixpoint
+// is confluent and the merge order is deterministic.
 
 // errStreamStop is the internal sentinel an evaluation returns when the
 // sink's consumer declined further tuples (limit satisfied, goal answered,
@@ -70,63 +68,20 @@ func (s *sink) fresh(pred string, t storage.Tuple) bool {
 // over reports whether the evaluation has spent its budget.
 func (s *sink) over(st *Stats) bool { return s.budget > 0 && st.Facts > s.budget }
 
-// partition is how a frontier is split into tasks and which slot of the
-// next frontier a fresh tuple is filed under. shards < 2 is the contiguous
-// chunk fan-out: one slot, cut into near-equal chunks per round, so workers
-// see an arbitrary slice of the value domain. shards >= 2 hash-partitions
-// every predicate's frontier by the column cols names: slot i always
-// processes the tuples whose key hashes to i, and a tuple derived in slot i
-// whose key belongs to slot j is routed to j at the barrier — the
-// cross-shard delta exchange a distributed mode would put on the network.
-type partition struct {
-	shards int
-	cols   map[string]int
-}
-
-// owner is the slot of the next frontier a fresh tuple of pred belongs to.
-func (p partition) owner(pred string, t storage.Tuple) int {
-	if p.shards < 2 {
-		return 0
-	}
-	return storage.ShardOf(t[p.cols[pred]], p.shards)
-}
-
-// chunks cuts one slot's frontier of one predicate into task inputs: a hash
-// shard is the unit of work as it is, the single contiguous slot is cut into
-// near-equal chunks, three per worker.
-func (p partition) chunks(d []storage.Tuple, workers int) [][]storage.Tuple {
-	if p.shards > 1 {
-		return [][]storage.Tuple{d}
-	}
-	return storage.PartitionTuples(d, workers*3)
-}
-
-// frontier is a round's input: per partition slot and predicate, the tuples
-// the previous round derived. The tuples alias the head relations' arenas
-// (Insert copied them there; At returns the arena-backed header), so filing
-// one allocates nothing and task buffers return to the pool right after the
-// merge.
-type frontier []map[string][]storage.Tuple
-
-func (p partition) newFrontier() frontier {
-	fr := make(frontier, max(p.shards, 1))
-	for s := range fr {
-		fr[s] = make(map[string][]storage.Tuple)
-	}
-	return fr
-}
+// frontier is a round's input: per predicate, the tuples the previous round
+// derived. The tuples alias the head relations' arenas (Insert copied them
+// there; At returns the arena-backed header), so filing one allocates
+// nothing and task buffers return to the pool right after the merge.
+type frontier map[string][]storage.Tuple
 
 // parTask is one unit of round work: evaluate one rule with one positive
 // body occurrence restricted to a chunk of that predicate's frontier (or,
-// for seedIdx −1, evaluate the whole rule once). A task with tc set is a
-// transitive-closure compose task instead: chunk is joined against the edge
-// index (tc.go). head is the relation the output merges into, frozen for the
-// round; workers only call Contains on it (an allocation-free word-hash
-// probe) to prefilter derivations already known, so the single-threaded
-// merge touches near-new tuples only.
+// for seedIdx −1, evaluate the whole rule once). head is the relation the
+// output merges into, frozen for the round; workers only call Contains on it
+// (an allocation-free word-hash probe) to prefilter derivations already
+// known, so the single-threaded merge touches near-new tuples only.
 type parTask struct {
 	cr      *compiledRule
-	tc      *tcRun
 	pred    string
 	seedIdx int
 	chunk   []storage.Tuple
@@ -134,9 +89,6 @@ type parTask struct {
 	// span is the round span the task's join span attaches under; nil when
 	// untraced. Workers emit concurrently — obs.Span serializes internally.
 	span *obs.Span
-	// shard is 1 + the hash shard the chunk belongs to; 0 for contiguous
-	// chunks and seed rounds.
-	shard int
 }
 
 // parResult is a task's private output buffer, merged single-threaded. The
@@ -274,12 +226,6 @@ func runTask(res *parResult, task parTask, rels RelFunc, scratch *workerScratch)
 		}
 	}()
 	start := time.Now()
-	if task.tc != nil {
-		res.out = getTaskBuffer(2)
-		res.attempted = task.tc.composeChunk(task.chunk, scratch.bufFor(2), res.out)
-		res.busy = time.Since(start)
-		return nil
-	}
 	cr := task.cr
 	// Workers attach join spans concurrently; obs.Span serializes through
 	// the tracer. Guard the rule.String() so untraced runs stay
@@ -289,9 +235,6 @@ func runTask(res *parResult, task parTask, rels RelFunc, scratch *workerScratch)
 		js = task.span.Child("join").SetStr("rule", cr.rule.String())
 		if task.seedIdx >= 0 {
 			js.SetInt("chunk", int64(len(task.chunk)))
-		}
-		if task.shard > 0 {
-			js.SetInt("shard", int64(task.shard-1))
 		}
 	}
 	out := getTaskBuffer(len(cr.slots))
@@ -338,23 +281,21 @@ type fixRun struct {
 	work    *storage.Database
 	full    RelFunc
 	workers int
-	part    partition
 	snk     sink
 	rs      roundSink
 	st      Stats
 	opts    Opts
-	engine  string
 	round   int // global round number across strata
 }
 
 // run executes one round: fan the tasks out, merge their buffers into the
-// task heads in task order, file every fresh tuple under its owner slot of
+// task heads in task order, file every fresh tuple under its predicate in
 // next (nil: the round feeds no frontier), show it to the sink, and record
 // the round. It returns the number of fresh tuples. The abort channel is
 // polled once per round; a close surfaces as ErrCanceled.
 func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next frontier) (int, error) {
 	if r.opts.canceled() {
-		return 0, fmt.Errorf("%s fixpoint: %w", r.engine, ErrCanceled)
+		return 0, fmt.Errorf("parallel fixpoint: %w", ErrCanceled)
 	}
 	r.round++
 	r.st.Rounds++
@@ -366,7 +307,7 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 	if err != nil {
 		return 0, err
 	}
-	added, attempted, exchanged := 0, 0, 0
+	added, attempted := 0, 0
 	var visited int64
 	stopped := false
 	for i, res := range results {
@@ -375,7 +316,7 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 		// Buffers after a stop are dropped unmerged — the consumer is gone,
 		// only the pooled capacity is worth keeping.
 		if !stopped {
-			pred, head, src := tasks[i].pred, tasks[i].head, tasks[i].shard-1
+			pred, head := tasks[i].pred, tasks[i].head
 			res.out.Each(func(t storage.Tuple) bool {
 				if !head.Insert(t) {
 					return true
@@ -383,11 +324,7 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 				added++
 				nt := head.At(head.Len() - 1)
 				if next != nil {
-					dest := r.part.owner(pred, nt)
-					next[dest][pred] = append(next[dest][pred], nt)
-					if src >= 0 && dest != src {
-						exchanged++
-					}
+					next[pred] = append(next[pred], nt)
 				}
 				stopped = !r.snk.fresh(pred, nt)
 				return !stopped
@@ -397,12 +334,10 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 	}
 	r.st.Facts += attempted
 	r.st.Derived += added
-	r.st.Exchanged += exchanged
 	r.st.Visited += visited
 	r.rs.end(RoundStats{
 		Round: r.round, Stratum: stratum, Tasks: len(tasks), Delta: delta,
-		Derived: added, Attempted: attempted, Workers: r.workers,
-		Shards: r.part.shards, Exchanged: exchanged, Busy: busy,
+		Derived: added, Attempted: attempted, Workers: r.workers, Busy: busy,
 		Estimated: est, Visited: visited,
 	})
 	switch {
@@ -434,9 +369,6 @@ func hasLocalLit(cr *compiledRule, local map[string]bool) bool {
 // fullSeed is the cold start: rules with no positive local literal run once
 // in full, one task per rule, and the first frontier is everything in the
 // head relations afterwards — pre-existing facts plus the seed derivations.
-// Partitioning begins with that frontier, not before it: the hash columns
-// are picked after the seed round so their statistics see representative
-// contents.
 type fullSeed struct{}
 
 func (fullSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
@@ -458,17 +390,12 @@ func (fullSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, str
 			return nil, err
 		}
 	}
-	if r.part.shards > 1 {
-		r.part.cols = shardCols(rules, local, r.work)
-	}
-	fr := r.part.newFrontier()
+	fr := make(frontier)
 	for pred := range local {
-		// One group per slot (a single one unsharded), aliasing the head:
-		// valid while it grows, appends never touch the prefix.
-		for s, part := range r.work.Rel(pred).PartitionByHash(r.part.cols[pred], r.part.shards) {
-			if len(part) > 0 {
-				fr[s][pred] = part
-			}
+		// Aliases the head: valid while it grows, appends never touch the
+		// prefix.
+		if ts := r.work.Rel(pred).Tuples(); len(ts) > 0 {
+			fr[pred] = ts
 		}
 	}
 	return fr, nil
@@ -505,7 +432,7 @@ func diffTasks(rules []compiledRule, local map[string]bool, diff *storage.Snapsh
 type diffSeed struct{ diff *storage.SnapshotDiff }
 
 func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
-	fr := r.part.newFrontier()
+	fr := make(frontier)
 	for pred, ts := range d.diff.Inserted {
 		if !local[pred] {
 			continue
@@ -516,9 +443,7 @@ func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, s
 				return nil, fmt.Errorf("eval: inserted %s tuple of arity %d, fixpoint holds arity %d", pred, len(t), head.Arity())
 			}
 			if head.Insert(t) {
-				nt := head.At(head.Len() - 1)
-				dest := r.part.owner(pred, nt)
-				fr[dest][pred] = append(fr[dest][pred], nt)
+				fr[pred] = append(fr[pred], head.At(head.Len()-1))
 			}
 		}
 	}
@@ -531,8 +456,8 @@ func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, s
 }
 
 // stratum saturates one rule group: the seed's first frontier, then delta
-// rounds — one task per (slot, rule, positive local occurrence, chunk) —
-// until a round derives nothing.
+// rounds — one task per (rule, positive local occurrence, chunk) — until a
+// round derives nothing.
 func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bool, stratum int) error {
 	fr, err := sd.seed(r, rules, local, stratum)
 	if err != nil {
@@ -542,31 +467,26 @@ func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bo
 		var tasks []parTask
 		var est int64
 		delta := 0
-		for s := range fr {
-			for i := range rules {
-				cr := &rules[i]
-				for bi, a := range cr.rule.Body {
-					d := fr[s][a.Pred]
-					if a.Neg || !local[a.Pred] || len(d) == 0 {
-						continue
-					}
-					if _, perTuple := cr.seededOrder(bi); perTuple > 0 {
-						est += int64(perTuple * float64(len(d)))
-					}
-					pred, shard := cr.rule.Head.Pred, 0
-					if r.part.shards > 1 {
-						shard = s + 1
-					}
-					for _, chunk := range r.part.chunks(d, r.workers) {
-						tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: chunk, head: r.work.Rel(pred), shard: shard})
-					}
+		for i := range rules {
+			cr := &rules[i]
+			for bi, a := range cr.rule.Body {
+				d := fr[a.Pred]
+				if a.Neg || !local[a.Pred] || len(d) == 0 {
+					continue
+				}
+				if _, perTuple := cr.seededOrder(bi); perTuple > 0 {
+					est += int64(perTuple * float64(len(d)))
+				}
+				pred := cr.rule.Head.Pred
+				for _, chunk := range storage.PartitionTuples(d, r.workers*3) {
+					tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: chunk, head: r.work.Rel(pred)})
 				}
 			}
-			for _, d := range fr[s] {
-				delta += len(d)
-			}
 		}
-		next := r.part.newFrontier()
+		for _, d := range fr {
+			delta += len(d)
+		}
+		next := make(frontier)
 		added, err := r.run(stratum, tasks, est, delta, next)
 		if err != nil {
 			return err
@@ -579,13 +499,12 @@ func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bo
 }
 
 // fixpoint is the cold-start evaluation of a stratified program on the round
-// driver — the core of every parallel, sharded, streamed and auto-planned
-// fixpoint. Opts.Shards >= 2 hash-partitions the frontiers into that many
-// shards; anything else runs contiguous chunks. With a streaming sink, the
-// facts of its predicate present before any rule fires (EDB tuples under the
-// query predicate, or IDB facts loaded directly) stream first; when the
-// consumer stops, the partially saturated database is returned with
-// errStreamStop so the caller can account for it, but it is NOT a fixpoint.
+// driver — the core of every parallel, streamed and auto-planned fixpoint.
+// With a streaming sink, the facts of its predicate present before any rule
+// fires (EDB tuples under the query predicate, or IDB facts loaded directly)
+// stream first; when the consumer stops, the partially saturated database is
+// returned with errStreamStop so the caller can account for it, but it is
+// NOT a fixpoint.
 func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -601,27 +520,13 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 	// contract). Inserts during the single-threaded merges keep the
 	// indexes current.
 	work.BuildIndexes()
-	r := &fixRun{work: work, full: DBRels(work), workers: opts.Workers, snk: snk, opts: opts, engine: "parallel"}
+	r := &fixRun{work: work, full: DBRels(work), workers: opts.Workers, snk: snk, opts: opts}
 	st := &r.st
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
-	fix := opts.parent().Child("fixpoint")
+	fix := opts.parent().Child("fixpoint").SetStr("engine", "parallel")
 	defer fix.End()
-	if opts.Shards > 1 {
-		r.part.shards, r.engine, st.Shards = opts.Shards, "sharded", opts.Shards
-		fix.SetStr("engine", r.engine).SetInt("shards", int64(opts.Shards))
-	} else {
-		fix.SetStr("engine", r.engine)
-	}
-	flush := func() {
-		flushDB(opts, st, work, idb)
-		if r.part.shards > 1 {
-			reg := opts.registry()
-			reg.Counter(mShardedEvals).Inc()
-			reg.Counter(mExchanged).Add(int64(st.Exchanged))
-		}
-	}
 	if rel := work.Rel(snk.pred); snk.emit != nil && rel != nil {
 		stopped := false
 		rel.Each(func(t storage.Tuple) bool {
@@ -629,7 +534,7 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 			return !stopped
 		})
 		if stopped {
-			flush()
+			flushDB(opts, st, work, idb)
 			return work, *st, errStreamStop
 		}
 	}
@@ -646,7 +551,7 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 		r0 := r.round
 		if err := r.stratum(fullSeed{}, rules, local, si); err != nil {
 			if err == errStreamStop {
-				flush()
+				flushDB(opts, st, work, idb)
 				return work, *st, err
 			}
 			return nil, *st, err
@@ -654,27 +559,15 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 		r.rs.stratumDone(r.round - r0)
 	}
 	fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
-	if r.part.shards > 1 {
-		fix.SetInt("exchanged", int64(st.Exchanged))
-	}
-	flush()
+	flushDB(opts, st, work, idb)
 	return work, *st, nil
 }
 
-// ParallelSemiNaive is SemiNaive on the round driver: each round's delta is
-// fanned out across a worker pool as (rule, delta-occurrence, chunk) tasks
-// and merged single-threaded before the deltas swap. Answers are identical
-// to SemiNaive; per-round metrics are recorded in Stats.Trace.
-func ParallelSemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
-	return ParallelSemiNaiveOpts(prog, db, Opts{})
-}
-
-// ParallelSemiNaiveOpts is ParallelSemiNaive with explicit options — the
-// cold path of every auto-planned fixpoint. Opts.Shards >= 2 hash-shards the
-// frontiers into exactly that many shards with cross-shard delta exchange at
-// round barriers (Stats.Shards reports the count, Stats.Exchanged the tuples
-// routed across shards); otherwise the evaluation runs on contiguous chunks
-// and Stats.Shards stays 0.
+// ParallelSemiNaiveOpts is SemiNaive on the round driver — the cold path of
+// every auto-planned fixpoint: each round's delta is fanned out across a
+// worker pool as (rule, delta-occurrence, chunk) tasks and merged
+// single-threaded before the deltas swap. Answers are identical to
+// SemiNaive; per-round metrics are recorded in Stats.Trace.
 func ParallelSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	return fixpoint(prog, db, opts, sink{})
 }

@@ -11,11 +11,12 @@ import (
 
 // The round driver centralizes what used to be separate loops, so the one
 // thing it must pin is that the ways of consuming it agree: for one fixture
-// per plan class, unsharded and hash-sharded, the materialized answer, the
+// per plan class, on one worker (every task inline) and on a pool of four
+// (each frontier cut into workers*3 chunks), the materialized answer, the
 // stream drained to exhaustion and the entry maintained across an insert
-// batch all equal the naive oracle — and the materialized and streamed runs
-// do the same work (identical rounds and derivations). Sharding is explicit:
-// only Opts.Shards >= 2 shards, whatever the size of the EDB.
+// batch all equal the naive oracle — and the materialized and streamed runs,
+// on either worker count, do the same work (identical rounds and
+// derivations).
 
 // oracleRows answers q by naive evaluation.
 func oracleRows(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) []string {
@@ -31,6 +32,17 @@ func oracleRows(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *storage
 	return relRows(ans)
 }
 
+// firstConstant names a constant present in the database, so that a query
+// bound to it has work to do.
+func firstConstant(db *storage.Database) string {
+	for _, pred := range db.Preds() {
+		if r := db.Rel(pred); r.Len() > 0 && r.Arity() > 0 {
+			return db.Syms.Name(r.At(0)[0])
+		}
+	}
+	return "n0"
+}
+
 func TestDriverModesAgree(t *testing.T) {
 	fixtures := []struct {
 		id             string
@@ -41,21 +53,24 @@ func TestDriverModesAgree(t *testing.T) {
 		{"s10", PlanBounded, 6, 14},
 		{"s4a", PlanStable, 6, 14},
 		{"s11", PlanGeneric, 6, 14},
-		// 4 500 EDB tuples, sparse enough that the fixpoint stays small: no
-		// input size makes the zero Opts shard.
+		// 4 500 EDB tuples: frontiers long enough to fill every chunk of the
+		// pool, sparse enough that the fixpoint stays small.
 		{"s12", PlanGeneric, 300, 900},
 	}
 	for _, f := range fixtures {
-		for _, shards := range []int{0, 1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", f.id, shards), func(t *testing.T) {
+		// Rounds and derivations per query, as the first worker count ran
+		// them; the second must repeat them.
+		work := make(map[string][2]int)
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", f.id, workers), func(t *testing.T) {
 				sys := mustStatement(t, f.id).System()
 				db, err := dlgen.RandomDB(sys, f.domain, f.tuples, 3)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Opts{Shards: shards, Workers: 2}
+				opts := Opts{Workers: workers}
 				pl, rc := NewPlanner(), NewResultCache(0)
-				queries := []ast.Query{allFreeQuery(sys), boundQueryTest(sys, db)}
+				queries := []ast.Query{queryFor(sys, 0, ""), queryFor(sys, 1, firstConstant(db))}
 
 				snap := db.Snapshot()
 				for _, q := range queries {
@@ -70,18 +85,11 @@ func TestDriverModesAgree(t *testing.T) {
 					if !rowsEqual(relRows(mat), want) {
 						t.Errorf("%v: materialized %d rows, oracle %d", q, mat.Len(), len(want))
 					}
-					// Both queries of a generic plan run the whole program, and
-					// these fixtures keep deriving after the seed round.
-					if f.kind == PlanGeneric {
-						wantShards := 0
-						if shards > 1 {
-							wantShards = shards
-						}
-						if mst.Shards != wantShards || (mst.Exchanged > 0) != (wantShards > 0) {
-							t.Errorf("%v: Stats.Shards=%d Exchanged=%d, want %d shards and exchange traffic only when sharded",
-								q, mst.Shards, mst.Exchanged, wantShards)
-						}
+					did := [2]int{mst.Rounds, mst.Derived}
+					if first, ok := work[q.String()]; ok && first != did {
+						t.Errorf("%v: rounds/derived %v on %d workers, %v on the first worker count", q, did, workers, first)
 					}
+					work[q.String()] = did
 					p, _, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), opts)
 					if err != nil {
 						t.Fatal(err)
@@ -136,7 +144,7 @@ func TestDriverBudgetFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			pl, rc := NewPlanner(), NewResultCache(0)
-			q := allFreeQuery(sys)
+			q := queryFor(sys, 0, "")
 			snap := db.Snapshot()
 			if _, _, _, err := rc.Answer(pl, sys, q, snap, Opts{}); err != nil {
 				t.Fatal(err)

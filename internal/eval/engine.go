@@ -27,7 +27,7 @@ const (
 	// compiled evaluator for classes C, E and F.
 	StrategyClass
 	// StrategyParallel is bottom-up delta evaluation with each round's
-	// delta fanned out across a worker pool (see ParallelSemiNaive).
+	// delta fanned out across a worker pool (see ParallelSemiNaiveOpts).
 	// Workers share the database read-only through the storage layer's
 	// frozen CSR indexes and write into pooled arena-backed buffers.
 	StrategyParallel
@@ -110,14 +110,9 @@ func AnswerOpts(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *st
 	}
 }
 
-// ClassEval classifies the system and dispatches to the most specific
-// evaluator the paper's analysis licenses.
-func ClassEval(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return ClassEvalOpts(sys, q, db, Opts{})
-}
-
-// ClassEvalOpts is ClassEval with instrumentation: the classification is
-// recorded under a "classify" span before dispatch.
+// ClassEvalOpts classifies the system and dispatches to the most specific
+// evaluator the paper's analysis licenses; the classification is recorded
+// under a "classify" span before dispatch.
 func ClassEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	cls := opts.parent().Child("classify")
 	res, err := classify.Classify(sys.Recursive)
@@ -129,7 +124,7 @@ func ClassEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, 
 	return ClassEvalWithOpts(sys, res, q, db, opts)
 }
 
-// ClassEvalWith is ClassEval with a precomputed classification (so callers
+// ClassEvalWith is ClassEvalOpts with a precomputed classification (so callers
 // can amortize the compilation across queries — the paper's compiled-query
 // setting).
 func ClassEvalWith(sys *ast.RecursiveSystem, res *classify.Result, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {

@@ -283,7 +283,7 @@ func TestMagicSetsAllFreeDegenerates(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
 	db := chainDB(t, 6)
 	q, _ := parser.ParseQuery("?- p(X, Y).")
-	got, _, err := MagicSets(sys, q, db)
+	got, _, err := MagicSetsOpts(sys, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

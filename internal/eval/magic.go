@@ -8,7 +8,7 @@ import (
 	"repro/internal/storage"
 )
 
-// MagicSets rewrites the linear recursive system for the query's adornment
+// MagicSetsOpts rewrites the linear recursive system for the query's adornment
 // using the magic-sets transformation (the standard post-1988 baseline the
 // reproduction compares the paper's compiled plans against) and evaluates
 // the rewritten program semi-naively.
@@ -17,14 +17,10 @@ import (
 // the adornment of the recursive literal follows the paper's determined-
 // variable closure (adorn.Step), so one recursive rule can fan out into a
 // small family of adorned rules, one per reachable adornment.
-func MagicSets(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return MagicSetsOpts(sys, q, db, Opts{})
-}
-
-// MagicSetsOpts is MagicSets with instrumentation: the rewriting itself is
-// recorded under a "magic-rewrite" span (adornment count, generated rules)
-// and the semi-naive evaluation of the rewritten program attaches its own
-// fixpoint span as a sibling.
+//
+// The rewriting itself is recorded under a "magic-rewrite" span (adornment
+// count, generated rules) and the semi-naive evaluation of the rewritten
+// program attaches its own fixpoint span as a sibling.
 func MagicSetsOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {

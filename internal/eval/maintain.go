@@ -389,12 +389,12 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		}
 		exit = aux.exit.CowClone()
 		run := fixRun{full: DBRels(db), workers: 1}
-		fr := run.part.newFrontier()
+		fr := make(frontier)
 		tasks := diffTasks(rules, nil, diff, func(string) *storage.Relation { return exit })
 		if _, err := run.run(0, tasks, 0, 0, fr); err != nil {
 			return nil, nil, false
 		}
-		exitDelta = fr[0][sys.Pred()]
+		exitDelta = fr[sys.Pred()]
 		exit.CompactIndexes()
 	}
 	edges := db.Rel(shape.edgePred)
@@ -525,11 +525,10 @@ func maintainBounded(rules []ast.Rule, q ast.Query, oldRel *storage.Relation, db
 // across an insert-only EDB delta on the round driver: the old IDB relations
 // are extended copy-on-write, the diff seeds the first frontier (diffSeed)
 // and delta rounds run to quiescence, all on the calling goroutine — the
-// budget already caps the work below what sharding or fan-out would pay
-// for. Sound for positive programs only — restarting semi-naive iteration
-// from the old fixpoint plus the delta converges to the new least fixpoint
-// because evaluation is monotone and the old fixpoint is a subset of the
-// new one.
+// budget already caps the work below what fan-out would pay for. Sound for
+// positive programs only — restarting semi-naive iteration from the old
+// fixpoint plus the delta converges to the new least fixpoint because
+// evaluation is monotone and the old fixpoint is a subset of the new one.
 func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*fixAux, bool) {
 	if ast.HasNegation(prog) {
 		return nil, false

@@ -142,7 +142,7 @@ func seedWorkload(t *testing.T, w maintWorkload, r *rand.Rand, db *storage.Datab
 func TestMaintainDifferential(t *testing.T) {
 	for _, w := range maintWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			p, err := CompilePlan(w.sys)
+			p, err := CompilePlanOpts(w.sys, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,13 +24,6 @@ type Opts struct {
 	// Workers is the parallel engine's pool size; 0 or negative means
 	// runtime.GOMAXPROCS(0). Ignored by the sequential engines.
 	Workers int
-	// Shards controls the round driver's partition (driver.go, shard.go):
-	// >= 2 hash-shards every frontier into exactly that many shards, 0 and 1
-	// both mean unsharded (contiguous chunks). Respected wherever the driver
-	// or the TC compose kernel runs — materialized or streamed; maintenance
-	// delta passes always run unsharded, and the sequential engines ignore
-	// it.
-	Shards int
 	// Tracer, when non-nil, receives the evaluation's hierarchical spans
 	// (fixpoint → round → per-rule join, plus classify/plan-compile from
 	// the auto planner).
@@ -111,12 +104,6 @@ const (
 	mRoundDur      = "dl_round_duration_seconds"
 	mWorkerUtil    = "dl_worker_utilization"
 	mStratumRounds = "dl_rounds_per_stratum"
-	// mShardedEvals counts evaluations that ran on the sharded engine;
-	// mExchanged counts tuples routed across shards at round barriers (the
-	// cross-shard delta exchange volume a distributed mode would put on the
-	// network).
-	mShardedEvals = "dl_sharded_evaluations_total"
-	mExchanged    = "dl_tuples_exchanged_total"
 )
 
 // utilBuckets covers the [0, 1] worker-utilization ratio.
@@ -202,10 +189,6 @@ func (rs *roundSink) end(r RoundStats) {
 		}
 		if r.Workers > 0 {
 			s.SetInt("workers", int64(r.Workers))
-		}
-		if r.Shards > 0 {
-			s.SetInt("shards", int64(r.Shards))
-			s.SetInt("exchanged", int64(r.Exchanged))
 		}
 		if r.Estimated > 0 || r.Visited > 0 {
 			s.SetInt("estimated", r.Estimated)

@@ -146,7 +146,7 @@ func TestSemiNaiveRoundCounts(t *testing.T) {
 	if seqStats.Derived != wantDerived {
 		t.Errorf("seminaive derived = %d, want %d", seqStats.Derived, wantDerived)
 	}
-	_, parStats, err := ParallelSemiNaive(prog, db)
+	_, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,9 @@ func TestSemiNaiveDerivedMatchesIDBGrowth(t *testing.T) {
 		}
 	}
 	run("seminaive", SemiNaive)
-	run("parallel", ParallelSemiNaive)
+	run("parallel", func(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
+		return ParallelSemiNaiveOpts(prog, db, Opts{})
+	})
 }
 
 // TestParallelRoundTrace: the per-round records must be internally
@@ -242,7 +244,7 @@ func TestParallelRejectsUnstratifiable(t *testing.T) {
 	`)
 	db := storage.NewDatabase()
 	db.Insert("move", "a", "b")
-	if _, _, err := ParallelSemiNaive(prog, db); err == nil {
+	if _, _, err := ParallelSemiNaiveOpts(prog, db, Opts{}); err == nil {
 		t.Fatal("unstratifiable program accepted")
 	}
 }
@@ -251,7 +253,7 @@ func TestParallelRejectsUnstratifiable(t *testing.T) {
 // or miscount.
 func TestParallelEmptyAndFactOnlyPrograms(t *testing.T) {
 	db := storage.NewDatabase()
-	out, st, err := ParallelSemiNaive(&ast.Program{}, db)
+	out, st, err := ParallelSemiNaiveOpts(&ast.Program{}, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestParallelEmptyAndFactOnlyPrograms(t *testing.T) {
 	`)
 	db2 := storage.NewDatabase()
 	db2.Insert("e", "a", "b")
-	out2, st2, err := ParallelSemiNaive(prog, db2)
+	out2, st2, err := ParallelSemiNaiveOpts(prog, db2, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // is the canonical rule text of the system plus the query's d/v adornment
 // string: any change to the rule set yields a different key, so stale plans
 // can never be served for a modified program (invalidation by construction).
-// The serving path (Planner.AnswerSnap, used by the result cache and
+// The serving path (the result cache's lookups on a pinned snapshot, behind
 // dlserve) additionally keys by the snapshot epoch the query pins: entries
 // of epochs that have aged out of a small window behind the newest seen
 // epoch are pruned automatically on insert, so a long-lived server's cache
@@ -221,19 +221,7 @@ func (pl *Planner) Answer(sys *ast.RecursiveSystem, q ast.Query, db *storage.Dat
 // AnswerOpts is Answer with instrumentation threaded through the plan lookup
 // and the compiled path's engine.
 func (pl *Planner) AnswerOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	return pl.answerEpoch(sys, q, db, 0, opts)
-}
-
-// AnswerSnap answers the query against a pinned snapshot, keying the plan
-// lookup by (program, adornment, epoch). Safe for any number of concurrent
-// callers sharing the snapshot: the snapshot view is immutable and cached
-// plans are immutable.
-func (pl *Planner) AnswerSnap(sys *ast.RecursiveSystem, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, Stats, error) {
-	return pl.answerEpoch(sys, q, snap.DB(), snap.Epoch(), opts)
-}
-
-func (pl *Planner) answerEpoch(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, epoch uint64, opts Opts) (*storage.Relation, Stats, error) {
-	p, hit, err := pl.planFor(sys, q, epoch, db, opts)
+	p, hit, err := pl.planFor(sys, q, 0, db, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -247,8 +235,11 @@ func (pl *Planner) answerEpoch(sys *ast.RecursiveSystem, q ast.Query, db *storag
 	return rel, st, err
 }
 
-// answerSnapAux is AnswerSnap additionally returning the plan's maintenance
-// state (see Plan.answerAux) for the result cache to store with the entry.
+// answerSnapAux answers the query against a pinned snapshot, keying the plan
+// lookup by (program, adornment, epoch), and additionally returns the plan's
+// maintenance state (see Plan.answerAux) for the result cache to store with
+// the entry. Safe for any number of concurrent callers sharing the snapshot:
+// the snapshot view is immutable and cached plans are immutable.
 func (pl *Planner) answerSnapAux(sys *ast.RecursiveSystem, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, any, Stats, error) {
 	p, hit, err := pl.planFor(sys, q, snap.Epoch(), snap.DB(), opts)
 	if err != nil {

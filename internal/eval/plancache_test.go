@@ -139,9 +139,9 @@ func TestPlannerEpochKeying(t *testing.T) {
 		t.Errorf("epochless entry must survive pruning: hit=%v err=%v", hit, err)
 	}
 
-	// AnswerSnap keys by the snapshot's epoch and answers correctly.
+	// answerSnapAux keys by the snapshot's epoch and answers correctly.
 	snap := db.Snapshot()
-	got, st, err := pl.AnswerSnap(sys, q, snap, Opts{})
+	got, _, st, err := pl.answerSnapAux(sys, q, snap, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestPlannerEpochKeying(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !got.Equal(ref) {
-		t.Errorf("AnswerSnap answered %d tuples, want %d", got.Len(), ref.Len())
+		t.Errorf("answerSnapAux answered %d tuples, want %d", got.Len(), ref.Len())
 	}
 	if st.Plan == nil {
-		t.Error("AnswerSnap stats missing plan info")
+		t.Error("answerSnapAux stats missing plan info")
 	}
 }
 

@@ -64,7 +64,7 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 	// shapes drift.
 	wantKinds := []PlanKind{PlanTC, PlanTC, PlanBounded, PlanStable}
 	for i, w := range workloads {
-		p, err := CompilePlan(w.sys)
+		p, err := CompilePlanOpts(w.sys, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

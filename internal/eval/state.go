@@ -85,16 +85,11 @@ func MaterializeExit(sys *ast.RecursiveSystem, db *storage.Database) (*storage.R
 	return out, nil
 }
 
-// StateEval answers the query over the database with the generic compiled
-// expansion strategy. It works for every class of the paper's taxonomy and
-// terminates on all inputs (finite state space); class-specific evaluators
-// beat it where the paper's analysis applies.
-func StateEval(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return StateEvalOpts(sys, q, db, Opts{})
-}
-
-// StateEvalOpts is StateEval with instrumentation: each worklist sweep (one
-// expansion depth) becomes one round under a "fixpoint" span tagged
+// StateEvalOpts answers the query over the database with the generic
+// compiled expansion strategy. It works for every class of the paper's
+// taxonomy and terminates on all inputs (finite state space); class-specific
+// evaluators beat it where the paper's analysis applies. Each worklist sweep
+// (one expansion depth) becomes one round under a "fixpoint" span tagged
 // engine=state.
 func StateEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()

@@ -14,7 +14,7 @@ func stateAnswers(t *testing.T, srcRec, srcExit, query string, db *storage.Datab
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, st, err := StateEval(sys, q, db)
+	ans, st, err := StateEvalOpts(sys, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,13 +34,6 @@ type Stats struct {
 	// Rounds/Derived/Facts measure only the work actually done, not the full
 	// evaluation's cost.
 	Truncated bool
-	// Shards is the hash-shard count of the sharded fixpoint engine
-	// (driver.go's hash partition); 0 when the evaluation ran unsharded.
-	Shards int
-	// Exchanged counts the tuples routed across shards at round barriers:
-	// derived in one shard, owned (by join-column hash) by another. Always 0
-	// for unsharded evaluations.
-	Exchanged int
 	// Visited counts the intermediate tuples the conjunction enumerations
 	// pulled from index postings or scans — the join-order work measure the
 	// cost planner estimates (Facts counts only completed derivations; a bad
@@ -53,14 +46,6 @@ func (s Stats) String() string {
 	if s.Visited > 0 {
 		base += fmt.Sprintf(" visited=%d", s.Visited)
 	}
-	if s.Shards > 1 {
-		// The plan line repeats the shard count (PlanInfo.Shards); only the
-		// exchange volume is unique to the stats.
-		if s.Plan == nil {
-			base += fmt.Sprintf(" shards=%d", s.Shards)
-		}
-		base += fmt.Sprintf(" exchanged=%d", s.Exchanged)
-	}
 	if s.Plan != nil {
 		base += " " + s.Plan.String()
 	}
@@ -68,8 +53,8 @@ func (s Stats) String() string {
 }
 
 // FillJournal copies the evaluation-side facts of one answered query into
-// a journal record: fixpoint counters, shard/exchange volume, maintenance
-// and truncation flags, and the auto planner's class/strategy decision.
+// a journal record: fixpoint counters, maintenance and truncation flags,
+// and the auto planner's class/strategy decision.
 // The serving layer owns the request-side fields (ID, query text, epoch,
 // timings, rows, error class) — this split keeps the journal schema in one
 // place while letting eval stay the source of truth for what an
@@ -77,8 +62,6 @@ func (s Stats) String() string {
 func (s Stats) FillJournal(rec *obs.QueryRecord) {
 	rec.Rounds = s.Rounds
 	rec.Derived = s.Derived
-	rec.Shards = s.Shards
-	rec.Exchanged = s.Exchanged
 	rec.Visited = s.Visited
 	rec.Maintained = s.Maintained
 	rec.Truncated = s.Truncated
@@ -100,10 +83,6 @@ type PlanInfo struct {
 	// CacheHit reports that the plan was served from the planner's cache,
 	// skipping classification and rewriting.
 	CacheHit bool
-	// Shards is the hash-shard count the evaluation ran with (0 means the
-	// unsharded engine). It comes from the answering call's Opts.Shards, not
-	// from the plan, so it is recorded at answer time.
-	Shards int
 	// Cost is the plan's estimated full-evaluation cost in tuples visited,
 	// summed over the compiled rule orders (0 when the plan carries no order
 	// book — the TC frontier kernel never enumerates conjunctions).
@@ -120,9 +99,6 @@ func (p PlanInfo) String() string {
 		cache = "hit"
 	}
 	s := fmt.Sprintf("class=%s strategy=%s cache=%s", p.Class, p.Strategy, cache)
-	if p.Shards > 1 {
-		s += fmt.Sprintf(" shards=%d", p.Shards)
-	}
 	if p.Cost > 0 {
 		s += fmt.Sprintf(" cost=%d", p.Cost)
 	}
@@ -153,11 +129,6 @@ type RoundStats struct {
 	Attempted int
 	// Workers is the size of the worker pool.
 	Workers int
-	// Shards is the hash-shard count of the round (0 for unsharded rounds);
-	// Exchanged counts the round's freshly derived tuples routed into a
-	// different shard's next frontier than the one deriving them.
-	Shards    int
-	Exchanged int
 	// Duration is the wall-clock time of the round (fan-out through merge).
 	Duration time.Duration
 	// Busy is the summed execution time of the round's tasks across all
@@ -193,9 +164,6 @@ func (r RoundStats) String() string {
 		// Only the parallel engine fills the pool fields; sequential rounds
 		// would otherwise print meaningless tasks=0 workers=0 util=0%.
 		s += fmt.Sprintf(" tasks=%d workers=%d util=%.0f%%", r.Tasks, r.Workers, 100*r.Utilization())
-	}
-	if r.Shards > 0 {
-		s += fmt.Sprintf(" shards=%d exchanged=%d", r.Shards, r.Exchanged)
 	}
 	if r.Estimated > 0 || r.Visited > 0 {
 		s += fmt.Sprintf(" est=%d visited=%d", r.Estimated, r.Visited)

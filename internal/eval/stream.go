@@ -256,7 +256,7 @@ func (p *Plan) streamInto(q ast.Query, db *storage.Database, opts Opts, emit fun
 	if err != nil && err != errStreamStop {
 		return st, err
 	}
-	st.Plan = p.planInfo(&st)
+	st.Plan = p.planInfo()
 	return st, err
 }
 

@@ -71,7 +71,7 @@ func TestStreamDifferentialPaperPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, f := range fixtures {
 		sys := mustStatement(t, f.id).System()
-		p, err := CompilePlan(sys)
+		p, err := CompilePlanOpts(sys, Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", f.id, err)
 		}
@@ -120,7 +120,7 @@ func TestStreamTCAllAdornments(t *testing.T) {
 	}
 	for _, rule := range rules {
 		sys := mustSystem(t, rule, "p(X, Y) :- e(X, Y).")
-		p, err := CompilePlan(sys)
+		p, err := CompilePlanOpts(sys, Opts{})
 		if err != nil || p.Kind != PlanTC {
 			t.Fatalf("%s: plan %v err %v, want PlanTC", rule, p, err)
 		}
@@ -151,7 +151,7 @@ func TestStreamDifferentialRandomSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
 		sys := dlgen.RandomSystem(rng, dlgen.Config{MaxArity: 3, MaxAtoms: 3})
-		p, err := CompilePlan(sys)
+		p, err := CompilePlanOpts(sys, Opts{})
 		if err != nil {
 			t.Fatalf("%v: %v", sys.Recursive, err)
 		}
@@ -215,7 +215,7 @@ s(X) :- t(n0, X).
 // answer set delivers everything without it.
 func TestStreamLimit(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
-	p, err := CompilePlan(sys)
+	p, err := CompilePlanOpts(sys, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestStreamLimit(t *testing.T) {
 // at the level proving the answer instead of sweeping the whole chain.
 func TestStreamBoundTargetEarlyExit(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
-	p, err := CompilePlan(sys)
+	p, err := CompilePlanOpts(sys, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func waitGoroutines(t *testing.T, base int) {
 // the consumer's own doing).
 func TestStreamCloseMidStream(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
-	p, err := CompilePlan(sys)
+	p, err := CompilePlanOpts(sys, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +381,7 @@ func TestStreamCloseMidStream(t *testing.T) {
 // mistaken for a complete one.
 func TestStreamExternalAbort(t *testing.T) {
 	sys := mustStatement(t, "s1a").System()
-	p, err := CompilePlan(sys)
+	p, err := CompilePlanOpts(sys, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/ast"
 	"repro/internal/storage"
@@ -85,10 +84,8 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 type tcRun struct {
 	edges, exit, answers *storage.Relation
 	pred                 string
-	// jc is the shape's joinCol, also the column the compose frontier is
-	// sharded by.
+	// jc is the shape's joinCol.
 	jc   int
-	part partition
 	st   Stats
 	rs   roundSink
 	opts Opts
@@ -176,12 +173,7 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 	}
 	aux := &tcAux{exit: exitRel}
 	if !bound {
-		// All free: semi-naive compose seeded with E, hash-sharded by the
-		// join endpoint when Opts.Shards asks for it.
-		if opts.Shards > 1 {
-			st.Shards = opts.Shards
-			r.part = partition{shards: opts.Shards, cols: map[string]int{r.pred: r.jc}}
-		}
+		// All free: semi-naive compose seeded with E.
 		var delta []storage.Tuple
 		if delta, err = r.seedExit(); err == nil {
 			err = r.compose(delta)
@@ -363,7 +355,7 @@ func (r *tcRun) seedExit() ([]storage.Tuple, error) {
 	if len(delta) > 0 {
 		st.Rounds++
 	}
-	r.rs.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: r.exit.Len(), Shards: r.part.shards})
+	r.rs.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: r.exit.Len()})
 	if !ok {
 		return nil, errStreamStop
 	}
@@ -371,96 +363,54 @@ func (r *tcRun) seedExit() ([]storage.Tuple, error) {
 }
 
 // compose closes the answers under the edge relation semi-naively: each
-// round joins the previous round's delta — one task per partition slot, run
-// through the driver's worker pool — against the edge index and merges the
-// task buffers in slot order, routing each fresh closure tuple to the slot
-// owning its join key. Delta entries alias the answers relation's arena (At
-// after a successful Insert), so no tuple is ever cloned.
+// round joins the previous round's delta against the edge index into a
+// pooled buffer, prefiltering tuples already in the answers, and merges the
+// buffer's fresh closure tuples into the answers as the next delta. Delta
+// entries alias the answers relation's arena (At after a successful Insert),
+// so no tuple is ever cloned.
 func (r *tcRun) compose(delta []storage.Tuple) error {
 	if r.edges == nil {
 		return nil
 	}
-	st, sharded := &r.st, r.part.shards > 1
-	workers := r.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if sharded {
-		// Publish the edge index before workers share it: probeIndex may
-		// build lazily, which must not happen concurrently.
-		r.edges.BuildIndexes()
-	}
-	fr := storage.PartitionTuplesByHash(delta, r.jc, r.part.shards)
-	for n := len(delta); n > 0; {
+	st, jc := &r.st, r.jc
+	var nt [2]storage.Value
+	for len(delta) > 0 {
 		if r.opts.canceled() {
 			return fmt.Errorf("tc-frontier compose: %w", ErrCanceled)
 		}
 		st.Rounds++
 		r.rs.begin()
-		var tasks []parTask
-		for s, d := range fr {
-			if len(d) > 0 {
-				tasks = append(tasks, parTask{tc: r, pred: r.pred, chunk: d, shard: s + 1})
-			}
+		out := getTaskBuffer(2)
+		attempted := 0
+		for _, d := range delta {
+			r.edges.EachCol(1-jc, d[jc], func(e storage.Tuple) bool {
+				attempted++
+				nt[jc], nt[1-jc] = e[jc], d[1-jc]
+				if !r.answers.Contains(nt[:]) {
+					out.Insert(nt[:])
+				}
+				return true
+			})
 		}
-		results, busy, err := runTasks(tasks, workers, nil)
-		if err != nil {
-			return err
-		}
-		next := make([][]storage.Tuple, len(fr))
-		derived, attempted, exchanged := 0, 0, 0
+		var next []storage.Tuple
 		ok := true
-		for i, res := range results {
-			attempted += res.attempted
-			if ok {
-				res.out.Each(func(t storage.Tuple) bool {
-					var fresh storage.Tuple
-					if fresh, ok = r.add(t); fresh != nil {
-						derived++
-						dest := r.part.owner(r.pred, fresh)
-						next[dest] = append(next[dest], fresh)
-						if dest != tasks[i].shard-1 {
-							exchanged++
-						}
-					}
-					return ok
-				})
+		out.Each(func(t storage.Tuple) bool {
+			var fresh storage.Tuple
+			if fresh, ok = r.add(t); fresh != nil {
+				next = append(next, fresh)
 			}
-			taskBuffers.Put(res.out)
-		}
+			return ok
+		})
+		taskBuffers.Put(out)
 		st.Facts += attempted
-		st.Exchanged += exchanged
-		round := RoundStats{Round: st.Rounds, Delta: n, Derived: derived, Attempted: attempted}
-		if sharded {
-			round.Tasks, round.Workers, round.Busy = r.part.shards, workers, busy
-			round.Shards, round.Exchanged = r.part.shards, exchanged
-		}
-		r.rs.end(round)
+		r.rs.end(RoundStats{Round: st.Rounds, Delta: len(delta), Derived: len(next), Attempted: attempted})
 		switch {
 		case !ok:
 			return errStreamStop
 		case r.snk.over(st):
 			return errOverBudget
 		}
-		fr, n = next, derived
+		delta = next
 	}
 	return nil
-}
-
-// composeChunk joins one chunk of the delta against the edge index into
-// out, prefiltering tuples already in the answers (frozen for the round;
-// reads are safe). It returns the number of derivations attempted.
-func (r *tcRun) composeChunk(delta []storage.Tuple, nt storage.Tuple, out *storage.Relation) int {
-	n, jc := 0, r.jc
-	for _, d := range delta {
-		r.edges.EachCol(1-jc, d[jc], func(e storage.Tuple) bool {
-			n++
-			nt[jc], nt[1-jc] = e[jc], d[1-jc]
-			if !r.answers.Contains(nt) {
-				out.Insert(nt)
-			}
-			return true
-		})
-	}
-	return n
 }

@@ -39,10 +39,8 @@ type QueryRecord struct {
 	Maintained bool   `json:"maintained,omitempty"`
 	Streamed   bool   `json:"streamed,omitempty"`
 	Epoch      uint64 `json:"epoch"`
-	Shards     int    `json:"shards,omitempty"`
 	Rounds     int    `json:"rounds"`
 	Derived    int    `json:"derived"`
-	Exchanged  int    `json:"exchanged,omitempty"`
 	// Cost is the plan's estimated enumeration cost (tuples visited) under
 	// its compiled join orders; Visited is the actual count. Both 0 when the
 	// evaluation ran on the dynamic greedy ordering.

@@ -242,7 +242,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		slog.Bool("maintained", rec.Maintained),
 		slog.Bool("streamed", rec.Streamed),
 		slog.Uint64("epoch", rec.Epoch),
-		slog.Int("shards", rec.Shards),
 		slog.Int("rounds", rec.Rounds),
 		slog.Int("rows", rec.Rows),
 		slog.Bool("truncated", rec.Truncated),
@@ -324,7 +323,6 @@ func (s *Server) replyNDJSON(rq *request, req queryRequest, tracer *obs.Tracer) 
 		"strategy":    res.Strategy,
 		"rounds":      res.Rounds,
 		"derived":     res.Derived,
-		"shards":      res.Shards,
 		"gomaxprocs":  res.GoMaxProcs,
 		"duration_us": res.DurationUS,
 	}

@@ -55,17 +55,14 @@ func debugQueries(t *testing.T, ts *httptest.Server, path string) struct {
 
 // TestSlowQueryJournalEndToEnd is the issue's acceptance path: with a tiny
 // slow threshold and 1-in-1 trace sampling, a completed query must appear
-// in /debug/queries/slow carrying its request ID, plan class, shard count
-// and a span tree — even though the client never asked for a trace.
+// in /debug/queries/slow carrying its request ID, plan class and a span
+// tree — even though the client never asked for a trace.
 func TestSlowQueryJournalEndToEnd(t *testing.T) {
 	_, ts := newObsServer(t, tcProgram, Config{
 		SlowQueryThreshold: time.Nanosecond, // every query is slow
 		TraceSampleRate:    1,               // every query is sampled
-		Shards:             2,               // force a sharded evaluation
 	})
 
-	// All-free so the sharded fixpoint engages (the bound tc-frontier
-	// kernel runs unsharded on a database this small).
 	req, _ := http.NewRequest("GET", ts.URL+"/query?q="+strings.ReplaceAll("?- p(X, Y).", " ", "%20"), nil)
 	req.Header.Set("X-Request-Id", "slow-e2e-1")
 	resp, err := http.DefaultClient.Do(req)
@@ -92,9 +89,6 @@ func TestSlowQueryJournalEndToEnd(t *testing.T) {
 	}
 	if rec["class"] == nil || rec["class"] == "" {
 		t.Errorf("slow record missing plan class: %v", rec)
-	}
-	if rec["shards"] != float64(2) {
-		t.Errorf("slow record shards = %v, want 2", rec["shards"])
 	}
 	if rec["sampled"] != true {
 		t.Errorf("slow record sampled = %v, want true", rec["sampled"])

@@ -47,10 +47,12 @@ type QueryResult struct {
 	// the answer set was exhausted.
 	Limit     int  `json:"limit,omitempty"`
 	Truncated bool `json:"truncated,omitempty"`
-	// Shards is the hash-shard count the evaluation ran with (omitted when
-	// unsharded); GoMaxProcs records runtime.GOMAXPROCS(0) at answer time,
-	// so every perf number in a response is attributable to a core count.
-	Shards     int `json:"shards,omitempty"`
+	// Shards is never set and never on the wire: the hash-shard path is
+	// gone, and the declaration stays only because bench/traced.go (frozen
+	// by BENCHMARK.json) still reads it; it goes with the next benchmark PR.
+	Shards int `json:"shards,omitempty"`
+	// GoMaxProcs records runtime.GOMAXPROCS(0) at answer time, so every
+	// perf number in a response is attributable to a core count.
 	GoMaxProcs int `json:"gomaxprocs"`
 	// DurationUS runs from open to the last row delivered.
 	DurationUS int64 `json:"duration_us"`
@@ -184,7 +186,6 @@ func (s *Server) newResult(a *answer, st eval.Stats, rows int) *QueryResult {
 		Derived:    st.Derived,
 		Limit:      a.limit,
 		Truncated:  st.Truncated,
-		Shards:     st.Shards,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		DurationUS: time.Since(a.t0).Microseconds(),
 	}
@@ -248,19 +249,13 @@ func (s *Server) validateQuery(q ast.Query, snap *storage.Snapshot) error {
 		}
 		return nil
 	}
-	want := -1
-	for _, r := range s.prog.Rules {
-		if r.Head.Pred == q.Atom.Pred {
-			want = r.Head.Arity()
-			break
-		}
-	}
-	if want < 0 {
+	want, known := s.arities[q.Atom.Pred]
+	if !known {
 		if rel := snap.Rel(q.Atom.Pred); rel != nil {
-			want = rel.Arity()
+			want, known = rel.Arity(), true
 		}
 	}
-	if want >= 0 && want != q.Atom.Arity() {
+	if known && want != q.Atom.Arity() {
 		return clientErrf("query %v has arity %d, predicate %s has arity %d",
 			q, q.Atom.Arity(), q.Atom.Pred, want)
 	}

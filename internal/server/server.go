@@ -104,9 +104,6 @@ type Config struct {
 	CacheBytes int64
 	// Workers is handed to eval.Opts.Workers for the parallel engine.
 	Workers int
-	// Shards is handed to eval.Opts.Shards: >= 2 hash-shards every
-	// fixpoint into that many shards, 0 and 1 both mean unsharded.
-	Shards int
 	// MaxFactsBytes caps the POST /facts request body; 0 means
 	// DefaultMaxFactsBytes, negative means no limit.
 	MaxFactsBytes int64
@@ -153,6 +150,7 @@ type Server struct {
 	sys     *ast.RecursiveSystem // non-nil when the program is one linear system
 	prog    *ast.Program         // rules only, for the generic fallback path
 	progKey string               // the program's result-cache key
+	arities map[string]int       // every predicate the program source mentions; read-only
 
 	planner *eval.Planner
 	cache   *eval.ResultCache
@@ -191,6 +189,10 @@ func New(src string, cfg Config) (*Server, error) {
 	if len(prog.Rules) == 0 {
 		return nil, fmt.Errorf("server: program has no rules")
 	}
+	arities, err := prog.Arities()
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
@@ -201,6 +203,7 @@ func New(src string, cfg Config) (*Server, error) {
 		cfg:     cfg,
 		db:      storage.NewDatabase(),
 		prog:    &ast.Program{Rules: prog.Rules},
+		arities: arities,
 		planner: eval.NewPlannerWith(reg),
 		cache:   eval.NewResultCacheWith(reg, cfg.CacheBytes),
 		sampler: obs.NewSampler(cfg.TraceSampleRate),
@@ -247,8 +250,8 @@ func (s *Server) Journal() *obs.Journal { return s.journal }
 
 // LoadFacts inserts "pred(a, b)." lines and publishes a fresh snapshot.
 // The batch is atomic: it is parsed and arity-checked in full — against
-// itself and against the live database — before the first insert, so a bad
-// line midway through leaves the database, the epoch and the cache exactly
+// itself, the program's arities and the live database — before the first
+// insert, so a bad line leaves the database, the epoch and the cache exactly
 // as they were. After the inserts the result cache's maintenance pass
 // carries the previous epoch's entries forward (unless disabled), and only
 // then is the new snapshot published, so readers never cold-start.
@@ -272,6 +275,9 @@ func (s *Server) loadFacts(src string) (uint64, eval.MaintResult, time.Duration,
 	arities := make(map[string]int)
 	for _, f := range facts {
 		want, seen := arities[f.Pred]
+		if !seen {
+			want, seen = s.arities[f.Pred]
+		}
 		if !seen {
 			if r := s.db.Rel(f.Pred); r != nil {
 				want, seen = r.Arity(), true
@@ -311,7 +317,7 @@ func (s *Server) loadFacts(src string) (uint64, eval.MaintResult, time.Duration,
 // evalOpts is the server's configuration as the engines take it, plus the
 // request's tracer and cancellation (both nil outside a request).
 func (s *Server) evalOpts(tracer *obs.Tracer, abort <-chan struct{}) eval.Opts {
-	return eval.Opts{Workers: s.cfg.Workers, Shards: s.cfg.Shards, Metrics: s.cfg.Registry, Tracer: tracer, Abort: abort}
+	return eval.Opts{Workers: s.cfg.Workers, Metrics: s.cfg.Registry, Tracer: tracer, Abort: abort}
 }
 
 // Snapshot returns the latest published snapshot.

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,8 +63,8 @@ func TestServerQueryEndToEnd(t *testing.T) {
 	if cold.Count != 3 || cold.Cached {
 		t.Fatalf("cold query: count=%d cached=%v, want 3/false", cold.Count, cold.Cached)
 	}
-	if cold.Class == "" || cold.Strategy == "" {
-		t.Errorf("cold query missing plan info: %+v", cold)
+	if cold.Class == "" || cold.Strategy == "" || cold.GoMaxProcs < 1 {
+		t.Errorf("cold query missing plan info or gomaxprocs: %+v", cold)
 	}
 	warm := getQuery(t, ts, "?- p(a, Y).")
 	if !warm.Cached || warm.Count != 3 || warm.Epoch != cold.Epoch {
@@ -335,6 +337,100 @@ func TestServerLoadFactsAtomic(t *testing.T) {
 	}
 }
 
+// TestServerFactsAgainstProgramArities: a fact whose arity contradicts what
+// the program declares — for a relation that does not exist yet — is a client
+// error that loads nothing, whether it arrives by LoadFacts or POST /facts.
+// Accepted, it would create a relation no rule can read: every later query
+// fails, and facts are never retracted.
+func TestServerFactsAgainstProgramArities(t *testing.T) {
+	// a/2 and edge/2 are read by a rule and hold no facts yet.
+	const (
+		generic = "p(X, Y) :- e(X, Y). p(X, Y) :- a(X, Z), p(Z, W), b(W, Y). e(a, b). e(c, d). b(b, c)."
+		tc      = "p(X, Y) :- e(X, Y). p(X, Y) :- edge(X, Z), p(Z, Y). e(a, b). e(c, d)."
+		general = "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), p(Z, Y). q(X) :- p(X, Y), edge(Y, X). e(a, b). e(b, c)."
+	)
+	cases := []struct{ name, src, batch string }{
+		{"IDB head", generic, "p(a)."},
+		{"body literal of an empty relation", generic, "a(x, y, z)."},
+		{"edge relation of the TC kernel", tc, "edge(x, y, z)."},
+		{"general program", general, "edge(x, y, z)."},
+		{"good lines around the bad one", generic, "e(d, x).\np(a).\na(d, a)."},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			buf := &syncBuffer{}
+			s, err := New(c.src, Config{Logger: slog.New(slog.NewJSONHandler(buf, nil))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(c.src, Config{}) // never sees the batch
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One cached entry for an accepted write to maintain.
+			if _, err := s.Query(ctx, "?- p(a, Y).", nil); err != nil {
+				t.Fatal(err)
+			}
+			epoch, entries := s.Snapshot().Epoch(), s.Cache().Len()
+
+			if _, err := s.LoadFacts(c.batch); err == nil {
+				t.Error("LoadFacts accepted the batch")
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/facts", strings.NewReader(c.batch)))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("POST /facts: status %d, want 400", rec.Code)
+			}
+			if lines := buf.lines(t); len(lines) != 1 || lines[0]["msg"] != "facts" || lines[0]["error"] != "client" {
+				t.Errorf("log lines %v, want one msg=facts error=client", lines)
+			}
+			if got := s.Snapshot().Epoch(); got != epoch {
+				t.Errorf("epoch %d → %d across rejected batches", epoch, got)
+			}
+			if got := s.Cache().Len(); got != entries {
+				t.Errorf("cache entries %d → %d across rejected batches", entries, got)
+			}
+
+			// A hit, a cold query and a streamed one answer as if nothing
+			// had been sent.
+			for _, probe := range []struct {
+				q              string
+				stream, cached bool
+			}{
+				{"?- p(a, Y).", false, true},
+				{"?- p(X, Y).", false, false},
+				{"?- p(X, d).", true, false},
+			} {
+				want, err := ref.Query(ctx, probe.q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got *QueryResult
+				var rows [][]string
+				if probe.stream {
+					got, err = s.StreamQuery(ctx, probe.q, 0, nil, func(row []string) bool {
+						rows = append(rows, row)
+						return true
+					})
+				} else if got, err = s.Query(ctx, probe.q, nil); err == nil {
+					rows = got.Answers
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", probe.q, err)
+				}
+				if got.Cached != probe.cached || !reflect.DeepEqual(sortedRows(rows), sortedRows(want.Answers)) {
+					t.Errorf("%s: cached=%v rows %v, want cached=%v rows %v", probe.q, got.Cached, rows, probe.cached, want.Answers)
+				}
+			}
+		})
+	}
+	// The same contradiction inside the program text never starts a server.
+	if _, err := New("p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y). e(a).", Config{}); err == nil {
+		t.Error("New accepted a seed fact e/1 under rules reading e/2")
+	}
+}
+
 // TestServerFactsBodyLimit: POST /facts beyond MaxFactsBytes is refused
 // with 413 and counted as a client error, not an engine error.
 func TestServerFactsBodyLimit(t *testing.T) {
@@ -467,50 +563,5 @@ func TestServerQueryValidation(t *testing.T) {
 	}
 	if got := s.Registry().Counter("dl_server_errors_total").Value(); got != 0 {
 		t.Errorf("engine errors = %d, want 0", got)
-	}
-}
-
-// TestServerShardsInResult: a forced shard count must flow through the
-// serving path into the evaluation and come back out in the /query JSON,
-// alongside the host parallelism the answer was computed with.
-func TestServerShardsInResult(t *testing.T) {
-	s, err := New(tcProgram, Config{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	resp, err := http.Get(ts.URL + "/query?q=" + strings.ReplaceAll("?- p(X, Y).", " ", "%20"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res QueryResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards != 4 {
-		t.Errorf("result shards = %d, want the configured 4", res.Shards)
-	}
-	if res.GoMaxProcs < 1 {
-		t.Errorf("result gomaxprocs = %d, want >= 1", res.GoMaxProcs)
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(raw, &fields); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"shards", "gomaxprocs"} {
-		if _, ok := fields[key]; !ok {
-			t.Errorf("/query JSON missing %q: %s", key, raw)
-		}
-	}
-	// The sharded kernels must still serve the exact closure.
-	if res.Count != 6 {
-		t.Errorf("sharded closure count = %d, want 6", res.Count)
 	}
 }

@@ -20,8 +20,8 @@ var statsVersion atomic.Uint64
 //     covers all tuples, an upper-bounded estimate otherwise).
 //   - MaxBucket: the largest number of tuples sharing one value — the
 //     worst-case fan-out of a bound probe on this column, and the skew
-//     measure the cost model and the shard-column picker both want (a hot
-//     key makes the average misleading).
+//     measure the cost model wants (a hot key makes the average
+//     misleading).
 //   - AvgBucket: Len()/Distinct, the mean fan-out.
 //
 // The zero value describes an empty column.
