@@ -149,7 +149,7 @@ func exampleBench(b *testing.B, id, pattern, wantClass string) {
 		if _, err := plan.Compile(sys, adorn.FromQuery(q), 4); err != nil {
 			b.Fatal(err)
 		}
-		got, _, err := eval.ClassEvalWith(sys, res, q, db)
+		got, _, err := eval.ClassEvalWithOpts(sys, res, q, db, eval.Opts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func BenchmarkExample8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, _, err := eval.BoundedEval(sys, 2, q, db)
+		got, _, err := eval.BoundedEvalOpts(sys, 2, q, db, eval.Opts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,7 +503,7 @@ func BenchmarkQ6ParallelSemiNaive(b *testing.B) {
 	}
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.SemiNaive(prog, db); err != nil {
+			if _, _, err := eval.SemiNaiveOpts(prog, db, eval.Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

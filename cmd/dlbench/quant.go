@@ -351,7 +351,7 @@ func (r *runner) q6() {
 		var outSeq, outPar *storage.Database
 		var stSeq, stPar eval.Stats
 		tSeq, outSeq, stSeq, err = timeProg(r.reps(), func() (*storage.Database, eval.Stats, error) {
-			return eval.SemiNaive(prog, db)
+			return eval.SemiNaiveOpts(prog, db, eval.Opts{})
 		})
 		if err != nil {
 			r.check("Q6", "seminaive", false, err.Error())
@@ -468,7 +468,7 @@ func (r *runner) q7() {
 	const lookups = 50
 	var firstPlan, lastPlan *eval.PlanInfo
 	for i := 0; i < lookups; i++ {
-		_, st, err := pl.Answer(tcSys, q, db)
+		_, st, err := pl.AnswerOpts(tcSys, q, db, eval.Opts{})
 		if err != nil {
 			r.check("Q7", "cache", false, err.Error())
 			return

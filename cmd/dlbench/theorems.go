@@ -87,7 +87,7 @@ func (r *runner) theorems() {
 		}
 		q := freeQuery(sys)
 		a1, _, err1 := eval.Answer(eval.StrategyNaive, sys, q, db)
-		a2, _, err2 := eval.BoundedEval(sys, res.RankBound, q, db)
+		a2, _, err2 := eval.BoundedEvalOpts(sys, res.RankBound, q, db, eval.Opts{})
 		if err1 != nil || err2 != nil || !a1.Equal(a2) {
 			bad++
 		}
@@ -114,7 +114,7 @@ func (r *runner) theorems() {
 		}
 		q := freeQuery(sys)
 		a1, _, err1 := eval.Answer(eval.StrategyNaive, sys, q, db)
-		a2, _, err2 := eval.BoundedEval(sys, res.RankBound, q, db)
+		a2, _, err2 := eval.BoundedEvalOpts(sys, res.RankBound, q, db, eval.Opts{})
 		if err1 != nil || err2 != nil || !a1.Equal(a2) {
 			bad++
 		}

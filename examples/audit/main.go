@@ -77,7 +77,7 @@ func main() {
 
 	// Stratified evaluation: reach/dep saturate first, then the audit
 	// rules read the completed relations through negation.
-	out, stats, err := eval.SemiNaive(&ast.Program{Rules: prog.Rules}, db)
+	out, stats, err := eval.SemiNaiveOpts(&ast.Program{Rules: prog.Rules}, db, eval.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func main() {
 	}
 
 	// Cross-check the two bottom-up engines.
-	ref, _, err := eval.Naive(&ast.Program{Rules: prog.Rules}, db)
+	ref, _, err := eval.NaiveOpts(&ast.Program{Rules: prog.Rules}, db, eval.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -291,6 +291,10 @@ type Program struct {
 	Facts []Atom
 }
 
+// Program returns p itself: a Program is its own rule set wherever one is
+// asked for through the method a RecursiveSystem also has.
+func (p *Program) Program() *Program { return p }
+
 // AddRule appends a rule (or records a ground head as a fact).
 func (p *Program) AddRule(r Rule) {
 	if r.IsFact() && r.Head.IsGround() {

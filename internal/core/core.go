@@ -104,7 +104,7 @@ func (c *Compilation) PlanFor(q ast.Query) (*plan.Formula, error) {
 // Answer evaluates the query with the class-appropriate compiled engine
 // (eval.StrategyClass).
 func (c *Compilation) Answer(q ast.Query, db *storage.Database) (*storage.Relation, eval.Stats, error) {
-	return eval.ClassEvalWith(c.Sys, c.Result, q, db)
+	return eval.ClassEvalWithOpts(c.Sys, c.Result, q, db, eval.Opts{})
 }
 
 // AnswerWith evaluates the query with an explicit strategy.

@@ -6,17 +6,27 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/classify"
+	"repro/internal/obs"
 	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
 
-// The classification-driven compiler layer. CompilePlanOpts classifies a
-// recursive system once and fixes the evaluation strategy the paper's
-// analysis licenses, materializing the database-independent rewriting
-// artifacts (the bounded expansion union, the stabilized system) so that
-// Plan.Answer only does per-database work. Plans are immutable after
-// compilation and safe for concurrent Answer calls on distinct databases;
-// the Planner in plancache.go caches them per (program, adornment).
+// The classification-driven compiler layer. CompilePlanOpts compiles a Plan
+// for any rule set: a single linear recursive system is classified once and
+// gets the evaluation strategy the paper's analysis licenses, with the
+// database-independent rewriting artifacts (the bounded expansion union, the
+// stabilized system) materialized so that answering only does per-database
+// work; every other program gets the classless generic plan. Plan.run is the
+// one place a plan's kernel is chosen. Plans are immutable after compilation
+// and safe for concurrent use on distinct databases; the Planner in
+// plancache.go caches them per (program, adornment).
+
+// Source is a rule set a plan can be compiled from: an *ast.RecursiveSystem
+// (used as is) or an *ast.Program (planned as the linear system it forms,
+// generically when it forms none).
+type Source interface {
+	Program() *ast.Program
+}
 
 // PlanKind names the compiled fast path chosen for a system.
 type PlanKind uint8
@@ -30,8 +40,9 @@ const (
 	// PlanStable runs the parallel semi-naive engine on the Theorem-2/4
 	// stabilized system.
 	PlanStable
-	// PlanGeneric runs the parallel semi-naive engine on the original
-	// system (classes C, E, F: the paper gives no closed plan).
+	// PlanGeneric runs the parallel semi-naive engine on the original rules
+	// (classes C, E, F, for which the paper gives no closed plan, and every
+	// program that is not one linear system).
 	PlanGeneric
 )
 
@@ -50,39 +61,42 @@ func (k PlanKind) String() string {
 	return fmt.Sprintf("PlanKind(%d)", uint8(k))
 }
 
-// Plan is a compiled evaluation plan for one recursive system: the
-// classification outcome plus the database-independent artifacts of the
-// chosen fast path.
+// Plan is a compiled evaluation plan for one program: the classification
+// outcome, when the program is a linear recursive system, plus the
+// database-independent artifacts of the chosen fast path.
 type Plan struct {
-	// Class is the paper's classification code (A1–A5, B, C, D, E, F).
+	// Class is the paper's classification code (A1–A5, B, C, D, E, F); empty
+	// for a program that is not a single linear system.
 	Class string
 	// Kind is the chosen fast path.
 	Kind PlanKind
 
-	sys    *ast.RecursiveSystem // original system (PlanTC, PlanGeneric)
-	tc     *tcShape             // PlanTC
-	rank   int                  // PlanBounded
-	rules  []ast.Rule           // PlanBounded: exit + substituted expansions
-	stable *ast.RecursiveSystem // PlanStable: the stabilized system
+	sys   *ast.RecursiveSystem // the classified system; nil for a classless plan
+	tc    *tcShape             // PlanTC
+	rules []ast.Rule           // PlanBounded: exit + substituted expansions
+	// fix is what the fixpoint kinds run: the stabilized system for
+	// PlanStable, the source as given for PlanGeneric.
+	fix Source
 
 	// book holds the cost-based join orders compiled from the plan
-	// database's column statistics (cost.go); nil when the plan was
-	// compiled without a database (CompilePlanOpts) or for the
-	// TC kernel, which never enumerates conjunctions. The planner's cache
-	// key includes the database's statistics epoch, so a book can never
-	// outlive the statistics it was computed from.
+	// database's column statistics (cost.go); nil when the plan was compiled
+	// without a database (CompilePlanOpts) or for the TC kernel, which never
+	// enumerates conjunctions. The planner's cache key includes the
+	// database's statistics epoch, so a book never outlives its statistics.
 	book *orderBook
 }
 
-// CompilePlanOpts classifies the system and compiles the class-appropriate
-// plan. Selection order: the transitive-closure shape (its kernel beats
-// every generic engine on its workload), then boundedness (recursion
-// elimination), then transformability (stabilize, then parallel
-// semi-naive), then the generic parallel engine. The classification is
-// recorded under a "classify" span (class code, rank when bounded) and the
-// strategy selection plus rewriting under a "plan-compile" span (kind).
-func CompilePlanOpts(sys *ast.RecursiveSystem, opts Opts) (*Plan, error) {
-	return CompilePlanDB(sys, nil, nil, opts)
+// CompilePlanOpts compiles the plan for the source's rules. A linear
+// recursive system is classified and gets, in selection order: the
+// transitive-closure shape (its kernel beats every generic engine on its
+// workload), then boundedness (recursion elimination), then
+// transformability (stabilize, then parallel semi-naive), then the generic
+// parallel engine; the classification is recorded under a "classify" span
+// (class code, rank when bounded). Any other program compiles to the generic
+// engine unclassified. The strategy selection plus rewriting land under a
+// "plan-compile" span (kind).
+func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
+	return CompilePlanDB(src, nil, nil, opts)
 }
 
 // CompilePlanDB is CompilePlanOpts additionally compiling the plan's
@@ -93,24 +107,12 @@ func CompilePlanOpts(sys *ast.RecursiveSystem, opts Opts) (*Plan, error) {
 // when costing its expansion rules, which is why the plan cache keys plans
 // by adornment. The chosen orders and the summed cost estimate land on the
 // "plan-compile" span and in PlanInfo.
-func CompilePlanDB(sys *ast.RecursiveSystem, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
-	cls := opts.parent().Child("classify")
-	res, err := classify.Classify(sys.Recursive)
+func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
+	p, pc, err := compilePlan(src, opts)
 	if err != nil {
-		cls.End()
 		return nil, err
 	}
-	cls.SetStr("class", res.Class.Code())
-	if res.Bounded {
-		cls.SetInt("rank", int64(res.RankBound))
-	}
-	cls.End()
-	pc := opts.parent().Child("plan-compile")
 	defer pc.End()
-	p, err := compilePlan(sys, res)
-	if err != nil {
-		return nil, err
-	}
 	if db != nil {
 		p.compileBook(db, bound)
 		if p.book != nil {
@@ -143,10 +145,8 @@ func (p *Plan) compileBook(db *storage.Database, bound []bool) {
 			return m
 		}
 		p.book = compileOrderBook(db.Syms, p.rules, db, boundOf)
-	case PlanStable:
-		p.book = compileOrderBook(db.Syms, p.stable.Program().Rules, db, nil)
 	default:
-		p.book = compileOrderBook(db.Syms, p.sys.Program().Rules, db, nil)
+		p.book = compileOrderBook(db.Syms, p.fix.Program().Rules, db, nil)
 	}
 }
 
@@ -160,94 +160,143 @@ func (p *Plan) planInfo() *PlanInfo {
 	return pi
 }
 
-// compilePlan builds the plan for a precomputed classification.
-func compilePlan(sys *ast.RecursiveSystem, res *classify.Result) (*Plan, error) {
-	p := &Plan{Class: res.Class.Code(), sys: sys}
-	if shape, ok := detectTC(sys); ok {
-		p.Kind = PlanTC
-		p.tc = shape
-		return p, nil
+// compilePlan is the only place that asks whether the source's rules are one
+// linear recursive system: an *ast.RecursiveSystem is one, an *ast.Program is
+// one when ast.SystemOf extracts it and it carries no facts of its own (the
+// classified kernels read the database only). The system is classified under
+// a "classify" span and rewritten under "plan-compile", returned open for the
+// caller to record the order book on; anything else runs generically.
+func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
+	var sys *ast.RecursiveSystem
+	switch s := src.(type) {
+	case *ast.RecursiveSystem:
+		sys = s
+	case *ast.Program:
+		if len(s.Facts) == 0 {
+			sys, _ = ast.SystemOf(s) // an error says "not one linear system": planned generically
+		}
 	}
+	if sys == nil {
+		return &Plan{Kind: PlanGeneric, fix: src}, opts.parent().Child("plan-compile"), nil
+	}
+	cls := opts.parent().Child("classify")
+	res, err := classify.Classify(sys.Recursive)
+	if err != nil {
+		cls.End()
+		return nil, nil, err
+	}
+	cls.SetStr("class", res.Class.Code())
 	if res.Bounded {
-		rules, err := rewrite.NonRecursiveExpansions(sys, res.RankBound)
-		if err != nil {
-			return nil, err
-		}
+		cls.SetInt("rank", int64(res.RankBound))
+	}
+	cls.End()
+	pc := opts.parent().Child("plan-compile")
+	p := &Plan{Class: res.Class.Code(), sys: sys}
+	switch shape, isTC := detectTC(sys); {
+	case isTC:
+		p.Kind, p.tc = PlanTC, shape
+	case res.Bounded:
 		p.Kind = PlanBounded
-		p.rank = res.RankBound
-		p.rules = rules
-		return p, nil
-	}
-	if res.Transformable && !res.Stable {
-		stable, err := rewrite.ToStableClassified(sys, res)
-		if err != nil {
-			return nil, err
+		p.rules, err = rewrite.NonRecursiveExpansions(sys, res.RankBound)
+	case res.Transformable && !res.Stable:
+		var stable *ast.RecursiveSystem
+		if stable, err = rewrite.ToStableClassified(sys, res); err == nil {
+			p.Kind, p.fix = PlanStable, stable
 		}
-		p.Kind = PlanStable
-		p.stable = stable
-		return p, nil
+	default:
+		p.Kind, p.fix = PlanGeneric, sys
 	}
-	p.Kind = PlanGeneric
-	return p, nil
+	if err != nil {
+		pc.End()
+		return nil, nil, err
+	}
+	return p, pc, nil
 }
 
-// Answer evaluates the query over the database along the compiled path.
+// over returns the plan that is sound on db. The TC kernel, the expansion
+// union and the stabilized system all compute p = exits ∪ recursion over
+// exits, so they are only right while the database stores nothing under the
+// planned predicate itself; once it does (a fact for p in the program text,
+// or loaded later), the plan to run is the generic one over the original
+// rules, which seeds stored tuples like any other. The class is unchanged.
+func (p *Plan) over(db *storage.Database) *Plan {
+	if p.Kind == PlanGeneric {
+		return p
+	}
+	if stored := db.Rel(p.sys.Pred()); stored == nil || stored.Len() == 0 {
+		return p
+	}
+	return &Plan{Class: p.Class, Kind: PlanGeneric, fix: p.sys}
+}
+
+// AnswerOpts evaluates the query over the database along the compiled path.
 // Stats.Plan carries the plan's class and strategy; the planner overwrites
 // its CacheHit field when the plan came from the cache.
-func (p *Plan) Answer(q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return p.AnswerOpts(q, db, Opts{})
-}
-
-// AnswerOpts is Answer with instrumentation threaded into the compiled
-// path's engine.
 func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, _, st, err := p.answerAux(q, db, opts)
+	rel, _, st, err := p.run(q, db, opts, sink{})
 	return rel, st, err
 }
 
-// answerAux is the serving-path variant of AnswerOpts: alongside the answer
-// it returns the plan-class-specific state the result cache needs to
-// maintain the entry incrementally across writes (maintain.go) — the exit
-// relation and BFS closure for TC plans, the materialized IDB fixpoint for
-// the parallel plans, nil for bounded plans (their answers alone suffice).
-func (p *Plan) answerAux(q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, any, Stats, error) {
-	var (
-		rel *storage.Relation
-		aux any
-		st  Stats
-		err error
-	)
+// run is the one switch from a plan's kind to its kernel, whoever consumes
+// the answers. With the zero sink it materializes: the answer relation comes
+// back with the kind-specific state the result cache needs to maintain the
+// entry incrementally across writes (maintain.go) — the exit relation and
+// BFS closure for TC plans, the materialized IDB fixpoint for the parallel
+// plans, nil for bounded plans (their answers alone suffice). With an emit
+// sink it streams: every answer is handed to the sink as its round derives
+// it, a declined emit ends the evaluation with errStreamStop (returned with
+// the stats, not an error to the consumer) and no state is kept. The result
+// cache's compute, AnswerOpts, Stream and the maintenance pass's recompute
+// fallback are all this function.
+func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel *storage.Relation, aux any, st Stats, err error) {
+	p = p.over(db)
 	if opts.book == nil {
 		opts.book = p.book
 	}
 	switch p.Kind {
 	case PlanTC:
 		var ta *tcAux
-		rel, ta, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, sink{})
+		rel, ta, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk)
 		if ta != nil {
 			aux = ta
 		}
 	case PlanBounded:
-		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, sink{})
-	case PlanStable:
-		rel, aux, st, err = fixpointAnswerAux(p.stable, q, db, opts)
+		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)
 	default:
-		rel, aux, st, err = fixpointAnswerAux(p.sys, q, db, opts)
+		rel, aux, st, err = fixpointAnswer(p.fix.Program(), q, db, opts, snk)
 	}
-	if err != nil {
+	if err != nil && err != errStreamStop {
 		return nil, nil, st, err
 	}
 	st.Plan = p.planInfo()
-	return rel, aux, st, nil
+	return rel, aux, st, err
 }
 
-// fixpointAnswerAux runs the round driver over the system's program and
-// selects the query's answers, keeping the materialized IDB fixpoint as the
-// entry's maintenance state.
-func fixpointAnswerAux(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, any, Stats, error) {
-	prog := sys.Program()
-	out, st, err := ParallelSemiNaiveOpts(prog, db, opts)
-	if err != nil {
+// fixpointAnswer runs the round driver over the program. Materializing, it
+// selects the query's answers from the finished fixpoint, which it keeps as
+// the entry's maintenance state. Streaming, it shows the sink each fresh
+// tuple of the query predicate that matches the query's constants — the same
+// selection, applied as the rounds derive — and returns no relation.
+func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, any, Stats, error) {
+	if emit := snk.emit; emit != nil {
+		// A constant the database has never seen matches no tuple, but the
+		// fixpoint still runs so Stats mirror the materializing path (which
+		// also evaluates, then selects).
+		bound, vals, known := selection(q, db.Syms)
+		snk.emit = func(t storage.Tuple) bool {
+			if !known || len(t) != len(vals) {
+				return true
+			}
+			for i := range t {
+				if bound[i] && t[i] != vals[i] {
+					return true
+				}
+			}
+			return emit(t)
+		}
+	}
+	out, st, err := fixpoint(prog, db, opts, snk)
+	if err != nil || snk.emit != nil {
 		return nil, nil, st, err
 	}
 	ans, err := AnswerQuery(out, q)

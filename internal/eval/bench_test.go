@@ -66,7 +66,7 @@ func BenchmarkParallelSemiNaive(b *testing.B) {
 	storage.GenRandomGraph(db, "e", 300, 600, 7)
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := SemiNaive(prog, db); err != nil {
+			if _, _, err := SemiNaiveOpts(prog, db, Opts{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -9,19 +9,14 @@ import (
 	"repro/internal/storage"
 )
 
-// BoundedEval evaluates a query over a bounded system (§5, §7: classes B, D
-// and the bounded combinations of Theorems 10 and 11) by materializing the
-// equivalent finite set of non-recursive formulas — the expansions 0..rank
-// with the recursive literal replaced by the exit relation — and evaluating
-// each as a conjunctive query with the query's selections pushed in. No
-// fixpoint is ever computed: the work is independent of how much deeper the
-// naive evaluation would iterate.
-func BoundedEval(sys *ast.RecursiveSystem, rank int, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return BoundedEvalOpts(sys, rank, q, db, Opts{})
-}
-
-// BoundedEvalOpts is BoundedEval with instrumentation: each expansion rule
-// becomes one round under a "fixpoint" span tagged engine=bounded.
+// BoundedEvalOpts evaluates a query over a bounded system (§5, §7: classes
+// B, D and the bounded combinations of Theorems 10 and 11) by materializing
+// the equivalent finite set of non-recursive formulas — the expansions
+// 0..rank with the recursive literal replaced by the exit relation — and
+// evaluating each as a conjunctive query with the query's selections pushed
+// in. No fixpoint is ever computed: the work is independent of how much
+// deeper the naive evaluation would iterate. Each expansion rule becomes one
+// round under a "fixpoint" span tagged engine=bounded.
 func BoundedEvalOpts(sys *ast.RecursiveSystem, rank int, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	if rank < 0 {
 		return nil, Stats{}, fmt.Errorf("eval: negative rank %d", rank)
@@ -33,7 +28,7 @@ func BoundedEvalOpts(sys *ast.RecursiveSystem, rank int, q ast.Query, db *storag
 	return boundedAnswer(sys, rules, q, db, opts, sink{})
 }
 
-// boundedAnswer evaluates a pre-expanded bounded union (from BoundedEval or a
+// boundedAnswer evaluates a pre-expanded bounded union (from BoundedEvalOpts or a
 // compiled PlanBounded) under the engine's span and metric plumbing. With a
 // streaming sink each fresh answer is emitted the moment its expansion rule
 // derives it, and a declined emit abandons the remaining expansions with

@@ -178,7 +178,7 @@ func TestCompiledOrdersMatchGreedyRandom(t *testing.T) {
 				// The planner path compiles the plan's own book (the db is
 				// non-nil), exercising whichever of the four plan classes
 				// this system lands in.
-				rel, _, err := NewPlanner().Answer(sys, q, db)
+				rel, _, err := NewPlanner().AnswerOpts(sys, q, db, Opts{})
 				return rel, err
 			}},
 		} {
@@ -235,7 +235,7 @@ func TestCompiledOrdersMatchGreedyNegation(t *testing.T) {
 				}
 			}
 			db.BuildIndexes()
-			ref, _, err := SemiNaive(prog, db)
+			ref, _, err := SemiNaiveOpts(prog, db, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +304,7 @@ func TestAutoPlanReportsCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, st, err := NewPlanner().Answer(sys, q, db)
+	rel, st, err := NewPlanner().AnswerOpts(sys, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

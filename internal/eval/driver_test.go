@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/dlgen"
+	"repro/internal/parser"
 	"repro/internal/storage"
 )
 
@@ -19,9 +20,9 @@ import (
 // derivations).
 
 // oracleRows answers q by naive evaluation.
-func oracleRows(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *storage.Database) []string {
+func oracleRows(t *testing.T, src Source, q ast.Query, db *storage.Database) []string {
 	t.Helper()
-	out, _, err := NaiveOpts(sys.Program(), db, Opts{})
+	out, _, err := NaiveOpts(src.Program(), db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,44 +44,173 @@ func firstConstant(db *storage.Database) string {
 	return "n0"
 }
 
+// modeFixture is one row of TestDriverModesAgree: a source with its database
+// and queries, the strategy every cold answer must report, the write the
+// maintained answer is carried across, and whether the maintenance pass
+// carries it by a delta (else it must recompute — and still agree).
+type modeFixture struct {
+	name       string
+	kind       PlanKind
+	classless  bool
+	build      func(t *testing.T) (Source, *storage.Database, []ast.Query)
+	grow       func(t *testing.T, src Source, db *storage.Database)
+	recomputed bool
+}
+
+// growEDB is the default write: three random tuples per EDB relation.
+func growEDB(t *testing.T, src Source, db *storage.Database) {
+	t.Helper()
+	for _, pred := range src.Program().EDBPreds() {
+		if err := storage.GenRandomRelation(db, pred, db.Rel(pred).Arity(), 6, 3, 99); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// paperFixture is a paper statement over a random database, asked all-free
+// and bound on the second argument.
+func paperFixture(id string, domain, tuples int) func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+	return func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+		sys := mustStatement(t, id).System()
+		db, err := dlgen.RandomDB(sys, domain, tuples, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, db, []ast.Query{queryFor(sys, 0, ""), queryFor(sys, 1, firstConstant(db))}
+	}
+}
+
+// storeUnderHead inserts one tuple under the system's own predicate: a
+// stored fact the rules must build on like on any derived one.
+func storeUnderHead(t *testing.T, src Source, db *storage.Database) {
+	t.Helper()
+	sys := src.(*ast.RecursiveSystem)
+	args := make([]string, sys.Arity())
+	for i := range args {
+		args[i] = "zz"
+	}
+	args[0] = firstConstant(db)
+	if _, err := db.Insert(sys.Pred(), args...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// programFixture is a general program over explicit facts.
+func programFixture(rules string, facts [][]string, queries ...string) func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+	return func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+		prog, _, err := parser.ParseProgram(rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := storage.NewDatabase()
+		if err := insertAll(db, facts); err != nil {
+			t.Fatal(err)
+		}
+		var qs []ast.Query
+		for _, qt := range queries {
+			q, err := parser.ParseQuery(qt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, q)
+		}
+		return prog, db, qs
+	}
+}
+
 func TestDriverModesAgree(t *testing.T) {
-	fixtures := []struct {
-		id             string
-		kind           PlanKind
-		domain, tuples int // per EDB relation
-	}{
-		{"s1a", PlanTC, 6, 14},
-		{"s10", PlanBounded, 6, 14},
-		{"s4a", PlanStable, 6, 14},
-		{"s11", PlanGeneric, 6, 14},
+	chain := [][]string{{"e", "a", "b"}, {"e", "b", "c"}, {"e", "c", "d"}, {"e", "d", "b"}, {"e", "x", "y"}}
+	moreEdges := func(t *testing.T, _ Source, db *storage.Database) {
+		if err := insertAll(db, [][]string{{"e", "d", "x"}, {"e", "y", "z"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixtures := []modeFixture{
+		{name: "s1a", kind: PlanTC, build: paperFixture("s1a", 6, 14), grow: growEDB},
+		{name: "s10", kind: PlanBounded, build: paperFixture("s10", 6, 14), grow: growEDB},
+		{name: "s4a", kind: PlanStable, build: paperFixture("s4a", 6, 14), grow: growEDB},
+		{name: "s11", kind: PlanGeneric, build: paperFixture("s11", 6, 14), grow: growEDB},
 		// 4 500 EDB tuples: frontiers long enough to fill every chunk of the
 		// pool, sparse enough that the fixpoint stays small.
-		{"s12", PlanGeneric, 300, 900},
+		{name: "s12", kind: PlanGeneric, build: paperFixture("s12", 300, 900), grow: growEDB},
+
+		// Programs that are not one linear system: planned classless.
+		{name: "nonlinear", kind: PlanGeneric, classless: true, grow: moreEdges, build: programFixture(
+			"t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), t(Z, Y).", chain,
+			"?- t(X, Y).", "?- t(a, Y).")},
+		{name: "derived-exit", kind: PlanGeneric, classless: true, grow: moreEdges, build: programFixture(
+			"tc(X, Y) :- v(X, Y). tc(X, Y) :- v(X, Z), tc(Z, Y). v(X, Y) :- e(X, Y).", chain,
+			"?- tc(X, Y).", "?- tc(a, Y).", "?- v(X, b).")},
+		// examples/audit: negation over a closed stratum. The write grows a
+		// negated predicate's input, so maintenance must recompute.
+		{name: "negation", kind: PlanGeneric, classless: true, recomputed: true,
+			build: programFixture(`
+				reach(T, S) :- uses(T, S).
+				reach(T, S) :- uses(T, M), dep(M, S).
+				dep(X, Y) :- link(X, Y).
+				dep(X, Y) :- link(X, Z), dep(Z, Y).
+				staleCred(T, S) :- cred(T, S), not reach(T, S).
+				orphan(S) :- service(S), not reached(S).
+				reached(S) :- reach(T, S).`,
+				[][]string{
+					{"link", "gateway", "auth"}, {"link", "auth", "userdb"}, {"link", "reports", "warehouse"},
+					{"uses", "web", "gateway"}, {"uses", "ml", "warehouse"},
+					{"cred", "web", "userdb"}, {"cred", "web", "warehouse"}, {"cred", "ml", "userdb"},
+					{"service", "gateway"}, {"service", "auth"}, {"service", "userdb"}, {"service", "reports"}, {"service", "warehouse"},
+				},
+				"?- staleCred(T, S).", "?- orphan(S).", "?- reach(web, S)."),
+			grow: func(t *testing.T, _ Source, db *storage.Database) {
+				if err := insertAll(db, [][]string{{"link", "warehouse", "userdb"}, {"uses", "web", "reports"}}); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	// A fact stored under the planned predicate itself: the TC kernel, the
+	// expansion union and the stabilized system all assume there is none, so
+	// the plan must run generically (class unchanged) — whether the fact is
+	// there when the plan compiles or arrives in the maintained diff, which
+	// retires the TC and bounded deltas (recompute) while a stable entry's
+	// fixpoint is carried on by the original rules.
+	for _, f := range []struct {
+		id   string
+		kind PlanKind
+	}{{"s1a", PlanTC}, {"s10", PlanBounded}, {"s4a", PlanStable}} {
+		build := paperFixture(f.id, 6, 14)
+		fixtures = append(fixtures,
+			modeFixture{name: f.id + "/stored-at-compile", kind: PlanGeneric, grow: growEDB,
+				build: func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+					src, db, qs := build(t)
+					storeUnderHead(t, src, db)
+					return src, db, qs
+				}},
+			modeFixture{name: f.id + "/stored-in-diff", kind: f.kind, build: build, recomputed: f.kind != PlanStable,
+				grow: func(t *testing.T, src Source, db *storage.Database) {
+					growEDB(t, src, db)
+					storeUnderHead(t, src, db)
+				}})
 	}
 	for _, f := range fixtures {
 		// Rounds and derivations per query, as the first worker count ran
 		// them; the second must repeat them.
 		work := make(map[string][2]int)
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", f.id, workers), func(t *testing.T) {
-				sys := mustStatement(t, f.id).System()
-				db, err := dlgen.RandomDB(sys, f.domain, f.tuples, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
+			t.Run(fmt.Sprintf("%s/workers=%d", f.name, workers), func(t *testing.T) {
+				src, db, queries := f.build(t)
 				opts := Opts{Workers: workers}
 				pl, rc := NewPlanner(), NewResultCache(0)
-				queries := []ast.Query{queryFor(sys, 0, ""), queryFor(sys, 1, firstConstant(db))}
 
 				snap := db.Snapshot()
 				for _, q := range queries {
-					want := oracleRows(t, sys, q, snap.DB())
-					mat, mst, _, err := rc.Answer(pl, sys, q, snap, opts)
+					want := oracleRows(t, src, q, snap.DB())
+					if len(want) == 0 {
+						t.Fatalf("%v: no answers; the fixture proves nothing", q)
+					}
+					mat, mst, _, err := rc.Answer(pl, src, q, snap, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if mst.Plan == nil || mst.Plan.Strategy != f.kind.String() {
-						t.Fatalf("%v: plan %+v, want %v", q, mst.Plan, f.kind)
+					if mst.Plan == nil || mst.Plan.Strategy != f.kind.String() || (mst.Plan.Class == "") != f.classless {
+						t.Fatalf("%v: plan %+v, want %v (classless=%v)", q, mst.Plan, f.kind, f.classless)
 					}
 					if !rowsEqual(relRows(mat), want) {
 						t.Errorf("%v: materialized %d rows, oracle %d", q, mat.Len(), len(want))
@@ -90,40 +220,46 @@ func TestDriverModesAgree(t *testing.T) {
 						t.Errorf("%v: rounds/derived %v on %d workers, %v on the first worker count", q, did, workers, first)
 					}
 					work[q.String()] = did
-					p, _, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), opts)
+					p, _, err := pl.PlanForEpoch(src, q, snap.Epoch(), snap.DB(), opts)
 					if err != nil {
 						t.Fatal(err)
+					}
+					direct, _, err := p.AnswerOpts(q, snap.DB(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rowsEqual(relRows(direct), want) {
+						t.Errorf("%v: Plan.AnswerOpts %d rows, oracle %d", q, direct.Len(), len(want))
 					}
 					it := p.Stream(q, snap.DB(), opts, 0)
 					if got := drainStream(t, it); !rowsEqual(got, want) {
 						t.Errorf("%v: streamed %d rows, oracle %d", q, len(got), len(want))
 					}
-					if sst := it.Stats(); sst.Rounds != mst.Rounds || sst.Derived != mst.Derived {
-						t.Errorf("%v: streamed rounds=%d derived=%d, materialized rounds=%d derived=%d",
-							q, sst.Rounds, sst.Derived, mst.Rounds, mst.Derived)
+					if sst := it.Stats(); sst.Rounds != mst.Rounds || sst.Derived != mst.Derived || sst.Plan.Strategy != mst.Plan.Strategy {
+						t.Errorf("%v: streamed rounds=%d derived=%d %s, materialized rounds=%d derived=%d %s",
+							q, sst.Rounds, sst.Derived, sst.Plan.Strategy, mst.Rounds, mst.Derived, mst.Plan.Strategy)
 					}
 				}
 
 				old := snap
-				for _, pred := range sys.Program().EDBPreds() {
-					if err := storage.GenRandomRelation(db, pred, db.Rel(pred).Arity(), 6, 3, 99); err != nil {
-						t.Fatal(err)
-					}
-				}
+				f.grow(t, src, db)
 				snap = db.Snapshot()
-				res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, Opts: opts})
-				if res.Maintained != len(queries) {
-					t.Fatalf("Maintain = %+v, want %d maintained", res, len(queries))
+				res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: src, Opts: opts})
+				if want := (MaintResult{Maintained: len(queries)}); !f.recomputed && res != want {
+					t.Fatalf("Maintain = %+v, want %+v", res, want)
+				}
+				if want := (MaintResult{Recomputed: len(queries)}); f.recomputed && res != want {
+					t.Fatalf("Maintain = %+v, want %+v", res, want)
 				}
 				for _, q := range queries {
-					got, st, cached, err := rc.Answer(pl, sys, q, snap, opts)
+					got, st, cached, err := rc.Answer(pl, src, q, snap, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !cached || !st.Maintained {
-						t.Fatalf("%v: cached=%v maintained=%v, want true/true", q, cached, st.Maintained)
+					if !cached || st.Maintained == f.recomputed {
+						t.Fatalf("%v: cached=%v maintained=%v, want cached and maintained=%v", q, cached, st.Maintained, !f.recomputed)
 					}
-					if want := oracleRows(t, sys, q, snap.DB()); !rowsEqual(relRows(got), want) {
+					if want := oracleRows(t, src, q, snap.DB()); !rowsEqual(relRows(got), want) {
 						t.Errorf("%v: maintained %d rows, oracle %d", q, got.Len(), len(want))
 					}
 				}

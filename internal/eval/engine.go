@@ -112,7 +112,9 @@ func AnswerOpts(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *st
 
 // ClassEvalOpts classifies the system and dispatches to the most specific
 // evaluator the paper's analysis licenses; the classification is recorded
-// under a "classify" span before dispatch.
+// under a "classify" span before dispatch. Like the paper, every evaluator it
+// dispatches to assumes the database stores no tuples under the recursive
+// predicate itself (the auto planner checks: Plan.over).
 func ClassEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	cls := opts.parent().Child("classify")
 	res, err := classify.Classify(sys.Recursive)
@@ -124,15 +126,9 @@ func ClassEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, 
 	return ClassEvalWithOpts(sys, res, q, db, opts)
 }
 
-// ClassEvalWith is ClassEvalOpts with a precomputed classification (so callers
-// can amortize the compilation across queries — the paper's compiled-query
-// setting).
-func ClassEvalWith(sys *ast.RecursiveSystem, res *classify.Result, q ast.Query, db *storage.Database) (*storage.Relation, Stats, error) {
-	return ClassEvalWithOpts(sys, res, q, db, Opts{})
-}
-
-// ClassEvalWithOpts is ClassEvalWith with instrumentation threaded into the
-// dispatched evaluator.
+// ClassEvalWithOpts is ClassEvalOpts with a precomputed classification (so
+// callers can amortize the compilation across queries — the paper's
+// compiled-query setting).
 func ClassEvalWithOpts(sys *ast.RecursiveSystem, res *classify.Result, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	switch {
 	case res.Bounded:

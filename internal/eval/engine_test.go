@@ -176,7 +176,7 @@ func TestBoundedEvalNegativeRank(t *testing.T) {
 	sys := mustStatement(t, "s10").System()
 	db := storage.NewDatabase()
 	q, _ := parser.ParseQuery("?- p(X, Y).")
-	if _, _, err := BoundedEval(sys, -1, q, db); err == nil {
+	if _, _, err := BoundedEvalOpts(sys, -1, q, db, Opts{}); err == nil {
 		t.Error("negative rank accepted")
 	}
 }
@@ -218,11 +218,11 @@ func TestSemiNaiveMatchesNaiveOnNonLinear(t *testing.T) {
 	}
 	db := storage.NewDatabase()
 	storage.GenChain(db, "e", 10)
-	a, _, err := Naive(prog, db)
+	a, _, err := NaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SemiNaive(prog, db)
+	b, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestNaiveDoesNotMutateInputDB(t *testing.T) {
 	db := storage.NewDatabase()
 	storage.GenChain(db, "e", 4)
 	before := db.Rel("e").Len()
-	if _, _, err := Naive(prog, db); err != nil {
+	if _, _, err := NaiveOpts(prog, db, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Rel("e").Len() != before {

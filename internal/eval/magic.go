@@ -20,7 +20,8 @@ import (
 //
 // The rewriting itself is recorded under a "magic-rewrite" span (adornment
 // count, generated rules) and the semi-naive evaluation of the rewritten
-// program attaches its own fixpoint span as a sibling.
+// program attaches its own fixpoint span as a sibling. Like the paper, it
+// assumes the database stores no tuples under the recursive predicate itself.
 func MagicSetsOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {

@@ -8,11 +8,11 @@ import (
 )
 
 // Incremental maintenance of cached materialized answers. A write batch
-// advances the snapshot epoch, which used to cold-start every cached entry.
-// Maintain instead carries the previous epoch's entries forward: it reads
-// the insert-only diff between the two snapshots (storage.DiffSnapshots —
-// cheap, the arena is append-only) and re-runs only the delta on the same
-// loops that computed the entry, seeded differently and under a budget sink:
+// advances the snapshot epoch; Maintain carries the previous epoch's entries
+// forward: it reads the insert-only diff between the two snapshots
+// (storage.DiffSnapshots — cheap, the arena is append-only) and re-runs only
+// the delta on the same loops that computed the entry, seeded differently
+// and under a budget sink:
 //
 //   - TC frontier plans restart the kernel's bfs from the new edges'
 //     endpoints against the frozen closure (bound queries), or compose the
@@ -28,24 +28,20 @@ import (
 // Insert-only monotone semantics make this sound: for a positive program,
 // restarting semi-naive iteration from any pre-fixpoint (here: the old
 // least fixpoint plus the delta) converges to the new least fixpoint. The
-// pass falls back to a full recompute whenever that argument does not hold
-// (negation over a changed predicate, a replaced or shrunk relation, the
-// delta closure exceeding the budget). Differential tests assert
-// maintained ≡ recomputed across randomized insert batches for all four
-// plan classes.
+// pass falls back to a full recompute through Plan.run whenever that
+// argument does not hold (negation over a changed predicate, a replaced or
+// shrunk relation, a tuple stored under the planned predicate itself, the
+// delta closure exceeding the budget). Differential tests assert maintained
+// ≡ recomputed across randomized insert batches for all four plan classes.
 
-// MaintSpec tells ResultCache.Maintain which cached programs it may
-// maintain and how to recompute the ones it cannot.
+// MaintSpec tells ResultCache.Maintain which cached program it may
+// maintain and how to recompute the entries it cannot.
 type MaintSpec struct {
 	// Planner compiles (or looks up) the plan for entries of Sys.
 	Planner *Planner
-	// Sys is the single recursive system the serving layer answers; nil
-	// when the server runs a general program instead.
-	Sys *ast.RecursiveSystem
-	// Prog and ProgKey describe the general program whose entries were
-	// cached through AnswerProgram.
-	Prog    *ast.Program
-	ProgKey string
+	// Sys is the program the serving layer answers, as it was handed to
+	// ResultCache.Answer.
+	Sys Source
 	// Opts carries workers, metrics and tracing into the delta passes and
 	// fallback recomputes.
 	Opts Opts
@@ -144,23 +140,20 @@ func (c *ResultCache) Maintain(old, cur *storage.Snapshot, spec MaintSpec) Maint
 	if len(todo) == 0 {
 		return res
 	}
+	if spec.Sys == nil || spec.Planner == nil {
+		res.Skipped = len(todo)
+		return res
+	}
 
 	m := &maintainer{
 		cache: c, cur: cur, spec: spec,
 		diff: diff, diffOK: diffOK, diffSize: diff.Size(),
-		fix: make(map[string]*fixState),
 	}
-	sysKey := ""
-	if spec.Sys != nil && spec.Planner != nil {
-		sysKey = programKey(spec.Sys)
-	}
+	key := programKey(spec.Sys)
 	for _, e := range todo {
-		switch {
-		case sysKey != "" && e.key.program == sysKey:
-			m.entrySys(e, &res)
-		case spec.Prog != nil && spec.ProgKey != "" && e.key.program == spec.ProgKey:
-			m.entryProg(e, &res)
-		default:
+		if e.key.program == key {
+			m.entry(e, &res)
+		} else {
 			res.Skipped++
 		}
 	}
@@ -168,7 +161,7 @@ func (c *ResultCache) Maintain(old, cur *storage.Snapshot, spec MaintSpec) Maint
 }
 
 // maintainer is the per-Maintain working state: the diff, and a memo so all
-// cached queries of one program share a single maintained (or recomputed)
+// cached queries of the program share a single maintained (or recomputed)
 // fixpoint.
 type maintainer struct {
 	cache    *ResultCache
@@ -177,14 +170,16 @@ type maintainer struct {
 	diff     *storage.SnapshotDiff
 	diffOK   bool
 	diffSize int
-	fix      map[string]*fixState // program key → shared fixpoint outcome
+	fix      *fixState // the shared fixpoint outcome, once fixTried
+	fixTried bool
 }
 
-// fixState is the memoized outcome of maintaining one program's fixpoint;
-// nil in the memo records a failed attempt (don't retry per entry).
+// fixState is the memoized outcome of maintaining the program's fixpoint;
+// nil records a failed attempt (don't retry per entry).
 type fixState struct {
 	aux        *fixAux
 	maintained bool
+	st         Stats // the recompute's own stats when !maintained
 }
 
 // budget returns the derivation-attempt cap for a delta pass over an entry
@@ -196,9 +191,12 @@ func (m *maintainer) budget(oldSize int) int {
 	return 1<<14 + 32*(oldSize+m.diffSize)
 }
 
-// entrySys maintains one entry of the single-system serving path.
-func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
-	p, _, err := m.spec.Planner.planFor(m.spec.Sys, e.q, m.cur.Epoch(), m.cur.DB(), m.spec.Opts)
+// entry carries one entry across the diff: by the delta kernel of the plan
+// that is sound on the new database (Plan.over — an insert under the planned
+// predicate itself retires the TC and bounded deltas for good), or by
+// recomputing it through Plan.run when that kernel declines.
+func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
+	p, _, err := m.spec.Planner.planFor(m.spec.Sys, e.q, m.cur.DB(), m.spec.Opts)
 	if err != nil {
 		res.Skipped++
 		return
@@ -208,11 +206,12 @@ func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
 		m.publish(e, e.rel, e.aux, e.st, true, res)
 		return
 	}
+	p = p.over(m.cur.DB())
 	switch p.Kind {
 	case PlanTC:
 		if m.diffOK {
 			aux, _ := e.aux.(*tcAux)
-			if rel, na, ok := maintainTC(m.spec.Sys, p.tc, e.q, e.rel, aux, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
+			if rel, na, ok := maintainTC(p.sys, p.tc, e.q, e.rel, aux, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
 				m.publish(e, rel, na, e.st, true, res)
 				return
 			}
@@ -224,16 +223,26 @@ func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
 				return
 			}
 		}
-	default: // PlanStable, PlanGeneric: shared fixpoint maintenance.
-		prog := m.spec.Sys.Program()
-		if p.Kind == PlanStable {
-			prog = p.stable.Program()
+	default: // PlanStable, PlanGeneric: one maintained fixpoint for all entries.
+		fs := m.fixStateFor(p, e)
+		if fs == nil {
+			res.Skipped++
+			return
 		}
-		m.entryFix(prog, e, res)
+		ans, err := answerFromFix(fs.aux, m.cur, e.q)
+		if err != nil {
+			res.Skipped++
+			return
+		}
+		st := e.st
+		if !fs.maintained {
+			st = fs.st
+		}
+		m.publish(e, ans, fs.aux, st, fs.maintained, res)
 		return
 	}
 	// Fallback: recompute the entry from scratch at the new epoch.
-	rel, aux, st, err := p.answerAux(e.q, m.cur.DB(), m.spec.Opts)
+	rel, aux, st, err := p.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
 	if err != nil {
 		res.Skipped++
 		return
@@ -241,58 +250,30 @@ func (m *maintainer) entrySys(e *resultEntry, res *MaintResult) {
 	m.publish(e, rel, aux, st, false, res)
 }
 
-// entryProg maintains one entry of the general-program serving path.
-func (m *maintainer) entryProg(e *resultEntry, res *MaintResult) {
-	if m.diffOK && m.diff.Empty() {
-		m.publish(e, e.rel, e.aux, e.st, true, res)
-		return
-	}
-	m.entryFix(m.spec.Prog, e, res)
-}
-
-// entryFix answers the entry's query from the program's shared maintained
-// (or recomputed) fixpoint.
-func (m *maintainer) entryFix(prog *ast.Program, e *resultEntry, res *MaintResult) {
-	st := m.fixStateFor(prog, e)
-	if st == nil {
-		res.Skipped++
-		return
-	}
-	ans, err := answerFromFix(st.aux, m.cur, e.q)
-	if err != nil {
-		res.Skipped++
-		return
-	}
-	m.publish(e, ans, st.aux, e.st, st.maintained, res)
-}
-
 // fixStateFor returns the program's maintained fixpoint, computing it on
-// first use: the incremental delta pass when the diff and the program allow
-// it, a full recompute otherwise.
-func (m *maintainer) fixStateFor(prog *ast.Program, e *resultEntry) *fixState {
-	key := e.key.program
-	if st, ok := m.fix[key]; ok {
-		return st
+// first use: the incremental delta pass when the diff, the program and the
+// entry's state allow it, a full recompute through the plan otherwise.
+func (m *maintainer) fixStateFor(p *Plan, e *resultEntry) *fixState {
+	if m.fixTried {
+		return m.fix
 	}
-	var st *fixState
-	if m.diffOK && !ast.HasNegation(prog) {
-		if old, _ := e.aux.(*fixAux); old != nil {
-			size := 0
-			for _, r := range old.idb {
-				size += r.Len()
-			}
-			if na, ok := incrementalFixpoint(prog, old, m.cur.DB(), m.diff, m.budget(size)); ok {
-				st = &fixState{aux: na, maintained: true}
-			}
+	var fs *fixState
+	if old, _ := e.aux.(*fixAux); m.diffOK && old != nil {
+		size := 0
+		for _, r := range old.idb {
+			size += r.Len()
+		}
+		if na, ok := incrementalFixpoint(p.fix.Program(), old, m.cur.DB(), m.diff, m.budget(size)); ok {
+			fs = &fixState{aux: na, maintained: true}
 		}
 	}
-	if st == nil {
-		if out, _, err := ParallelSemiNaiveOpts(prog, m.cur.DB(), m.spec.Opts); err == nil {
-			st = &fixState{aux: newFixAux(prog, out)}
+	if fs == nil {
+		if _, aux, st, err := p.run(e.q, m.cur.DB(), m.spec.Opts, sink{}); err == nil {
+			fs = &fixState{aux: aux.(*fixAux), st: st}
 		}
 	}
-	m.fix[key] = st
-	return st
+	m.fix, m.fixTried = fs, true
+	return fs
 }
 
 // publish freezes and inserts the carried-forward entry under the new

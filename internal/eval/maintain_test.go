@@ -202,9 +202,9 @@ func TestMaintainDifferential(t *testing.T) {
 	}
 }
 
-// TestMaintainProgramEntries covers the general-program serving path
-// (AnswerProgram + MaintSpec.Prog): the shared fixpoint is maintained once
-// and every cached query of the program is re-answered from it.
+// TestMaintainProgramEntries covers a general program (no single linear
+// system, so a classless plan): the shared fixpoint is maintained once and
+// every cached query of the program is re-answered from it.
 func TestMaintainProgramEntries(t *testing.T) {
 	prog, _, err := parser.ParseProgram(
 		"t(X, Y) :- e(X, Y).\n" +
@@ -213,7 +213,6 @@ func TestMaintainProgramEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "prog:t"
 	r := rand.New(rand.NewSource(11))
 	db := storage.NewDatabase()
 	for i := 0; i < 8; i++ {
@@ -221,7 +220,7 @@ func TestMaintainProgramEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rc := NewResultCache(0)
+	pl, rc := NewPlanner(), NewResultCache(0)
 	var queries []ast.Query
 	for _, qs := range []string{"?- t(X, Y).", "?- t(n0, Y).", "?- pair(X)."} {
 		q, err := parser.ParseQuery(qs)
@@ -232,7 +231,7 @@ func TestMaintainProgramEntries(t *testing.T) {
 	}
 	snap := db.Snapshot()
 	for _, q := range queries {
-		if _, _, _, err := rc.AnswerProgram(prog, key, q, snap, Opts{}); err != nil {
+		if _, _, _, err := rc.Answer(pl, prog, q, snap, Opts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +243,7 @@ func TestMaintainProgramEntries(t *testing.T) {
 			}
 		}
 		snap = db.Snapshot()
-		res := rc.Maintain(old, snap, MaintSpec{Prog: prog, ProgKey: key, Opts: Opts{}})
+		res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: prog, Opts: Opts{}})
 		if res.Maintained != len(queries) || res.Recomputed != 0 {
 			t.Fatalf("round %d: Maintain = %+v, want %d maintained", round, res, len(queries))
 		}
@@ -253,7 +252,7 @@ func TestMaintainProgramEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			got, st, cached, err := rc.AnswerProgram(prog, key, q, snap, Opts{})
+			got, st, cached, err := rc.Answer(pl, prog, q, snap, Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,17 +280,16 @@ func TestMaintainNegationFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const key = "prog:neg"
 	db := storage.NewDatabase()
 	if err := insertAll(db, [][]string{
 		{"e", "n0"}, {"link", "n0", "n1"}, {"link", "n1", "n2"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rc := NewResultCache(0)
+	pl, rc := NewPlanner(), NewResultCache(0)
 	q, _ := parser.ParseQuery("?- t(X).")
 	snap := db.Snapshot()
-	before, _, _, err := rc.AnswerProgram(prog, key, q, snap, Opts{})
+	before, _, _, err := rc.Answer(pl, prog, q, snap, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +301,11 @@ func TestMaintainNegationFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap = db.Snapshot()
-	res := rc.Maintain(old, snap, MaintSpec{Prog: prog, ProgKey: key, Opts: Opts{}})
+	res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: prog, Opts: Opts{}})
 	if res.Recomputed != 1 || res.Maintained != 0 {
 		t.Fatalf("Maintain = %+v, want 1 recomputed", res)
 	}
-	after, st, cached, err := rc.AnswerProgram(prog, key, q, snap, Opts{})
+	after, st, cached, err := rc.Answer(pl, prog, q, snap, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

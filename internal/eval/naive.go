@@ -115,18 +115,13 @@ func strataOf(prog *ast.Program) ([][]ast.Rule, error) {
 	return ast.Stratify(prog)
 }
 
-// Naive computes the bottom-up fixpoint of the program over db by full
+// NaiveOpts computes the bottom-up fixpoint of the program over db by full
 // re-evaluation each round — the textbook baseline. Programs with negated
 // body literals are evaluated stratum by stratum (stratified semantics).
 // The returned database shares EDB relations with db and holds the
-// materialized IDB relations.
-func Naive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
-	return NaiveOpts(prog, db, Opts{})
-}
-
-// NaiveOpts is Naive with instrumentation: per-round records in Stats.Trace,
-// spans (fixpoint → round → per-rule join) on opts.Tracer, and counters on
-// the metrics registry.
+// materialized IDB relations. Instrumentation: per-round records in
+// Stats.Trace, spans (fixpoint → round → per-rule join) on opts.Tracer, and
+// counters on the metrics registry.
 func NaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -209,18 +204,13 @@ func naiveFixpoint(work *storage.Database, rules []compiledRule, stratum int, ro
 	}
 }
 
-// SemiNaive computes the same fixpoint with delta relations: each round,
-// every rule is evaluated once per recursive body literal with that literal
-// restricted to the previous round's delta. For the paper's linear rules
-// this is the classic one-delta evaluation. Programs with negated body
+// SemiNaiveOpts computes the same fixpoint with delta relations: each
+// round, every rule is evaluated once per recursive body literal with that
+// literal restricted to the previous round's delta. For the paper's linear
+// rules this is the classic one-delta evaluation. Programs with negated body
 // literals are evaluated stratum by stratum; within a stratum, negated
 // literals and lower-strata predicates read fully materialized relations.
-func SemiNaive(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
-	return SemiNaiveOpts(prog, db, Opts{})
-}
-
-// SemiNaiveOpts is SemiNaive with instrumentation: per-round records in
-// Stats.Trace, spans on opts.Tracer, and counters on the metrics registry.
+// Instrumented like NaiveOpts.
 func SemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
@@ -411,21 +401,30 @@ func AnswerQuery(db *storage.Database, q ast.Query) (*storage.Relation, error) {
 	if rel.Arity() != q.Atom.Arity() {
 		return nil, fmt.Errorf("eval: query arity %d vs relation %d", q.Atom.Arity(), rel.Arity())
 	}
-	bound := make([]bool, q.Atom.Arity())
-	vals := make(storage.Tuple, q.Atom.Arity())
-	for i, t := range q.Atom.Args {
-		if !t.IsVar() {
-			bound[i] = true
-			v, ok := db.Syms.Lookup(t.Name)
-			if !ok {
-				return out, nil // constant not in the database: no answers
-			}
-			vals[i] = v
-		}
+	bound, vals, ok := selection(q, db.Syms)
+	if !ok {
+		return out, nil
 	}
 	rel.EachMatch(bound, vals, func(t storage.Tuple) bool {
 		out.Insert(t)
 		return true
 	})
 	return out, nil
+}
+
+// selection resolves the query's constants: bound flags their positions and
+// vals holds their values. ok is false when one was never interned — no
+// tuple of the database can match.
+func selection(q ast.Query, syms *storage.Symbols) (bound []bool, vals storage.Tuple, ok bool) {
+	bound = make([]bool, q.Atom.Arity())
+	vals = make(storage.Tuple, q.Atom.Arity())
+	for i, t := range q.Atom.Args {
+		if !t.IsVar() {
+			bound[i] = true
+			if vals[i], ok = syms.Lookup(t.Name); !ok {
+				return bound, vals, false
+			}
+		}
+	}
+	return bound, vals, true
 }

@@ -31,8 +31,8 @@ func TestStratifiedUnreachable(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		db.Insert("node", []string{"n0", "n1", "n2", "n3"}[i])
 	}
-	for _, engine := range []func(*ast.Program, *storage.Database) (*storage.Database, Stats, error){Naive, SemiNaive} {
-		out, _, err := engine(prog, db)
+	for _, engine := range []func(*ast.Program, *storage.Database, Opts) (*storage.Database, Stats, error){NaiveOpts, SemiNaiveOpts} {
+		out, _, err := engine(prog, db, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestStratifiedThreeLevels(t *testing.T) {
 	db.Insert("base", "x")
 	db.Insert("univ", "x")
 	db.Insert("univ", "y")
-	out, _, err := SemiNaive(prog, db)
+	out, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +79,8 @@ func TestNonStratifiableRejected(t *testing.T) {
 	`)
 	db := storage.NewDatabase()
 	db.Insert("move", "a", "b")
-	for _, engine := range []func(*ast.Program, *storage.Database) (*storage.Database, Stats, error){Naive, SemiNaive} {
-		_, _, err := engine(prog, db)
+	for _, engine := range []func(*ast.Program, *storage.Database, Opts) (*storage.Database, Stats, error){NaiveOpts, SemiNaiveOpts} {
+		_, _, err := engine(prog, db, Opts{})
 		if !errors.Is(err, ast.ErrNotStratifiable) {
 			t.Errorf("got %v, want ErrNotStratifiable", err)
 		}
@@ -95,7 +95,7 @@ func TestUnsafeNegationRejected(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("q", "a")
 	db.Ensure("r", 2)
-	_, _, err := Naive(prog, db)
+	_, _, err := NaiveOpts(prog, db, Opts{})
 	if !errors.Is(err, ast.ErrUnsafeNegation) {
 		t.Errorf("got %v, want ErrUnsafeNegation", err)
 	}
@@ -109,7 +109,7 @@ func TestNegationAgainstEmptyRelation(t *testing.T) {
 	`)
 	db := storage.NewDatabase()
 	db.Insert("q", "a")
-	out, _, err := SemiNaive(prog, db)
+	out, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestNegationWithConstants(t *testing.T) {
 	db.Insert("q", "b")
 	db.Insert("r", "a", "blocked")
 	db.Insert("r", "b", "fine")
-	out, _, err := Naive(prog, db)
+	out, _, err := NaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +153,11 @@ func TestNaiveSemiNaiveAgreeWithNegation(t *testing.T) {
 	`)
 	db := storage.NewDatabase()
 	storage.GenRandomGraph(db, "e", 12, 20, 4)
-	a, _, err := Naive(prog, db)
+	a, _, err := NaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := SemiNaive(prog, db)
+	b, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestParallelMatchesSemiNaiveOnRandomSystems(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog := sys.Program()
-		seq, seqStats, err := SemiNaive(prog, db)
+		seq, seqStats, err := SemiNaiveOpts(prog, db, Opts{})
 		if err != nil {
 			t.Fatalf("trial %d seminaive: %v", trial, err)
 		}
@@ -76,7 +76,7 @@ func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err := storage.GenRandomGraph(db, "e", 10+trial, 18+2*trial, int64(trial)); err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := SemiNaive(prog, db)
+		seq, _, err := SemiNaiveOpts(prog, db, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestSemiNaiveRoundCounts(t *testing.T) {
 	// Round 1 seeds both exit rules (4 tuples); rounds 2 and 3 derive the
 	// length-2 and length-3 paths; round 4 derives nothing and stops.
 	const wantRounds, wantDerived = 4, 7
-	_, seqStats, err := SemiNaive(prog, db)
+	_, seqStats, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,9 @@ func TestSemiNaiveDerivedMatchesIDBGrowth(t *testing.T) {
 				name, st.Derived, total-idbFacts, total, idbFacts)
 		}
 	}
-	run("seminaive", SemiNaive)
+	run("seminaive", func(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
+		return SemiNaiveOpts(prog, db, Opts{})
+	})
 	run("parallel", func(prog *ast.Program, db *storage.Database) (*storage.Database, Stats, error) {
 		return ParallelSemiNaiveOpts(prog, db, Opts{})
 	})
@@ -295,7 +297,7 @@ func TestParallelManyStrataStress(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		db.Insert(fmt.Sprintf("skip%d", i), fmt.Sprintf("n%d", i))
 	}
-	seq, _, err := SemiNaive(prog, db)
+	seq, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -16,14 +17,14 @@ func TestPlannerHitMissAccounting(t *testing.T) {
 	db := chainDB(t, 6)
 	q, _ := parser.ParseQuery("?- p(n0, Y).")
 
-	_, st, err := pl.Answer(sys, q, db)
+	_, st, err := pl.AnswerOpts(sys, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Plan == nil || st.Plan.CacheHit {
 		t.Fatalf("first query: plan info %+v, want cache miss", st.Plan)
 	}
-	_, st, err = pl.Answer(sys, q, db)
+	_, st, err = pl.AnswerOpts(sys, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +40,12 @@ func TestPlannerHitMissAccounting(t *testing.T) {
 
 	// A different adornment of the same program keys separately.
 	q2, _ := parser.ParseQuery("?- p(X, Y).")
-	if _, st, err = pl.Answer(sys, q2, db); err != nil || st.Plan.CacheHit {
+	if _, st, err = pl.AnswerOpts(sys, q2, db, Opts{}); err != nil || st.Plan.CacheHit {
 		t.Fatalf("new adornment: hit=%v err=%v, want miss", st.Plan.CacheHit, err)
 	}
 	// Same adornment, different constant: the plan is per query *form*.
 	q3, _ := parser.ParseQuery("?- p(n3, Y).")
-	if _, st, err = pl.Answer(sys, q3, db); err != nil || !st.Plan.CacheHit {
+	if _, st, err = pl.AnswerOpts(sys, q3, db, Opts{}); err != nil || !st.Plan.CacheHit {
 		t.Fatalf("same adornment, new constant: hit=%v err=%v, want hit", st.Plan.CacheHit, err)
 	}
 	if hits, misses := pl.Metrics(); hits != 2 || misses != 2 {
@@ -62,10 +63,10 @@ func TestPlannerInvalidation(t *testing.T) {
 	qf, _ := parser.ParseQuery("?- p(X, Y).")
 
 	sysA := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
-	if _, _, err := pl.Answer(sysA, q, db); err != nil {
+	if _, _, err := pl.AnswerOpts(sysA, q, db, Opts{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pl.Answer(sysA, qf, db); err != nil {
+	if _, _, err := pl.AnswerOpts(sysA, qf, db, Opts{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -73,7 +74,7 @@ func TestPlannerInvalidation(t *testing.T) {
 	// canonical rule text.
 	sysB := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).",
 		"p(X, Y) :- e(X, Y).", "p(X, Y) :- g(Y, X).")
-	ansA, stB, err := pl.Answer(sysB, q, db)
+	ansA, stB, err := pl.AnswerOpts(sysB, q, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,71 +90,64 @@ func TestPlannerInvalidation(t *testing.T) {
 	if !ansA.Equal(ref) {
 		t.Errorf("plan for changed system answered %d tuples, want %d", ansA.Len(), ref.Len())
 	}
-
-	pl.Reset()
-	if h, m := pl.Metrics(); pl.Len() != 0 || h != 0 || m != 0 {
-		t.Errorf("Reset left size=%d hits=%d misses=%d", pl.Len(), h, m)
-	}
 }
 
-// TestPlannerEpochKeying covers the serving path: the same program and query
-// form at different snapshot epochs key separate entries, and entries whose
-// epoch falls behind the newest seen epoch by more than the pruning window
-// are dropped automatically. Epoch-0 (epochless) entries are never pruned.
-func TestPlannerEpochKeying(t *testing.T) {
-	pl := NewPlanner()
+// TestPlannerSurvivesWrites covers the serving path: a plan holds nothing
+// that depends on the snapshot epoch, so a write that leaves the column
+// statistics alone is a hit at the next epoch — for the next query and for
+// the maintenance pass alike — and only growth past the storage layer's
+// staleness bound (an index rebuild, which moves the statistics epoch)
+// recompiles it: one miss, one invalidation, still one cached plan.
+func TestPlannerSurvivesWrites(t *testing.T) {
+	reg := obs.NewRegistry()
+	pl := NewPlannerWith(reg)
 	db := chainDB(t, 6)
 	sys := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
 	q, _ := parser.ParseQuery("?- p(n0, Y).")
-
-	// Epochless entry (PlanForOpts path).
-	if _, hit, err := pl.PlanForOpts(sys, q, Opts{}); err != nil || hit {
-		t.Fatalf("epochless first lookup: hit=%v err=%v, want miss", hit, err)
+	lookup := func(wantHit bool, when string) *Plan {
+		t.Helper()
+		snap := db.Snapshot()
+		p, hit, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), Opts{})
+		if err != nil || hit != wantHit {
+			t.Fatalf("%s (epoch %d): hit=%v err=%v, want hit=%v", when, snap.Epoch(), hit, err, wantHit)
+		}
+		return p
 	}
-	// Epoch 1 keys separately from epochless.
-	if _, hit, err := pl.PlanForEpoch(sys, q, 1, nil, Opts{}); err != nil || hit {
-		t.Fatalf("epoch 1 first lookup: hit=%v err=%v, want miss", hit, err)
+	first := lookup(false, "first lookup")
+	stats := db.StatsEpoch()
+	if _, err := db.Insert("a", "n5", "n6"); err != nil {
+		t.Fatal(err)
 	}
-	if _, hit, err := pl.PlanForEpoch(sys, q, 1, nil, Opts{}); err != nil || !hit {
-		t.Fatalf("epoch 1 repeat: hit=%v err=%v, want hit", hit, err)
+	if db.StatsEpoch() != stats {
+		t.Fatal("a one-fact write moved the statistics epoch; the fixture proves nothing")
 	}
-	if pl.Len() != 2 {
-		t.Fatalf("cache size = %d, want 2 (epochless + epoch 1)", pl.Len())
+	if p := lookup(true, "after a one-fact write"); p != first {
+		t.Error("the hit returned a different plan")
 	}
-
-	// Advancing far past the window prunes epoch 1 but keeps epoch 0.
-	far := uint64(1 + planEpochWindow)
-	if _, hit, err := pl.PlanForEpoch(sys, q, far, nil, Opts{}); err != nil || hit {
-		t.Fatalf("epoch %d lookup: hit=%v err=%v, want miss", far, hit, err)
+	// Grow a past colIndex.stale (overflow > built/2 + 64): the rebuild moves
+	// the statistics, the plan's order book with them.
+	for i := 0; db.StatsEpoch() == stats; i++ {
+		if i > 200 {
+			t.Fatal("200 inserts never triggered an index rebuild")
+		}
+		if _, err := db.Insert("a", fmt.Sprintf("m%d", i), fmt.Sprintf("m%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if pl.Len() != 2 {
-		t.Errorf("cache size after prune = %d, want 2 (epochless + epoch %d)", pl.Len(), far)
+	lookup(false, "after the statistics moved")
+	lookup(true, "repeat at the new statistics")
+	if pl.Len() != 1 {
+		t.Errorf("cache size = %d, want 1 (one plan per program and adornment)", pl.Len())
 	}
-	if _, hit, err := pl.PlanForEpoch(sys, q, 1, nil, Opts{}); err != nil || hit {
-		t.Errorf("pruned epoch 1 must recompile: hit=%v err=%v", hit, err)
+	for name, want := range map[string]int64{
+		"dl_plancache_misses_total": 2, "dl_plancache_hits_total": 2, "dl_plancache_invalidations_total": 1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 	if got := pl.Invalidations(); got != 1 {
-		t.Errorf("Invalidations() = %d, want 1 (one pruned entry)", got)
-	}
-	if _, hit, err := pl.PlanForOpts(sys, q, Opts{}); err != nil || !hit {
-		t.Errorf("epochless entry must survive pruning: hit=%v err=%v", hit, err)
-	}
-
-	// answerSnapAux keys by the snapshot's epoch and answers correctly.
-	snap := db.Snapshot()
-	got, _, st, err := pl.answerSnapAux(sys, q, snap, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _, err := Answer(StrategySemiNaive, sys, q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(ref) {
-		t.Errorf("answerSnapAux answered %d tuples, want %d", got.Len(), ref.Len())
-	}
-	if st.Plan == nil {
-		t.Error("answerSnapAux stats missing plan info")
+		t.Errorf("Invalidations() = %d, want 1", got)
 	}
 }
 
@@ -196,7 +190,7 @@ func TestPlannerConcurrent(t *testing.T) {
 				storage.GenRandomRelation(db, "c", 2, 6, 6, int64(i))
 				db.Set("e", db.Rel("a").Clone())
 				q := queries[i%len(queries)]
-				got, _, err := pl.Answer(sys, q, db)
+				got, _, err := pl.AnswerOpts(sys, q, db, Opts{})
 				if err != nil {
 					errs <- err
 					return
@@ -231,8 +225,8 @@ func TestPlannerConcurrent(t *testing.T) {
 }
 
 // TestPlannerRegistryCounters checks the planner's cache accounting lands in
-// the obs registry as monotonic counters, including across Reset (which only
-// re-bases the per-planner Metrics view).
+// the obs registry (TestPlannerSurvivesWrites covers the invalidations
+// counter).
 func TestPlannerRegistryCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	pl := NewPlannerWith(reg)
@@ -241,7 +235,7 @@ func TestPlannerRegistryCounters(t *testing.T) {
 	q, _ := parser.ParseQuery("?- p(n0, Y).")
 
 	for i := 0; i < 3; i++ {
-		if _, _, err := pl.Answer(sys, q, db); err != nil {
+		if _, _, err := pl.AnswerOpts(sys, q, db, Opts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,36 +245,7 @@ func TestPlannerRegistryCounters(t *testing.T) {
 	if got := reg.Counter("dl_plancache_hits_total").Value(); got != 2 {
 		t.Errorf("registry hits = %d, want 2", got)
 	}
-	// Epoch pruning feeds the invalidations counter: fill an epoch, then
-	// advance past the window.
-	if _, _, err := pl.PlanForEpoch(sys, q, 1, nil, Opts{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := pl.PlanForEpoch(sys, q, 2+planEpochWindow, nil, Opts{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("dl_plancache_invalidations_total").Value(); got != 1 {
-		t.Errorf("registry invalidations = %d, want 1 (epoch prune)", got)
-	}
-	if got := pl.Invalidations(); got != 1 {
-		t.Errorf("Invalidations() = %d, want 1", got)
-	}
-
-	// Reset zeroes the planner's view but never decrements the registry.
-	pl.Reset()
-	if h, m := pl.Metrics(); h != 0 || m != 0 {
-		t.Fatalf("post-Reset Metrics = %d/%d, want 0/0", h, m)
-	}
-	if got := reg.Counter("dl_plancache_hits_total").Value(); got != 2 {
-		t.Errorf("Reset changed registry hits to %d, want 2 (monotonic)", got)
-	}
-	if _, _, err := pl.Answer(sys, q, db); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := pl.Metrics(); h != 0 || m != 1 {
-		t.Errorf("post-Reset lookup Metrics = %d/%d, want 0/1", h, m)
-	}
-	if got := reg.Counter("dl_plancache_misses_total").Value(); got != 4 {
-		t.Errorf("registry misses = %d, want 4 (cumulative: 1 + 2 epoch + 1 post-Reset)", got)
+	if h, m := pl.Metrics(); h != 2 || m != 1 {
+		t.Errorf("Metrics() = %d/%d, want 2/1", h, m)
 	}
 }

@@ -65,7 +65,7 @@ func TestClassStrategyUsesBoundedCutoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, st, err := ClassEvalWith(sys, res, q, db)
+		_, st, err := ClassEvalWithOpts(sys, res, q, db, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

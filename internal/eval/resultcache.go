@@ -18,10 +18,9 @@ import (
 // the LRU. Entries are charged against a byte budget (Relation.SizeBytes
 // plus key overhead) and evicted least-recently-used.
 //
-// Writes no longer cold-start the cache: Maintain (maintain.go) carries the
-// previous epoch's entries forward to the new epoch by running a delta pass
-// over only the inserted tuples, falling back to a full recompute when the
-// delta is not expressible (negation, replaced relations, blown budget).
+// Maintain (maintain.go) carries the previous epoch's entries forward to the
+// new epoch by running a delta pass over only the inserted tuples, falling
+// back to a full recompute when the delta is not expressible.
 //
 // Concurrent identical queries are deduplicated singleflight-style: the
 // first caller computes while the rest block on its result, so N identical
@@ -157,35 +156,14 @@ func NewResultCacheWith(reg *obs.Registry, maxBytes int64) *ResultCache {
 // Answer evaluates the query against the snapshot through the planner,
 // serving a memoized answer when one exists for the snapshot's epoch. The
 // bool result reports whether the answer came from the cache (including
-// riding along on another caller's in-flight computation).
-func (c *ResultCache) Answer(pl *Planner, sys *ast.RecursiveSystem, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, Stats, bool, error) {
-	key := resultKey{program: programKey(sys), query: q.String(), epoch: snap.Epoch()}
+// riding along on another caller's in-flight computation). The entry keeps
+// the plan's maintenance state, so Maintain can carry it across writes.
+func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, Stats, bool, error) {
+	key := resultKey{program: programKey(src), query: q.String(), epoch: snap.Epoch()}
 	return c.do(key, q, true, opts.Abort, func(abort <-chan struct{}) (*storage.Relation, any, Stats, error) {
 		o := opts
 		o.Abort = abort
-		return pl.answerSnapAux(sys, q, snap, o)
-	})
-}
-
-// AnswerProgram evaluates the query over a general program (no single
-// recursive system — dlserve's generic fallback path): the parallel
-// semi-naive fixpoint followed by answer selection, memoized under the
-// caller's program key. Unlike raw Do, the entry keeps the materialized
-// fixpoint, so Maintain can carry it across writes.
-func (c *ResultCache) AnswerProgram(prog *ast.Program, progKey string, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, Stats, bool, error) {
-	key := resultKey{program: progKey, query: q.String(), epoch: snap.Epoch()}
-	return c.do(key, q, true, opts.Abort, func(abort <-chan struct{}) (*storage.Relation, any, Stats, error) {
-		o := opts
-		o.Abort = abort
-		out, st, err := ParallelSemiNaiveOpts(prog, snap.DB(), o)
-		if err != nil {
-			return nil, nil, st, err
-		}
-		ans, err := AnswerQuery(out, q)
-		if err != nil {
-			return nil, nil, st, err
-		}
-		return ans, newFixAux(prog, out), st, nil
+		return pl.answer(src, q, snap.DB(), o)
 	})
 }
 

@@ -20,7 +20,7 @@ p(X, Y) :- e(X, Z), p(Z, Y).
 	if err := storage.GenChain(db, "e", 6); err != nil {
 		t.Fatal(err)
 	}
-	out, st, err := Naive(prog, db)
+	out, st, err := NaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ p(X, Y) :- e(X, Z), p(Z, Y).
 	if ans.Len() != 5 {
 		t.Fatalf("answers = %d, want 5", ans.Len())
 	}
-	out2, _, err := SemiNaive(prog, db)
+	out2, _, err := SemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,13 +199,8 @@ func (p pairRel) sortedKey() string {
 	return b.String()
 }
 
-// Answer runs the stable compiled plan for the query.
-func (se *StableEval) Answer(q ast.Query) (*storage.Relation, Stats, error) {
-	return se.AnswerOpts(q, Opts{})
-}
-
-// AnswerOpts is Answer with instrumentation: each chain depth becomes one
-// round under a "fixpoint" span tagged engine=stable.
+// AnswerOpts runs the stable compiled plan for the query: each chain depth
+// becomes one round under a "fixpoint" span tagged engine=stable.
 func (se *StableEval) AnswerOpts(q ast.Query, opts Opts) (*storage.Relation, Stats, error) {
 	n := se.n
 	if q.Atom.Pred != se.sys.Pred() || q.Atom.Arity() != n {

@@ -30,7 +30,7 @@ func stableAnswers(t *testing.T, sys *ast.RecursiveSystem, q ast.Query, db *stor
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, st, err := se.Answer(q)
+	ans, st, err := se.AnswerOpts(q, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

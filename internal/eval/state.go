@@ -90,7 +90,8 @@ func MaterializeExit(sys *ast.RecursiveSystem, db *storage.Database) (*storage.R
 // taxonomy and terminates on all inputs (finite state space); class-specific
 // evaluators beat it where the paper's analysis applies. Each worklist sweep
 // (one expansion depth) becomes one round under a "fixpoint" span tagged
-// engine=state.
+// engine=state. Like the paper, it assumes the database stores no tuples
+// under the recursive predicate itself.
 func StateEvalOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {

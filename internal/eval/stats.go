@@ -75,7 +75,8 @@ func (s Stats) FillJournal(rec *obs.QueryRecord) {
 // PlanInfo describes the outcome of classification-driven planning for one
 // evaluated query.
 type PlanInfo struct {
-	// Class is the paper's classification code (A1–A5, B, C, D, E, F).
+	// Class is the paper's classification code (A1–A5, B, C, D, E, F); empty
+	// when the program is not one linear recursive system.
 	Class string
 	// Strategy is the compiled fast path ("tc-frontier", "bounded-union",
 	// "stable-parallel" or "generic-parallel").

@@ -101,16 +101,19 @@ type evalIterator struct {
 	err error
 }
 
-// newEvalIterator starts run in a producer goroutine. run must feed every
-// answer to emit and return its Stats; emit returning false means "stop now"
-// (run should return errStreamStop, which is not an error). limit > 0 cuts
-// the stream after limit tuples and sets Stats.Truncated when the engine
-// derived one more. opts.Abort, when
-// non-nil, cancels the stream from outside (a watcher goroutine forwards it
-// to the producer); Err then reports ErrCanceled. Emitted tuples must stay
-// valid until the evaluation's working storage is garbage — every sink is
-// handed arena-backed tuples, never reused scratch buffers.
-func newEvalIterator(opts Opts, limit int, run func(ro Opts, emit func(storage.Tuple) bool) (Stats, error)) *evalIterator {
+// Stream evaluates the query along the compiled path (Plan.run with an emit
+// sink) in a producer goroutine, delivering answers through an Iterator as
+// they are derived. limit > 0 stops the evaluation once limit answers were
+// delivered and one more was derived (Stats.Truncated set). Bound-argument
+// queries on TC plans additionally exit as soon as the answer set is complete
+// — a fully bound tc(a, b)? stops at its first derivation without computing
+// the rest of the closure. The iterator's answers equal AnswerOpts' answer
+// relation, in deterministic order per plan. opts.Abort, when non-nil,
+// cancels the stream from outside (a watcher goroutine forwards it to the
+// producer); Err then reports ErrCanceled. Emitted tuples stay valid until
+// the evaluation's working storage is garbage — every sink is handed
+// arena-backed tuples, never reused scratch buffers.
+func (p *Plan) Stream(q ast.Query, db *storage.Database, opts Opts, limit int) Iterator {
 	it := &evalIterator{
 		ch:       make(chan storage.Tuple, streamChanSize),
 		abort:    make(chan struct{}),
@@ -153,7 +156,7 @@ func newEvalIterator(opts Opts, limit int, run func(ro Opts, emit func(storage.T
 	it.wg.Add(1)
 	go func() {
 		defer it.wg.Done()
-		st, err := run(ro, emit)
+		_, _, st, err := p.run(q, db, ro, sink{pred: q.Atom.Pred, emit: emit})
 		if truncated {
 			st.Truncated = true
 		}
@@ -217,94 +220,4 @@ func (it *evalIterator) Close() {
 		close(it.abort)
 	})
 	it.wg.Wait()
-}
-
-// Stream evaluates the query along the compiled path, delivering answers
-// through an Iterator as they are derived. limit > 0 stops the evaluation
-// once limit answers were delivered and one more was derived
-// (Stats.Truncated set). Bound-argument queries on TC plans additionally
-// exit as soon as the answer set is complete — a fully bound tc(a, b)? stops
-// at its first derivation without computing the rest of the closure. The
-// iterator's answers equal AnswerOpts' answer relation, in deterministic
-// order per plan.
-func (p *Plan) Stream(q ast.Query, db *storage.Database, opts Opts, limit int) Iterator {
-	return newEvalIterator(opts, limit, func(ro Opts, emit func(storage.Tuple) bool) (Stats, error) {
-		return p.streamInto(q, db, ro, emit)
-	})
-}
-
-// streamInto pushes the query's answers into emit along the compiled path.
-func (p *Plan) streamInto(q ast.Query, db *storage.Database, opts Opts, emit func(storage.Tuple) bool) (Stats, error) {
-	var (
-		st  Stats
-		err error
-	)
-	if opts.book == nil {
-		opts.book = p.book
-	}
-	snk := sink{pred: q.Atom.Pred, emit: emit}
-	switch p.Kind {
-	case PlanTC:
-		_, _, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk)
-	case PlanBounded:
-		_, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)
-	case PlanStable:
-		st, err = streamFixpoint(p.stable.Program(), q, db, opts, emit)
-	default:
-		st, err = streamFixpoint(p.sys.Program(), q, db, opts, emit)
-	}
-	if err != nil && err != errStreamStop {
-		return st, err
-	}
-	st.Plan = p.planInfo()
-	return st, err
-}
-
-// StreamProgram streams a query over a general stratified program (the
-// serving path for programs that are not a single recursive system): the
-// round driver runs with a streaming sink, so answers flow out as rounds
-// complete and an early stop abandons the rest of the fixpoint.
-func StreamProgram(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, limit int) Iterator {
-	return newEvalIterator(opts, limit, func(ro Opts, emit func(storage.Tuple) bool) (Stats, error) {
-		return streamFixpoint(prog, q, db, ro, emit)
-	})
-}
-
-// streamFixpoint runs the round driver with a streaming sink on the query
-// predicate, filtering each emitted tuple against the query's bound
-// constants (the same selection AnswerQuery applies to the finished
-// fixpoint). The driver makes the same per-database partition choice as the
-// materializing path.
-func streamFixpoint(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, emit func(storage.Tuple) bool) (Stats, error) {
-	n := q.Atom.Arity()
-	bound := make([]bool, n)
-	vals := make(storage.Tuple, n)
-	known := true
-	for i, t := range q.Atom.Args {
-		if !t.IsVar() {
-			bound[i] = true
-			v, ok := db.Syms.Lookup(t.Name)
-			if !ok {
-				// Constant the database has never seen: no tuple can match,
-				// but the fixpoint still runs so Stats mirror the
-				// materializing path (which also evaluates, then selects).
-				known = false
-				break
-			}
-			vals[i] = v
-		}
-	}
-	filtered := func(t storage.Tuple) bool {
-		if !known || len(t) != n {
-			return true
-		}
-		for i := range t {
-			if bound[i] && t[i] != vals[i] {
-				return true
-			}
-		}
-		return emit(t)
-	}
-	_, st, err := fixpoint(prog, db, opts, sink{pred: q.Atom.Pred, emit: filtered})
-	return st, err
 }

@@ -174,9 +174,9 @@ func TestStreamDifferentialRandomSystems(t *testing.T) {
 	}
 }
 
-// TestStreamProgramMatchesParallel: the generic stratified serving path
-// (multi-predicate program, no single recursive system) streams the same
-// rows the parallel engine materializes.
+// TestStreamProgramMatchesParallel: a multi-predicate program (no single
+// recursive system, so a classless generic plan) streams the same rows the
+// parallel engine materializes.
 func TestStreamProgramMatchesParallel(t *testing.T) {
 	prog, _, err := parser.ParseProgram(`
 t(X, Y) :- e(X, Y).
@@ -203,7 +203,14 @@ s(X) :- t(n0, X).
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainStream(t, StreamProgram(prog, q, db, Opts{}, 0))
+		p, err := CompilePlanOpts(prog, Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Kind != PlanGeneric || p.Class != "" {
+			t.Fatalf("plan kind=%v class=%q, want the classless generic plan", p.Kind, p.Class)
+		}
+		got := drainStream(t, p.Stream(q, db, Opts{}, 0))
 		if !rowsEqual(got, relRows(ref)) {
 			t.Errorf("%s: streamed %d rows, parallel %d", qs, len(got), ref.Len())
 		}
@@ -364,7 +371,7 @@ func TestStreamCloseMidStream(t *testing.T) {
 	prog := sys.Program()
 	base = runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		it := StreamProgram(prog, q, db, Opts{Workers: 4}, 0)
+		it := (&Plan{Kind: PlanGeneric, fix: prog}).Stream(q, db, Opts{Workers: 4}, 0)
 		if !it.Next() {
 			t.Fatal("parallel stream ended immediately")
 		}

@@ -103,7 +103,7 @@ func TestDifferentialBoundedExpansions(t *testing.T) {
 			}
 			// The expansion union as a plain program through the fixpoint
 			// engine (no pushdown): pure rewrite check.
-			out, _, err := eval.SemiNaive(&ast.Program{Rules: rules}, db)
+			out, _, err := eval.SemiNaiveOpts(&ast.Program{Rules: rules}, db, eval.Opts{})
 			if err != nil {
 				t.Fatalf("%v: %v", sys.Recursive, err)
 			}
@@ -116,7 +116,7 @@ func TestDifferentialBoundedExpansions(t *testing.T) {
 					sys.Recursive, sys.Exits[0], q, got.Len(), ref.Len())
 			}
 			// The same union through BoundedEval's compiled path.
-			fast, _, err := eval.BoundedEval(sys, res.RankBound, q, db)
+			fast, _, err := eval.BoundedEvalOpts(sys, res.RankBound, q, db, eval.Opts{})
 			if err != nil {
 				t.Fatalf("%v: %v", sys.Recursive, err)
 			}

@@ -301,7 +301,7 @@ func TestBoundedEquivalenceOnData(t *testing.T) {
 				t.Fatal(err)
 			}
 			prog := &ast.Program{Rules: rules}
-			out, _, err := eval.Naive(prog, db)
+			out, _, err := eval.NaiveOpts(prog, db, eval.Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func TestTheorem11ConservativeBoundOnData(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := eval.BoundedEval(sys, res.RankBound, q, db)
+			got, _, err := eval.BoundedEvalOpts(sys, res.RankBound, q, db, eval.Opts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -197,12 +197,12 @@ func TestServerResponseFormsAgree(t *testing.T) {
 		}})
 	}
 	// The non-linear program of TestServerGenericFallback: no single system,
-	// so the generic-program branch of open serves it.
+	// so its plan is the classless generic one.
 	fixtures = append(fixtures, fixture{"fallback", `
 t(X, Y) :- e(X, Y).
 t(X, Y) :- t(X, Z), t(Z, Y).
 e(a, b). e(b, c). e(c, d).
-`, "parallel", []string{"?- t(X, Y).", "?- t(a, Y)."}})
+`, "generic-parallel", []string{"?- t(X, Y).", "?- t(a, Y)."}})
 
 	counters := func(s *Server) [3]int64 {
 		return [3]int64{s.queries.Value(), s.rowsStreamed.Value(), s.earlyTerm.Value()}

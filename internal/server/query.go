@@ -100,26 +100,19 @@ func (s *Server) open(ctx context.Context, qs string, limit int, stream bool, tr
 	opts := s.evalOpts(tracer, ctx.Done())
 	a := answer{q: q, query: q.String(), snap: snap, streamed: stream || limit > 0, limit: limit, t0: time.Now()}
 
-	rel, st, hit := s.cache.Lookup(s.progKey, a.query, snap.Epoch())
+	rel, st, hit := s.cache.Lookup(s.key, a.query, snap.Epoch())
 	switch {
 	case hit:
 		a.cached = true
-	case a.streamed && s.sys != nil:
-		plan, _, err := s.planner.PlanForEpoch(s.sys, q, snap.Epoch(), snap.DB(), opts)
+	case a.streamed:
+		plan, _, err := s.planner.PlanForEpoch(s.src, q, snap.Epoch(), snap.DB(), opts)
 		if err != nil {
 			return answer{}, err
 		}
 		a.it = plan.Stream(q, snap.DB(), opts, limit)
 		return a, nil
-	case a.streamed:
-		a.it = eval.StreamProgram(s.prog, q, snap.DB(), opts, limit)
-		return a, nil
-	case s.sys != nil:
-		rel, st, a.cached, err = s.cache.Answer(s.planner, s.sys, q, snap, opts)
 	default:
-		// Generic program: parallel semi-naive over the snapshot, with the
-		// materialized fixpoint kept as the entry's maintenance state.
-		rel, st, a.cached, err = s.cache.AnswerProgram(s.prog, s.progKey, q, snap, opts)
+		rel, st, a.cached, err = s.cache.Answer(s.planner, s.src, q, snap, opts)
 	}
 	if err != nil {
 		return answer{}, err
@@ -191,8 +184,6 @@ func (s *Server) newResult(a *answer, st eval.Stats, rows int) *QueryResult {
 	}
 	if st.Plan != nil {
 		res.Class, res.Strategy, res.Cost = st.Plan.Class, st.Plan.Strategy, st.Plan.Cost
-	} else if s.sys == nil {
-		res.Strategy = "parallel"
 	}
 	return res
 }
@@ -239,13 +230,11 @@ func (s *Server) StreamQuery(ctx context.Context, qs string, limit int, tracer *
 
 // validateQuery rejects queries that can never be answered by the served
 // program — wrong predicate for a single-system server, wrong arity for a
-// known predicate — as client errors, so they don't count as engine
-// failures.
+// known predicate — as client errors, so they don't count as engine failures.
 func (s *Server) validateQuery(q ast.Query, snap *storage.Snapshot) error {
 	if s.sys != nil {
 		if q.Atom.Pred != s.sys.Pred() || q.Atom.Arity() != s.sys.Arity() {
-			return clientErrf("query %v does not match served predicate %s/%d",
-				q, s.sys.Pred(), s.sys.Arity())
+			return clientErrf("query %v does not match served predicate %s/%d", q, s.sys.Pred(), s.sys.Arity())
 		}
 		return nil
 	}

@@ -6,10 +6,12 @@
 // write (POST /facts) loads the new facts and publishes a fresh snapshot;
 // every query pins the latest published snapshot with one atomic load and
 // evaluates against it without ever blocking the writer or other readers.
-// Answers are served through eval.ResultCache, keyed by (program, query,
-// epoch): repeated queries of a quiet database cost one cache probe, iden-
-// tical concurrent cold queries collapse into one fixpoint (singleflight),
-// and a write automatically invalidates by advancing the epoch.
+// Every program is planned (eval.Plan) — a single linear recursive system by
+// its classification, anything else generically — and answered through
+// eval.ResultCache, keyed by (program, query, epoch): repeated queries of a
+// quiet database cost one cache probe, identical concurrent cold queries
+// collapse into one fixpoint (singleflight), and a write automatically
+// invalidates by advancing the epoch.
 //
 // A query is one pipeline whoever asks (query.go): open parses, validates,
 // pins the snapshot and opens a row source — the cached relation, an
@@ -147,9 +149,9 @@ type Server struct {
 	db   *storage.Database
 	snap atomic.Pointer[storage.Snapshot]
 
-	sys     *ast.RecursiveSystem // non-nil when the program is one linear system
-	prog    *ast.Program         // rules only, for the generic fallback path
-	progKey string               // the program's result-cache key
+	src     eval.Source          // the program's rules, as the planner and the result cache take them
+	key     string               // eval.SystemKey(src): the result-cache key, rendered once
+	sys     *ast.RecursiveSystem // src, when the program is one linear system; else nil
 	arities map[string]int       // every predicate the program source mentions; read-only
 
 	planner *eval.Planner
@@ -173,11 +175,9 @@ type Server struct {
 	queryDur, evalDur                       *obs.Histogram
 }
 
-// New builds a Server from Datalog source: rules define the program (facts
-// in the source seed the database). Programs forming a single linear
-// recursive system get the classification-driven planner; anything else is
-// answered by the parallel semi-naive engine. Queries in the source are
-// rejected — they arrive over HTTP.
+// New builds a Server from Datalog source: rules define the program, facts
+// in the source seed the database, and queries in the source are rejected —
+// they arrive over HTTP.
 func New(src string, cfg Config) (*Server, error) {
 	prog, queries, err := parser.ParseProgram(src)
 	if err != nil {
@@ -202,7 +202,7 @@ func New(src string, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		db:      storage.NewDatabase(),
-		prog:    &ast.Program{Rules: prog.Rules},
+		src:     &ast.Program{Rules: prog.Rules},
 		arities: arities,
 		planner: eval.NewPlannerWith(reg),
 		cache:   eval.NewResultCacheWith(reg, cfg.CacheBytes),
@@ -222,10 +222,10 @@ func New(src string, cfg Config) (*Server, error) {
 	if cfg.JournalSize >= 0 {
 		s.journal = obs.NewJournal(cfg.JournalSize, cmp.Or(cfg.SlowQueryThreshold, DefaultSlowQueryThreshold))
 	}
-	s.progKey = s.prog.String()
-	if sys, err := ast.SystemOf(s.prog); err == nil {
-		s.sys, s.progKey = sys, eval.SystemKey(sys)
+	if sys, err := ast.SystemOf(s.src.Program()); err == nil {
+		s.sys, s.src = sys, sys
 	}
+	s.key = eval.SystemKey(s.src)
 	for _, f := range prog.Facts {
 		names := make([]string, len(f.Args))
 		for i, t := range f.Args {
@@ -301,13 +301,7 @@ func (s *Server) loadFacts(src string) (uint64, eval.MaintResult, time.Duration,
 	var maintDur time.Duration
 	if !s.cfg.DisableMaintenance && snap != old {
 		t0 := time.Now()
-		mres = s.cache.Maintain(old, snap, eval.MaintSpec{
-			Planner: s.planner,
-			Sys:     s.sys,
-			Prog:    s.prog,
-			ProgKey: s.progKey,
-			Opts:    s.evalOpts(nil, nil),
-		})
+		mres = s.cache.Maintain(old, snap, eval.MaintSpec{Planner: s.planner, Sys: s.src, Opts: s.evalOpts(nil, nil)})
 		maintDur = time.Since(t0)
 	}
 	s.snap.Store(snap)
@@ -366,10 +360,9 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // real query can reuse from the plan cache.
 func (s *Server) warmPlan() {
 	if s.sys == nil {
-		return // generic programs are answered without a compiled plan
+		return // no one predicate to warm; the first query of each form compiles its plan
 	}
 	q := ast.Query{Atom: s.sys.Recursive.Head} // distinct variables: the all-free form
 	snap := s.snap.Load()
-	_, _, err := s.planner.PlanForEpoch(s.sys, q, snap.Epoch(), snap.DB(), s.evalOpts(nil, nil))
-	s.warmErr = err
+	_, _, s.warmErr = s.planner.PlanForEpoch(s.src, q, snap.Epoch(), snap.DB(), s.evalOpts(nil, nil))
 }

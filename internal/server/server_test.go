@@ -13,8 +13,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/ast"
+	"repro/internal/dlgen"
 	"repro/internal/eval"
+	"repro/internal/paper"
 	"repro/internal/parser"
 )
 
@@ -144,7 +145,7 @@ func TestServerMetricsExposed(t *testing.T) {
 }
 
 // TestServerGenericFallback: a program that is not a single linear system
-// still serves (parallel semi-naive path) with caching.
+// is planned too — classless, on the generic parallel engine — and cached.
 func TestServerGenericFallback(t *testing.T) {
 	src := `
 t(X, Y) :- e(X, Y).
@@ -156,8 +157,8 @@ e(a, b). e(b, c).
 		t.Fatal("nonlinear program extracted a linear system")
 	}
 	cold := getQuery(t, ts, "?- t(a, Y).")
-	if cold.Count != 2 || cold.Cached || cold.Strategy != "parallel" {
-		t.Fatalf("fallback cold: %+v, want 2 answers via parallel", cold)
+	if cold.Count != 2 || cold.Cached || cold.Strategy != "generic-parallel" || cold.Class != "" {
+		t.Fatalf("fallback cold: %+v, want 2 answers via a classless generic-parallel plan", cold)
 	}
 	warm := getQuery(t, ts, "?- t(a, Y).")
 	if !warm.Cached || warm.Count != 2 {
@@ -275,12 +276,8 @@ func TestServerConcurrentReadWrite(t *testing.T) {
 	if final.Epoch != snap.Epoch() {
 		t.Errorf("final query epoch %d != snapshot epoch %d", final.Epoch, snap.Epoch())
 	}
-	sys, err := ast.SystemOf(s.prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 	q, _ := parser.ParseQuery("?- p(X, Y).")
-	ref, _, err := eval.Answer(eval.StrategySemiNaive, sys, q, snap.DB())
+	ref, _, err := eval.Answer(eval.StrategySemiNaive, s.sys, q, snap.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,5 +560,151 @@ func TestServerQueryValidation(t *testing.T) {
 	}
 	if got := s.Registry().Counter("dl_server_errors_total").Value(); got != 0 {
 		t.Errorf("engine errors = %d, want 0", got)
+	}
+}
+
+// TestServerStoredFactUnderHead: a fact stored under the planned predicate
+// itself — in the program text, or accepted later by POST /facts — must be
+// built on like any derived tuple, whatever the plan class. The classified
+// kernels assume there is none, so the plan runs generically from then on
+// (class unchanged): streamed, cold, hit and after a further write all equal
+// the naive oracle over the server's own snapshot.
+func TestServerStoredFactUnderHead(t *testing.T) {
+	for _, f := range [][2]string{{"s1a", "tc-frontier"}, {"s10", "bounded-union"}, {"s4a", "stable-parallel"}} {
+		id, strategy := f[0], f[1]
+		st, _ := paper.ByID(id)
+		sys := st.System()
+		db, err := dlgen.RandomDB(sys, 6, 14, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var facts strings.Builder
+		if err := db.WriteFacts(&facts); err != nil {
+			t.Fatal(err)
+		}
+		free := make([]string, sys.Arity())
+		stored := make([]string, sys.Arity())
+		for i := range free {
+			free[i], stored[i] = fmt.Sprintf("X%d", i), "zz"
+		}
+		stored[0] = "n0"
+		vars := strings.Join(free, ", ")
+		src := fmt.Sprintf("%v\n%s(%[3]s) :- e(%[3]s).\n%s", st.Rule, sys.Pred(), vars, facts.String())
+		fact := fmt.Sprintf("%s(%s).", sys.Pred(), strings.Join(stored, ", "))
+		queries := []string{
+			fmt.Sprintf("?- %s(%s).", sys.Pred(), vars),
+			fmt.Sprintf("?- %s(%s).", sys.Pred(), strings.Join(append([]string{"n0"}, free[1:]...), ", ")),
+		}
+		for _, via := range []string{"text", "post"} {
+			t.Run(id+"/"+via, func(t *testing.T) {
+				text := src
+				if via == "text" {
+					text += fact
+				}
+				s, ts := newTestServer(t, text)
+				oracle := func(qs string) []string {
+					t.Helper()
+					q, _ := parser.ParseQuery(qs)
+					snap := s.Snapshot()
+					out, _, err := eval.NaiveOpts(s.sys.Program(), snap.DB(), eval.Opts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ans, err := eval.AnswerQuery(out, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var rows [][]string
+					for _, tp := range ans.Tuples() {
+						row := make([]string, len(tp))
+						for i, v := range tp {
+							row[i] = snap.Syms().Name(v)
+						}
+						rows = append(rows, row)
+					}
+					return sortedRows(rows)
+				}
+				check := func(when, q string, got formResult, cached bool, strategy string) {
+					t.Helper()
+					if want := oracle(q); !reflect.DeepEqual(got.Rows, want) {
+						t.Errorf("%s %s: %d rows, oracle %d", when, q, len(got.Rows), len(want))
+					}
+					if got.Cached != cached || got.Strategy != strategy || got.Class == "" {
+						t.Errorf("%s %s: cached=%v strategy=%q class=%q, want cached=%v strategy=%q and the class kept",
+							when, q, got.Cached, got.Strategy, got.Class, cached, strategy)
+					}
+				}
+				if via == "post" {
+					// Cached by the classified kernel first, so the write has
+					// entries of that kind to carry.
+					for _, q := range queries {
+						check("before the fact", q, responseForms[0].ask(t, s, ts, q, 0), false, strategy)
+					}
+					resp, err := http.Post(ts.URL+"/facts", "text/plain", strings.NewReader(fact))
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("POST /facts %s: status %d", fact, resp.StatusCode)
+					}
+					// The TC and bounded deltas do not apply: those entries are
+					// recomputed generically. A stable entry's fixpoint is carried
+					// on by the original rules and keeps its first computation's
+					// summary.
+					carried := "generic-parallel"
+					if strategy == "stable-parallel" {
+						carried = strategy
+					}
+					for _, q := range queries {
+						check("carried across the fact", q, responseForms[0].ask(t, s, ts, q, 0), true, carried)
+					}
+					s, ts = newTestServer(t, src) // and the same arrival with nothing cached
+					if _, err := s.LoadFacts(fact); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, q := range queries {
+					check("streamed", q, responseForms[1].ask(t, s, ts, q, 0), false, "generic-parallel")
+					check("cold", q, responseForms[2].ask(t, s, ts, q, 0), false, "generic-parallel")
+					check("hit", q, responseForms[4].ask(t, s, ts, q, 0), true, "generic-parallel")
+				}
+				if _, err := s.LoadFacts("e(" + strings.Join(stored, ", ") + ")."); err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range queries {
+					got := getQuery(t, ts, q)
+					if !got.Maintained {
+						t.Errorf("after a write %s: maintained=false, want the generic delta pass", q)
+					}
+					check("after a write", q, summarise(&got, got.Answers), true, "generic-parallel")
+				}
+			})
+		}
+	}
+}
+
+// TestServerPlanSurvivesWrite: plans are keyed by program, adornment and
+// statistics epoch — not by snapshot epoch — so one compile serves the cold
+// query, the maintenance pass of a one-fact write and the next cold query of
+// the same form.
+func TestServerPlanSurvivesWrite(t *testing.T) {
+	s, _ := newTestServer(t, tcProgram)
+	ask := func(q string) {
+		t.Helper()
+		if res, err := s.Query(context.Background(), q, nil); err != nil || res.Cached {
+			t.Fatalf("%s: cached=%v err=%v, want a cold answer", q, res != nil && res.Cached, err)
+		}
+	}
+	ask("?- p(a, Y).")
+	if _, err := s.LoadFacts("e(d, e)."); err != nil {
+		t.Fatal(err)
+	}
+	ask("?- p(b, Y).")
+	reg := s.Registry()
+	misses, hits := reg.Counter("dl_plancache_misses_total").Value(), reg.Counter("dl_plancache_hits_total").Value()
+	if misses != 1 || hits != 2 || s.planner.Len() != 1 {
+		t.Errorf("plan cache: %d misses, %d hits, %d plans; want 1 compile, hits by the maintenance pass and the second query, 1 plan",
+			misses, hits, s.planner.Len())
 	}
 }

@@ -142,7 +142,7 @@ const (
 // never mutates — a probe for a column that somehow lacks an index returns
 // an empty result instead of building one — and any number of goroutines
 // may call the read methods (Len, Contains, Tuples, At, Each, EachCol,
-// EachMatch, LookupCol, Partition) concurrently as long as no writer runs.
+// EachMatch, LookupCol) concurrently as long as no writer runs.
 // Insert, InsertAll and Reset always require exclusive access; Insert keeps
 // already-built indexes current, so a single-threaded write phase may be
 // followed by another concurrent read phase without rebuilding.
@@ -514,14 +514,6 @@ func (r *Relation) Indexed() bool {
 	return true
 }
 
-// Partition splits the relation's tuples into at most parts contiguous,
-// near-equal chunks (fewer when the relation is smaller than parts). The
-// chunks are read-only views of the underlying tuple slice: callers must
-// not mutate them, and must not grow the relation while holding them.
-func (r *Relation) Partition(parts int) [][]Tuple {
-	return PartitionTuples(r.tuples, parts)
-}
-
 // PartitionTuples splits a tuple slice into at most parts contiguous,
 // near-equal chunks (fewer when the slice is shorter than parts). The
 // chunks are views of the input slice: callers must not mutate them.
@@ -847,16 +839,6 @@ func (db *Database) BuildIndexes() {
 	for _, r := range db.rels {
 		r.BuildIndexes()
 	}
-}
-
-// StatsSnapshot sums the write-path counters of every relation in the
-// database. Requires no concurrent writer (same contract as Relation.Stats).
-func (db *Database) StatsSnapshot() RelStats {
-	var out RelStats
-	for _, r := range db.rels {
-		out = out.Add(r.stats)
-	}
-	return out
 }
 
 // Clone deep-copies the database. The symbol table is shared (symbols are

@@ -293,7 +293,7 @@ func TestPartition(t *testing.T) {
 		r.Insert(Tuple{Value(i)})
 	}
 	for _, parts := range []int{1, 2, 3, 10, 25, 0} {
-		chunks := r.Partition(parts)
+		chunks := PartitionTuples(r.Tuples(), parts)
 		total := 0
 		for _, c := range chunks {
 			if len(c) == 0 {
@@ -315,7 +315,7 @@ func TestPartition(t *testing.T) {
 			t.Errorf("parts=%d: got %d chunks", parts, len(chunks))
 		}
 	}
-	if got := NewRelation(1).Partition(4); got != nil {
+	if got := PartitionTuples(NewRelation(1).Tuples(), 4); got != nil {
 		t.Errorf("empty relation partitioned into %d chunks", len(got))
 	}
 }
@@ -420,7 +420,7 @@ func TestPartitionTuplesEdgeCases(t *testing.T) {
 		r.Insert(Tuple{Value(i)})
 	}
 	total := 0
-	for _, c := range r.Partition(3) {
+	for _, c := range PartitionTuples(r.Tuples(), 3) {
 		total += len(c)
 	}
 	if total != 7 {
@@ -503,7 +503,7 @@ func TestConcurrentReadsAfterBuildIndexes(t *testing.T) {
 					return
 				}
 			}
-			for _, chunk := range r.Partition(4) {
+			for _, chunk := range PartitionTuples(r.Tuples(), 4) {
 				for _, tup := range chunk {
 					if !r.Contains(tup) {
 						errs <- "partitioned tuple not contained"
