@@ -35,9 +35,9 @@ race:
 # internal/eval (so X/XOpts twins cannot quietly come back), may not pass the
 # ceilings the last shrinking PR left behind. Raise one only in a PR that
 # says what the new lines or names buy.
-EVAL_SIZE_MAX = 5559
-SERVER_SIZE_MAX = 1010
-STORAGE_SIZE_MAX = 1907
+EVAL_SIZE_MAX = 5779
+SERVER_SIZE_MAX = 1012
+STORAGE_SIZE_MAX = 1894
 EVAL_SURFACE_MAX = 55
 size:
 	@for row in internal/eval:$(EVAL_SIZE_MAX) internal/server:$(SERVER_SIZE_MAX) internal/storage:$(STORAGE_SIZE_MAX); do \

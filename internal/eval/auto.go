@@ -284,13 +284,8 @@ func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts O
 		// also evaluates, then selects).
 		bound, vals, known := selection(q, db.Syms)
 		snk.emit = func(t storage.Tuple) bool {
-			if !known || len(t) != len(vals) {
+			if !known || len(t) != len(vals) || !matches(bound, vals, t) {
 				return true
-			}
-			for i := range t {
-				if bound[i] && t[i] != vals[i] {
-					return true
-				}
 			}
 			return emit(t)
 		}

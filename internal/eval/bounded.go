@@ -104,13 +104,7 @@ func unionRules(rules []ast.Rule, q ast.Query, db *storage.Database, answers *st
 		derived0, visited0 := st.Derived, st.Visited
 		stopped := false
 		c.EvalWith(rels, binding, order, &st.Visited, func(b []storage.Value) bool {
-			for i, s := range slots {
-				if s >= 0 {
-					buf[i] = b[s]
-				} else {
-					buf[i] = fixed[i]
-				}
-			}
+			project(buf, slots, fixed, b)
 			if answers.Insert(buf) {
 				st.Derived++
 				// Insert copied buf into the arena; the sink sees the stable

@@ -478,19 +478,25 @@ func (c *Conj) EvalProject(rels RelFunc, binding []storage.Value, slots []int, f
 	added := 0
 	buf := make(storage.Tuple, len(slots))
 	c.Eval(rels, binding, func(b []storage.Value) bool {
-		for i, s := range slots {
-			if s >= 0 {
-				buf[i] = b[s]
-			} else {
-				buf[i] = fixed[i]
-			}
-		}
+		project(buf, slots, fixed, b)
 		if out.Insert(buf) {
 			added++
 		}
 		return true
 	})
 	return added
+}
+
+// project fills buf with a head tuple: slot i reads binding b at slots[i], or
+// the pinned value fixed[i] when slots[i] is −1.
+func project(buf storage.Tuple, slots []int, fixed storage.Tuple, b []storage.Value) {
+	for i, s := range slots {
+		if s >= 0 {
+			buf[i] = b[s]
+		} else {
+			buf[i] = fixed[i]
+		}
+	}
 }
 
 // HeadSlots maps the head atom's arguments to conjunction slots: for a

@@ -275,9 +275,11 @@ func TestPlanCacheStatsEpoch(t *testing.T) {
 		t.Fatalf("second lookup: hit=%v err=%v, want hit", hit, err)
 	}
 
-	// Rebuild statistics: overflow insert + compact bumps the stats epoch.
-	db.Insert("e", "fresh1", "fresh2")
-	db.Rel("e").CompactIndexes()
+	// Rebuild statistics: outgrowing the last build by half plus 64 tuples
+	// folds the overflow back and bumps the stats epoch.
+	for i := 0; i < 70; i++ {
+		db.Insert("e", fmt.Sprintf("fresh%d", i), "fresh")
+	}
 
 	if _, hit, err := pl.PlanForEpoch(sys, q, 1, db, Opts{}); err != nil || hit {
 		t.Fatalf("post-rebuild lookup: hit=%v err=%v, want miss (stale stats)", hit, err)

@@ -241,13 +241,7 @@ func runTask(res *parResult, task parTask, rels RelFunc, scratch *workerScratch)
 	buf := scratch.bufFor(len(cr.slots))
 	attempted := 0
 	yield := func(b []storage.Value) bool {
-		for i, s := range cr.slots {
-			if s >= 0 {
-				buf[i] = b[s]
-			} else {
-				buf[i] = cr.fixed[i]
-			}
-		}
+		project(buf, cr.slots, cr.fixed, b)
 		attempted++
 		// Derivations already in the head (frozen this round; reads are
 		// safe) cost one hash probe here instead of a buffer insert plus
@@ -317,6 +311,13 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 		// only the pooled capacity is worth keeping.
 		if !stopped {
 			pred, head := tasks[i].pred, tasks[i].head
+			if head.Frozen() && res.out.Len() > 0 {
+				// A carried fixpoint relation (incrementalFixpoint) is cloned
+				// copy-on-write at its first fresh tuple, not before.
+				if head, err = r.work.Ensure(pred, head.Arity()); err != nil {
+					return 0, err
+				}
+			}
 			res.out.Each(func(t storage.Tuple) bool {
 				if !head.Insert(t) {
 					return true
@@ -426,9 +427,10 @@ func diffTasks(rules []compiledRule, local map[string]bool, diff *storage.Snapsh
 }
 
 // diffSeed is the maintenance seed: the heads already hold the old fixpoint
-// (extended copy-on-write), inserted tuples of derived predicates enter them
-// and the frontier directly, and one seed round runs every rule occurrence
-// over a changed base predicate restricted to its inserted tuples.
+// (frozen; one that grows is extended copy-on-write), inserted tuples of
+// derived predicates enter them and the frontier directly, and one seed round
+// runs every rule occurrence over a changed base predicate restricted to its
+// inserted tuples.
 type diffSeed struct{ diff *storage.SnapshotDiff }
 
 func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
@@ -437,11 +439,11 @@ func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, s
 		if !local[pred] {
 			continue
 		}
-		head := r.work.Rel(pred)
+		head, err := r.work.Ensure(pred, len(ts[0]))
+		if err != nil {
+			return nil, err
+		}
 		for _, t := range ts {
-			if len(t) != head.Arity() {
-				return nil, fmt.Errorf("eval: inserted %s tuple of arity %d, fixpoint holds arity %d", pred, len(t), head.Arity())
-			}
 			if head.Insert(t) {
 				fr[pred] = append(fr[pred], head.At(head.Len()-1))
 			}

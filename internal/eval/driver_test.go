@@ -200,6 +200,7 @@ func TestDriverModesAgree(t *testing.T) {
 				pl, rc := NewPlanner(), NewResultCache(0)
 
 				snap := db.Snapshot()
+				before := make(map[string]*storage.Relation)
 				for _, q := range queries {
 					want := oracleRows(t, src, q, snap.DB())
 					if len(want) == 0 {
@@ -209,6 +210,7 @@ func TestDriverModesAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					before[q.String()] = mat
 					if mst.Plan == nil || mst.Plan.Strategy != f.kind.String() || (mst.Plan.Class == "") != f.classless {
 						t.Fatalf("%v: plan %+v, want %v (classless=%v)", q, mst.Plan, f.kind, f.classless)
 					}
@@ -245,12 +247,16 @@ func TestDriverModesAgree(t *testing.T) {
 				f.grow(t, src, db)
 				snap = db.Snapshot()
 				res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: src, Opts: opts})
+				// Carried is checked below, against the relations the cache serves.
+				carried := res.Carried
+				res.Carried = 0
 				if want := (MaintResult{Maintained: len(queries)}); !f.recomputed && res != want {
 					t.Fatalf("Maintain = %+v, want %+v", res, want)
 				}
 				if want := (MaintResult{Recomputed: len(queries)}); f.recomputed && res != want {
 					t.Fatalf("Maintain = %+v, want %+v", res, want)
 				}
+				same := 0
 				for _, q := range queries {
 					got, st, cached, err := rc.Answer(pl, src, q, snap, opts)
 					if err != nil {
@@ -262,6 +268,12 @@ func TestDriverModesAgree(t *testing.T) {
 					if want := oracleRows(t, src, q, snap.DB()); !rowsEqual(relRows(got), want) {
 						t.Errorf("%v: maintained %d rows, oracle %d", q, got.Len(), len(want))
 					}
+					if got == before[q.String()] {
+						same++
+					}
+				}
+				if carried != same {
+					t.Errorf("Maintain reports %d carried, %d entries serve the relation they served before the write", carried, same)
 				}
 			})
 		}

@@ -12,18 +12,22 @@ import (
 // forward: it reads the insert-only diff between the two snapshots
 // (storage.DiffSnapshots — cheap, the arena is append-only) and re-runs only
 // the delta on the same loops that computed the entry, seeded differently
-// and under a budget sink:
+// and under a budget sink. An entry the diff provably cannot reach is
+// re-keyed to the new epoch as it is — same relation, nothing copied — and
+// the others pay for the inserted tuples, not for their own size:
 //
-//   - TC frontier plans restart the kernel's bfs from the new edges'
-//     endpoints against the frozen closure (bound queries), or compose the
-//     new edges against the frozen closure (all-free queries). The cached
-//     exit relation and visited set captured at compute time (tcAux) make
-//     the restart O(new reachable region), never O(graph).
-//   - Bounded plans re-run only the expansion terms that mention a changed
-//     predicate, inserting into a copy-on-write clone of the old answers.
-//   - Stable/generic parallel plans run the round driver with a diffSeed —
-//     the inserted tuples over the frozen old fixpoint (fixAux) — shared by
-//     every cached query of the same program.
+//   - TC frontier plans (maintainTC) restart the kernel's bfs from the new
+//     edges' endpoints against the frozen visited set (bound queries), or
+//     compose the new edges against the frozen closure (all-free queries).
+//   - Bounded plans (maintainBounded) seed every positive occurrence of a
+//     changed predicate in the expansion rules with the inserted tuples.
+//   - Stable/generic parallel plans (incrementalFixpoint) run the round
+//     driver with a diffSeed over the frozen old fixpoint once for every
+//     cached query of the program; each entry takes the tuples that run
+//     derived which match its constants (fixState.answer).
+//
+// Nothing is compacted on the way: a carried relation keeps its index
+// overflow until Insert folds it (colIndex.stale, storage/csr.go).
 //
 // Insert-only monotone semantics make this sound: for a positive program,
 // restarting semi-naive iteration from any pre-fixpoint (here: the old
@@ -55,6 +59,9 @@ type MaintSpec struct {
 type MaintResult struct {
 	// Maintained entries were carried forward by a delta pass.
 	Maintained int
+	// Carried counts the maintained entries the diff could not reach: they
+	// were re-keyed to the new epoch with their answer relation as it was.
+	Carried int
 	// Recomputed entries were rebuilt from scratch (fallback).
 	Recomputed int
 	// Skipped entries were left behind at the old epoch (foreign program,
@@ -62,12 +69,22 @@ type MaintResult struct {
 	Skipped int
 }
 
-// tcAux is the maintenance state of a TC-frontier entry: the materialized
-// exit relation and, for bound queries, the BFS visited set. Both are
-// immutable once the entry is published.
+// tcAux is the maintenance state of a TC-frontier entry: the exit relation
+// when it is a private materialized copy (nil when the kernel reads the
+// database's own relation, tcShape.exitPred) and, for bound queries, the BFS
+// visited set. Both are immutable once the entry is published.
 type tcAux struct {
 	exit    *storage.Relation
 	visited *storage.ValueSet // nil for the all-free query (answers = closure)
+}
+
+// with returns the state holding the given exit copy and visited set: a
+// itself when neither changed.
+func (a *tcAux) with(exit *storage.Relation, visited *storage.ValueSet) *tcAux {
+	if exit == a.exit && visited == a.visited {
+		return a
+	}
+	return &tcAux{exit: exit, visited: visited}
 }
 
 // fixAux is the maintenance state of a fixpoint-plan entry: the
@@ -75,6 +92,15 @@ type tcAux struct {
 // every cached query of the same program; immutable once published.
 type fixAux struct {
 	idb map[string]*storage.Relation
+}
+
+// sizeBytes sums the footprint of the materialized relations.
+func (a *fixAux) sizeBytes() int64 {
+	var n int64
+	for _, r := range a.idb {
+		n += r.SizeBytes()
+	}
+	return n
 }
 
 // newFixAux collects the head (and program-fact) relations of the program
@@ -96,6 +122,24 @@ func newFixAux(prog *ast.Program, work *storage.Database) *fixAux {
 		}
 	}
 	return &fixAux{idb: m}
+}
+
+// privateBytes is the footprint of the state an entry keeps to itself: a TC
+// entry's exit copy and visited set. A fixAux is shared, and charged once by
+// the cache (ResultCache.fixRefs).
+func privateBytes(aux any) int64 {
+	a, ok := aux.(*tcAux)
+	if !ok {
+		return 0
+	}
+	var n int64
+	if a.exit != nil {
+		n += a.exit.SizeBytes()
+	}
+	if a.visited != nil {
+		n += a.visited.SizeBytes()
+	}
+	return n
 }
 
 // freezeAux freezes the relations a maintenance state holds, making the
@@ -179,7 +223,56 @@ type maintainer struct {
 type fixState struct {
 	aux        *fixAux
 	maintained bool
-	st         Stats // the recompute's own stats when !maintained
+	// from, when maintained, is each head relation's length before the delta
+	// pass: the tuples past it are the ones the pass derived.
+	from map[string]int
+	st   Stats // the recompute's own stats when !maintained
+}
+
+// answer returns the entry's answers over the program's new fixpoint. After a
+// delta pass they are the old answers plus the tuples the pass added to the
+// query's predicate (the diff's own, for a stored predicate) that match the
+// query's constants: the old relation itself when none does, else its
+// copy-on-write clone extended by those. A recomputed fixpoint has no old
+// answers to extend, and the matching tuples are selected out of it whole.
+func (fs *fixState) answer(e *resultEntry, m *maintainer) (*storage.Relation, bool) {
+	pred, n := e.q.Atom.Pred, e.q.Atom.Arity()
+	src, derived := fs.aux.idb[pred], true
+	if src == nil {
+		src, derived = m.cur.Rel(pred), false
+	}
+	if src != nil && src.Arity() != n {
+		return nil, false
+	}
+	out := e.rel
+	if fs.maintained {
+		fresh := m.diff.Inserted[pred]
+		if derived {
+			fresh = src.Tuples()[fs.from[pred]:]
+		}
+		if len(fresh) == 0 {
+			return out, true
+		}
+		bound, vals, known := selection(e.q, m.cur.Syms())
+		for _, t := range fresh {
+			if !known || !matches(bound, vals, t) {
+				continue
+			}
+			if out == e.rel {
+				out = e.rel.CowClone()
+			}
+			out.Insert(t)
+		}
+		return out, true
+	}
+	out = storage.NewRelation(n)
+	if bound, vals, known := selection(e.q, m.cur.Syms()); known && src != nil {
+		src.EachMatch(bound, vals, func(t storage.Tuple) bool {
+			out.Insert(t)
+			return true
+		})
+	}
+	return out, true
 }
 
 // budget returns the derivation-attempt cap for a delta pass over an entry
@@ -218,7 +311,7 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 		}
 	case PlanBounded:
 		if m.diffOK {
-			if rel, ok := maintainBounded(p.rules, e.q, e.rel, m.cur.DB(), m.diff); ok {
+			if rel, _, ok := maintainBounded(p, e.q, e.rel, m.cur.DB(), m.diff); ok {
 				m.publish(e, rel, nil, e.st, true, res)
 				return
 			}
@@ -229,8 +322,8 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 			res.Skipped++
 			return
 		}
-		ans, err := answerFromFix(fs.aux, m.cur, e.q)
-		if err != nil {
+		ans, ok := fs.answer(e, m)
+		if !ok {
 			res.Skipped++
 			return
 		}
@@ -263,8 +356,8 @@ func (m *maintainer) fixStateFor(p *Plan, e *resultEntry) *fixState {
 		for _, r := range old.idb {
 			size += r.Len()
 		}
-		if na, ok := incrementalFixpoint(p.fix.Program(), old, m.cur.DB(), m.diff, m.budget(size)); ok {
-			fs = &fixState{aux: na, maintained: true}
+		if na, from, ok := incrementalFixpoint(p.fix.Program(), old, m.cur.DB(), m.diff, m.budget(size)); ok {
+			fs = &fixState{aux: na, maintained: true, from: from}
 		}
 	}
 	if fs == nil {
@@ -277,7 +370,8 @@ func (m *maintainer) fixStateFor(p *Plan, e *resultEntry) *fixState {
 }
 
 // publish freezes and inserts the carried-forward entry under the new
-// epoch, counting it as maintained or recomputed.
+// epoch, counting it as maintained (carried, when the answer relation is the
+// old entry's own) or recomputed.
 func (m *maintainer) publish(e *resultEntry, rel *storage.Relation, aux any, st Stats, maintained bool, res *MaintResult) {
 	rel.Freeze()
 	if aux != nil {
@@ -299,84 +393,85 @@ func (m *maintainer) publish(e *resultEntry, rel *storage.Relation, aux any, st 
 	// entry per write. A reader still pinned to the old snapshot simply
 	// recomputes on its next probe.
 	if el, ok := c.entries[e.key]; ok && el.Value.(*resultEntry) == e {
-		c.lru.Remove(el)
-		delete(c.entries, e.key)
-		c.bytes -= e.size
+		c.removeLocked(el)
 	}
 	c.insertLocked(ne)
 	c.mu.Unlock()
 	if maintained {
 		c.maintained.Inc()
 		res.Maintained++
+		if rel == e.rel {
+			c.carried.Inc()
+			res.Carried++
+		}
 	} else {
 		c.recomputed.Inc()
 		res.Recomputed++
 	}
 }
 
-// answerFromFix selects the query's answers out of the maintained fixpoint
-// (falling back to the snapshot's base relation for a non-derived
-// predicate).
-func answerFromFix(aux *fixAux, cur *storage.Snapshot, q ast.Query) (*storage.Relation, error) {
-	overlay := storage.NewDatabaseWithSymbols(cur.Syms())
-	for pred, r := range aux.idb {
-		overlay.Set(pred, r)
-	}
-	if overlay.Rel(q.Atom.Pred) == nil {
-		if r := cur.Rel(q.Atom.Pred); r != nil {
-			overlay.Set(q.Atom.Pred, r)
-		}
-	}
-	return AnswerQuery(overlay, q)
-}
-
 // maintainTC carries one TC-frontier entry across an insert-only diff on the
-// kernel of tc.go. The bound cases restart the BFS from the frontier the new
-// edges open up (sources already visited, targets not yet) against the
-// cloned visited set, adding answers only for the newly visited values (plus
-// the new exit tuples joined against the whole visited set for the
-// closure-join cases). The all-free case composes the new exit tuples and
-// the new edges against a copy-on-write clone of the frozen closure. Reports
-// ok=false — recompute instead — when negation is involved, the shapes
-// don't line up, or the budget is exceeded.
+// kernel of tc.go. The exit delta is the diff's own tuples when the exit
+// relation is the database's (tcShape.exitPred), one diff-seeded round over
+// the exit rules into a copy-on-write clone of the private copy otherwise.
+// The bound cases restart the BFS from the frontier the new edges open up
+// (sources already visited, targets not yet) against the cloned visited set,
+// adding answers only for the newly visited values (plus the new exit tuples
+// joined against the old visited set for the closure-join cases); an entry
+// with no such frontier and no such exit tuple comes back as it is. The
+// all-free case composes the new exit tuples and the new edges against a
+// copy-on-write clone of the frozen closure, made at the first fresh tuple.
+// Reports ok=false — recompute instead — when negation is involved, the
+// shapes don't line up, or the budget is exceeded.
 func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *storage.Relation, aux *tcAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*storage.Relation, *tcAux, bool) {
-	if aux == nil || aux.exit == nil {
+	if aux == nil {
 		return nil, nil, false
 	}
-	// Exit rules reading a changed predicate force an exit rematerialize;
-	// negation over a changed predicate breaks insert-only monotonicity.
-	exitChanged := false
-	for _, er := range sys.Exits {
-		for _, a := range er.Body {
-			if len(diff.Inserted[a.Pred]) == 0 {
-				continue
+	// exit is the relation the pass reads, own the private copy the carried
+	// state keeps (nil when exit is the database's relation).
+	exit, own := aux.exit, aux.exit
+	var exitDelta []storage.Tuple
+	if own == nil {
+		var private bool
+		if exit, private, _ = shape.exitOf(sys, db); private {
+			return nil, nil, false
+		}
+		exitDelta = diff.Inserted[shape.exitPred]
+	} else {
+		// Exit rules reading a changed predicate grow the private copy;
+		// negation over a changed predicate breaks insert-only monotonicity.
+		exitChanged := false
+		for _, er := range sys.Exits {
+			for _, a := range er.Body {
+				if len(diff.Inserted[a.Pred]) == 0 {
+					continue
+				}
+				if a.Neg {
+					return nil, nil, false
+				}
+				exitChanged = true
 			}
-			if a.Neg {
+		}
+		if exitChanged {
+			// Delta-evaluate only the affected exit rules — one diff-seeded
+			// round over the nonrecursive exit rules. Rematerializing the whole
+			// exit relation would make every write O(database), swamping the
+			// delta pass it feeds.
+			rules, err := compileRules(db.Syms, sys.Exits, nil)
+			if err != nil {
 				return nil, nil, false
 			}
-			exitChanged = true
+			grown := exit.CowClone()
+			run := fixRun{full: DBRels(db), workers: 1}
+			fr := make(frontier)
+			tasks := diffTasks(rules, nil, diff, func(string) *storage.Relation { return grown })
+			if _, err := run.run(0, tasks, 0, 0, fr); err != nil {
+				return nil, nil, false
+			}
+			if exitDelta = fr[sys.Pred()]; len(exitDelta) > 0 {
+				exit, own = grown, grown
+			}
 		}
-	}
-	exit := aux.exit
-	var exitDelta []storage.Tuple
-	if exitChanged {
-		// Delta-evaluate only the affected exit rules — one diff-seeded
-		// round over the nonrecursive exit rules. Rematerializing the whole
-		// exit relation would make every write O(database), swamping the
-		// delta pass it feeds.
-		rules, err := compileRules(db.Syms, sys.Exits, nil)
-		if err != nil {
-			return nil, nil, false
-		}
-		exit = aux.exit.CowClone()
-		run := fixRun{full: DBRels(db), workers: 1}
-		fr := make(frontier)
-		tasks := diffTasks(rules, nil, diff, func(string) *storage.Relation { return exit })
-		if _, err := run.run(0, tasks, 0, 0, fr); err != nil {
-			return nil, nil, false
-		}
-		exitDelta = fr[sys.Pred()]
-		exit.CompactIndexes()
 	}
 	edges := db.Rel(shape.edgePred)
 	if edges != nil && edges.Arity() != 2 {
@@ -385,10 +480,10 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 	edgeDelta := diff.Inserted[shape.edgePred]
 	if len(edgeDelta) == 0 && len(exitDelta) == 0 {
 		// Nothing this entry reads grew: answers and state carry over.
-		return oldRel, &tcAux{exit: exit, visited: aux.visited}, true
+		return oldRel, aux, true
 	}
 
-	r := &tcRun{edges: edges, exit: exit, answers: oldRel.CowClone(), pred: q.Atom.Pred, jc: shape.joinCol(),
+	r := &tcRun{edges: edges, exit: exit, answers: oldRel, pred: q.Atom.Pred, jc: shape.joinCol(),
 		snk: sink{budget: budget}}
 	st := &r.st
 	bound, ok := r.bind(q, db.Syms)
@@ -404,6 +499,12 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		var delta []storage.Tuple
 		grow := func(t storage.Tuple) {
 			st.Facts++
+			if r.answers == oldRel {
+				if oldRel.Contains(t) {
+					return
+				}
+				r.answers = oldRel.CowClone()
+			}
 			if fresh, _ := r.add(t); fresh != nil {
 				delta = append(delta, fresh)
 			}
@@ -422,134 +523,184 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		if r.snk.over(st) || r.compose(delta) != nil {
 			return nil, nil, false
 		}
-		r.answers.CompactIndexes()
-		return r.answers, &tcAux{exit: exit}, true
+		return r.answers, aux.with(own, nil), true
 	}
 
 	// Bound query: restart the sweep from the values the diff newly opens.
-	if aux.visited == nil {
+	visited := aux.visited
+	if visited == nil {
 		return nil, nil, false
 	}
-	visited := aux.visited.Clone()
 	var seeds []storage.Value
-	if !r.eJoin {
-		// The exit relation provided the seeds: new exit tuples matching the
-		// query constant open new BFS sources.
-		for _, t := range exitDelta {
-			if t[r.bc] == r.c {
-				seeds = append(seeds, t[1-r.bc])
-			}
+	open := func(v storage.Value) {
+		if !visited.Contains(v) {
+			seeds = append(seeds, v)
+		}
+	}
+	var hits []storage.Tuple
+	for _, t := range exitDelta {
+		switch {
+		case r.eJoin && visited.Contains(t[r.bc]):
+			// A new exit tuple answers for the visited value it hangs off.
+			hits = append(hits, t)
+		case !r.eJoin && t[r.bc] == r.c:
+			// The exit relation provides the sources: a new exit tuple matching
+			// the query constant opens one.
+			open(t[1-r.bc])
 		}
 	}
 	// New edges whose source is already reachable open their targets.
 	for _, e := range edgeDelta {
 		if visited.Contains(e[r.bc]) {
-			seeds = append(seeds, e[1-r.bc])
+			open(e[1-r.bc])
 		}
 	}
+	if len(seeds) == 0 && len(hits) == 0 {
+		// The diff reaches nothing this entry has visited.
+		return oldRel, aux.with(own, visited), true
+	}
+	if len(seeds) > 0 {
+		visited = visited.Clone()
+	}
+	r.answers = oldRel.CowClone()
 	if r.bfs(seeds, visited, r.contribute) != nil {
 		return nil, nil, false
 	}
-	if r.eJoin {
-		// New exit tuples answer for every visited value, old or new.
-		for _, t := range exitDelta {
-			if visited.Contains(t[r.bc]) {
-				st.Facts++
-				r.answer(t[1-r.bc])
-			}
-		}
+	for _, t := range hits {
+		st.Facts++
+		r.answer(t[1-r.bc])
 	}
 	if r.snk.over(st) {
 		return nil, nil, false
 	}
-	r.answers.CompactIndexes()
-	return r.answers, &tcAux{exit: exit, visited: visited}, true
+	return r.answers, aux.with(own, visited), true
 }
 
 // maintainBounded carries one bounded-union entry across an insert-only
-// diff by re-running only the expansion rules that mention a changed
-// predicate, inserting into a copy-on-write clone of the old answers.
-// Sound because the expansion union is monotone in its positive literals;
-// a changed predicate under negation (in any rule — an unchanged rule's old
-// derivations could be invalidated too) forces a recompute.
-func maintainBounded(rules []ast.Rule, q ast.Query, oldRel *storage.Relation, db *storage.Database, diff *storage.SnapshotDiff) (*storage.Relation, bool) {
-	var affected []ast.Rule
-	for _, r := range rules {
-		hit := false
+// diff. The expansion union is a finite set of conjunctive queries, so the
+// new answers are the ones with at least one inserted tuple in their
+// derivation: every positive occurrence of a changed predicate is seeded
+// with the inserted tuples while the rest of the body reads the new
+// database, the query's constants pushed into the binding (bindHead) and
+// the plan's seeded join order followed. The old answers are cloned
+// copy-on-write at the first fresh one; an entry that gains none comes back
+// as it is. Sound because the union is monotone in its positive literals; a
+// changed predicate under negation (in any rule — an unchanged rule's old
+// derivations could be invalidated too) forces a recompute. Also returns the
+// number of tuples the pass visited.
+func maintainBounded(p *Plan, q ast.Query, oldRel *storage.Relation, db *storage.Database, diff *storage.SnapshotDiff) (*storage.Relation, int64, bool) {
+	for _, r := range p.rules {
 		for _, a := range r.Body {
-			if len(diff.Inserted[a.Pred]) == 0 {
+			if a.Neg && len(diff.Inserted[a.Pred]) > 0 {
+				return nil, 0, false
+			}
+		}
+	}
+	var visited int64
+	n := q.Atom.Arity()
+	rels := DBRels(db)
+	slots, fixed, buf := make([]int, n), make(storage.Tuple, n), make(storage.Tuple, n)
+	out := oldRel
+	yield := func(b []storage.Value) bool {
+		project(buf, slots, fixed, b)
+		if out == oldRel {
+			if oldRel.Contains(buf) {
+				return true
+			}
+			out = oldRel.CowClone()
+		}
+		out.Insert(buf)
+		return true
+	}
+	for _, r := range p.rules {
+		var c *Conj
+		var binding []storage.Value
+		for bi, a := range r.Body {
+			ts := diff.Inserted[a.Pred]
+			if a.Neg || len(ts) == 0 || len(ts[0]) != a.Arity() {
 				continue
 			}
-			if a.Neg {
-				return nil, false
+			if c == nil {
+				var ok bool
+				var err error
+				if c, binding, ok, err = bindHead(r, q, db, slots, fixed); err != nil {
+					return nil, 0, false
+				}
+				if !ok {
+					break // the head cannot unify with the query
+				}
 			}
-			hit = true
+			var order []int
+			if ord := p.book.orderFor(r); ord != nil && ord.seeded != nil {
+				order = ord.seeded[bi]
+			}
+			s := newSeederWith(c, rels, binding, order, &visited, yield)
+			for _, t := range ts {
+				s.seed(bi, t)
+			}
 		}
-		if hit {
-			affected = append(affected, r)
-		}
 	}
-	if len(affected) == 0 {
-		return oldRel, true
-	}
-	out := oldRel.CowClone()
-	var st Stats
-	rs := newRoundSink(&st, Opts{}, nil)
-	if err := unionRules(affected, q, db, out, &st, &rs, Opts{}, sink{}); err != nil {
-		return nil, false
-	}
-	out.CompactIndexes()
-	return out, true
+	return out, visited, true
 }
 
 // incrementalFixpoint carries a program's materialized least fixpoint
-// across an insert-only EDB delta on the round driver: the old IDB relations
-// are extended copy-on-write, the diff seeds the first frontier (diffSeed)
-// and delta rounds run to quiescence, all on the calling goroutine — the
-// budget already caps the work below what fan-out would pay for. Sound for
-// positive programs only — restarting semi-naive iteration from the old
-// fixpoint plus the delta converges to the new least fixpoint because
-// evaluation is monotone and the old fixpoint is a subset of the new one.
-func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*fixAux, bool) {
+// across an insert-only EDB delta on the round driver: the diff seeds the
+// first frontier (diffSeed) and delta rounds run to quiescence over the frozen
+// old IDB relations, each cloned copy-on-write at its first fresh tuple
+// (Database.Ensure), all on the calling goroutine — the budget already caps
+// the work below what fan-out would pay for. It returns the new state and
+// each head's old length, past which lie the tuples the pass derived; a head
+// that gained none is the old relation still, and a diff no rule reads or a
+// pass that derived nothing gives the old state back. Sound for positive programs only — restarting
+// semi-naive iteration from the old fixpoint plus the delta converges to the
+// new least fixpoint because evaluation is monotone and the old fixpoint is a
+// subset of the new one.
+func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*fixAux, map[string]int, bool) {
 	if ast.HasNegation(prog) {
-		return nil, false
+		return nil, nil, false
 	}
 	idb := make(map[string]bool, len(aux.idb))
-	for pred := range aux.idb {
+	from := make(map[string]int, len(aux.idb))
+	touched := false
+	for pred, r := range aux.idb {
 		idb[pred] = true
+		from[pred] = r.Len()
+		touched = touched || len(diff.Inserted[pred]) > 0
 	}
 	for _, r := range prog.Rules {
 		if !idb[r.Head.Pred] {
-			return nil, false // fixpoint state predates this rule's head
+			return nil, nil, false // fixpoint state predates this rule's head
+		}
+		for _, a := range r.Body {
+			touched = touched || len(diff.Inserted[a.Pred]) > 0
 		}
 	}
-	// Working database: the new EDB shared read-only, the old IDB extended
-	// copy-on-write (Ensure cow-clones the frozen relations).
+	if !touched {
+		return aux, from, true
+	}
+	// Working database: the new EDB and the old IDB, both shared read-only.
 	work := storage.NewDatabaseWithSymbols(db.Syms)
 	for _, pred := range db.Preds() {
-		if !idb[pred] {
-			work.Set(pred, db.Rel(pred))
-		}
+		work.Set(pred, db.Rel(pred))
 	}
-	heads := make(map[string]*storage.Relation, len(aux.idb))
 	for pred, r := range aux.idb {
 		work.Set(pred, r)
-		wr, err := work.Ensure(pred, r.Arity())
-		if err != nil {
-			return nil, false
-		}
-		heads[pred] = wr
 	}
 	rules, err := compileRules(db.Syms, prog.Rules, nil)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
 	run := fixRun{work: work, full: DBRels(work), workers: 1, snk: sink{budget: budget}}
 	if run.stratum(diffSeed{diff}, rules, idb, 0) != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	for _, r := range heads {
-		r.CompactIndexes()
+	heads, grew := make(map[string]*storage.Relation, len(aux.idb)), false
+	for pred, r := range aux.idb {
+		heads[pred] = work.Rel(pred)
+		grew = grew || heads[pred] != r
 	}
-	return &fixAux{idb: heads}, true
+	if !grew {
+		return aux, from, true
+	}
+	return &fixAux{idb: heads}, from, true
 }

@@ -417,8 +417,8 @@ func TestMaintainSkipsForeignEntries(t *testing.T) {
 	}
 }
 
-// TestMaintainMetrics: the maintained/recomputed counters and the duration
-// histogram in the cache's registry move with the pass.
+// TestMaintainMetrics: the maintained/carried/recomputed counters and the
+// duration histogram in the cache's registry move with the pass.
 func TestMaintainMetrics(t *testing.T) {
 	sys := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
 	db := chainDB(t, 6)
@@ -446,6 +446,22 @@ func TestMaintainMetrics(t *testing.T) {
 	}
 	if n := reg.Histogram("dl_resultcache_maintenance_seconds", nil).Count(); n != 1 {
 		t.Errorf("maintenance histogram count = %d, want 1", n)
+	}
+	// That write grew the entry; one the entry cannot see re-keys it as it is,
+	// which counts as maintained and as carried.
+	if got := reg.Counter("dl_resultcache_carried_total").Value(); got != 0 {
+		t.Errorf("carried counter = %d after a write that grew the entry, want 0", got)
+	}
+	old = snap
+	if _, err := db.Insert("a", "far0", "far1"); err != nil {
+		t.Fatal(err)
+	}
+	snap = db.Snapshot()
+	if res, want := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, Opts: Opts{}}), (MaintResult{Maintained: 1, Carried: 1}); res != want {
+		t.Errorf("Maintain = %+v, want %+v", res, want)
+	}
+	if m, c := reg.Counter("dl_resultcache_maintained_total").Value(), reg.Counter("dl_resultcache_carried_total").Value(); m != 2 || c != 1 {
+		t.Errorf("maintained/carried counters = %d/%d, want 2/1", m, c)
 	}
 }
 

@@ -428,3 +428,13 @@ func selection(q ast.Query, syms *storage.Symbols) (bound []bool, vals storage.T
 	}
 	return bound, vals, true
 }
+
+// matches reports whether t carries the selection's constants.
+func matches(bound []bool, vals, t storage.Tuple) bool {
+	for i, b := range bound {
+		if b && t[i] != vals[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -100,6 +100,7 @@ const (
 	mResultEntries = "dl_resultcache_entries"
 	mResultMaint   = "dl_resultcache_maintained_total"
 	mResultRecomp  = "dl_resultcache_recomputed_total"
+	mResultCarried = "dl_resultcache_carried_total"
 	mResultMaintNs = "dl_resultcache_maintenance_seconds"
 	mRoundDur      = "dl_round_duration_seconds"
 	mWorkerUtil    = "dl_worker_utilization"

@@ -19,8 +19,8 @@ import (
 // path's order book depends on. The statistics part is the plan database's
 // Database.StatsEpoch at compile time: the order book is the only thing in
 // a Plan that reads the data, and it reads only column statistics, which
-// move when an index rebuild does (a relation outgrowing its last build by
-// half — colIndex.stale — or an explicit BuildIndexes/CompactIndexes). The
+// move when a database relation's index rebuild does (a relation outgrowing
+// its last build by half — colIndex.stale — or its first BuildIndexes). The
 // snapshot epoch is deliberately not part of the key: a write that leaves
 // the statistics alone leaves every plan valid, so the next query and the
 // maintenance pass both hit. An insert under a newer statistics epoch drops

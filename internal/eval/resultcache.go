@@ -16,7 +16,10 @@ import (
 // names exactly — so a cached answer can never be stale: a write advances
 // the epoch and the old entries simply stop being asked for, aging out of
 // the LRU. Entries are charged against a byte budget (Relation.SizeBytes
-// plus key overhead) and evicted least-recently-used.
+// plus key overhead, plus the maintenance state the entry keeps: a TC
+// entry's own visited set and private exit copy per entry, a program's
+// shared fixpoint once for all the entries holding it) and evicted
+// least-recently-used.
 //
 // Maintain (maintain.go) carries the previous epoch's entries forward to the
 // new epoch by running a delta pass over only the inserted tuples, falling
@@ -35,8 +38,9 @@ import (
 // dl_resultcache_{hits,misses,evictions}_total names; the current byte and
 // entry footprints are the dl_resultcache_{bytes,entries} gauges; the
 // maintenance pass counts entries into
-// dl_resultcache_{maintained,recomputed}_total and its wall-clock into the
-// dl_resultcache_maintenance_seconds histogram.
+// dl_resultcache_{maintained,carried,recomputed}_total (carried: the
+// maintained entries re-keyed with their relation untouched) and its
+// wall-clock into the dl_resultcache_maintenance_seconds histogram.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -44,11 +48,14 @@ type ResultCache struct {
 	entries map[resultKey]*list.Element
 	lru     *list.List // front = most recently used
 	flight  map[resultKey]*flight
+	// fixRefs counts the entries holding each shared fixpoint state, which is
+	// charged to bytes once, while the count is positive.
+	fixRefs map[*fixAux]int
 
-	hits, misses, evictions *obs.Counter
-	maintained, recomputed  *obs.Counter
-	maintDur                *obs.Histogram
-	bytesG, entriesG        *obs.Gauge
+	hits, misses, evictions         *obs.Counter
+	maintained, carried, recomputed *obs.Counter
+	maintDur                        *obs.Histogram
+	bytesG, entriesG                *obs.Gauge
 }
 
 type resultKey struct {
@@ -142,10 +149,12 @@ func NewResultCacheWith(reg *obs.Registry, maxBytes int64) *ResultCache {
 		entries:    make(map[resultKey]*list.Element),
 		lru:        list.New(),
 		flight:     make(map[resultKey]*flight),
+		fixRefs:    make(map[*fixAux]int),
 		hits:       reg.Counter(mResultHits),
 		misses:     reg.Counter(mResultMisses),
 		evictions:  reg.Counter(mResultEvict),
 		maintained: reg.Counter(mResultMaint),
+		carried:    reg.Counter(mResultCarried),
 		recomputed: reg.Counter(mResultRecomp),
 		maintDur:   reg.Histogram(mResultMaintNs, nil),
 		bytesG:     reg.Gauge(mResultBytes),
@@ -304,19 +313,35 @@ func (c *ResultCache) insertLocked(e *resultEntry) {
 	if _, ok := c.entries[e.key]; ok {
 		return // a racing compute of the same key beat us; keep the first
 	}
-	e.size = e.rel.SizeBytes() + int64(len(e.key.program)+len(e.key.query)) + 96
+	e.size = e.rel.SizeBytes() + privateBytes(e.aux) + int64(len(e.key.program)+len(e.key.query)) + 96
+	if a, ok := e.aux.(*fixAux); ok {
+		if c.fixRefs[a]++; c.fixRefs[a] == 1 {
+			c.bytes += a.sizeBytes()
+		}
+	}
 	c.entries[e.key] = c.lru.PushFront(e)
 	c.bytes += e.size
 	for c.bytes > c.max && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		be := back.Value.(*resultEntry)
-		c.lru.Remove(back)
-		delete(c.entries, be.key)
-		c.bytes -= be.size
+		c.removeLocked(c.lru.Back())
 		c.evictions.Inc()
 	}
 	c.bytesG.Set(c.bytes)
 	c.entriesG.Set(int64(c.lru.Len()))
+}
+
+// removeLocked drops the entry and its charge, and a shared fixpoint state's
+// with its last holder. Caller holds c.mu.
+func (c *ResultCache) removeLocked(el *list.Element) {
+	e := el.Value.(*resultEntry)
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= e.size
+	if a, ok := e.aux.(*fixAux); ok {
+		if c.fixRefs[a]--; c.fixRefs[a] == 0 {
+			delete(c.fixRefs, a)
+			c.bytes -= a.sizeBytes()
+		}
+	}
 }
 
 // Len returns the number of cached entries.

@@ -27,6 +27,27 @@ type tcShape struct {
 	// rightLinear: the edge literal precedes the recursive literal
 	// (p = ∪ q^k ∘ E); otherwise left-linear (p = ∪ E ∘ q^k).
 	rightLinear bool
+	// exitPred names the stored predicate the exit relation E is when the
+	// exit rules merely rename it (the one rule p(X, Y) :- e(X, Y)): the
+	// kernel and its maintenance then read the database's own relation. Empty
+	// when E has to be materialized from the exit rules.
+	exitPred string
+}
+
+// exitOf returns the exit relation E over db and whether it is a private
+// materialized copy (otherwise it is db's own relation, shared with every
+// reader of db and never written).
+func (s *tcShape) exitOf(sys *ast.RecursiveSystem, db *storage.Database) (exit *storage.Relation, private bool, err error) {
+	if s.exitPred != "" {
+		switch rel := db.Rel(s.exitPred); {
+		case rel == nil:
+			return storage.NewRelation(2), false, nil
+		case rel.Arity() == 2:
+			return rel, false, nil
+		}
+	}
+	exit, err = MaterializeExit(sys, db)
+	return exit, true, err
 }
 
 // joinCol is the delta column the compose joins on: 0 for the right-linear
@@ -62,18 +83,29 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 			return nil, false
 		}
 	}
+	shape := &tcShape{edgePred: edge.Pred}
+	if len(sys.Exits) == 1 {
+		// p(X, Y) :- e(X, Y) with X, Y distinct variables: E is e itself.
+		h, b := sys.Exits[0].Head, sys.Exits[0].Body
+		if len(b) == 1 && !b[0].Neg && b[0].Pred != h.Pred && b[0].Arity() == 2 &&
+			h.Args[0].IsVar() && h.Args[1].IsVar() && h.Args[0].Name != h.Args[1].Name &&
+			b[0].Args[0] == h.Args[0] && b[0].Args[1] == h.Args[1] {
+			shape.exitPred = b[0].Pred
+		}
+	}
 	hx, hy := rule.Head.Args[0].Name, rule.Head.Args[1].Name
 	// Right-linear: q(hx, Z), p(Z, hy) with Z fresh.
 	if z := edge.Args[1].Name; edge.Args[0].Name == hx &&
 		recAtom.Args[0].Name == z && recAtom.Args[1].Name == hy &&
 		z != hx && z != hy {
-		return &tcShape{edgePred: edge.Pred, rightLinear: true}, true
+		shape.rightLinear = true
+		return shape, true
 	}
 	// Left-linear: p(hx, Z), q(Z, hy) with Z fresh.
 	if z := recAtom.Args[1].Name; recAtom.Args[0].Name == hx &&
 		edge.Args[0].Name == z && edge.Args[1].Name == hy &&
 		z != hx && z != hy {
-		return &tcShape{edgePred: edge.Pred, rightLinear: false}, true
+		return shape, true
 	}
 	return nil, false
 }
@@ -131,9 +163,10 @@ func (r *tcRun) bind(q ast.Query, syms *storage.Symbols) (bound, ok bool) {
 }
 
 // tcEvalAux runs the query on the kernel, additionally returning the
-// maintenance state: the materialized exit relation plus, for bound queries,
-// the BFS visited set. A nil aux (the early return for constants the symbol
-// table has never seen) tells the maintenance pass to recompute instead.
+// maintenance state: the exit relation when it had to be materialized
+// (tcShape.exitOf) plus, for bound queries, the BFS visited set. A nil aux
+// (the early return for constants the symbol table has never seen) tells the
+// maintenance pass to recompute instead.
 //
 // With a streaming sink each answer is emitted the moment its BFS level (or
 // compose round) derives it, and — the goal-directed win — a fully bound
@@ -145,9 +178,13 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 {
 		return nil, nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
 	}
-	exitRel, err := MaterializeExit(sys, db)
+	exitRel, private, err := shape.exitOf(sys, db)
 	if err != nil {
 		return nil, nil, Stats{}, err
+	}
+	aux := &tcAux{}
+	if private {
+		aux.exit = exitRel
 	}
 	edges := db.Rel(shape.edgePred)
 	if edges != nil && edges.Arity() != 2 {
@@ -165,13 +202,12 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 	defer func() {
 		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
 		r.rs.stratumDone(st.Rounds)
-		flushRels(opts, st, r.answers, exitRel)
+		flushRels(opts, st, r.answers, aux.exit)
 	}()
 	bound, ok := r.bind(q, db.Syms)
 	if !ok {
 		return r.answers, nil, *st, nil
 	}
-	aux := &tcAux{exit: exitRel}
 	if !bound {
 		// All free: semi-naive compose seeded with E.
 		var delta []storage.Tuple

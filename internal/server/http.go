@@ -368,8 +368,9 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"epoch": epoch,
-			// Cached entries this write carried forward vs rebuilt from scratch.
+			// Cached entries carried forward (carried: untouched) vs rebuilt.
 			"maintained": mres.Maintained,
+			"carried":    mres.Carried,
 			"recomputed": mres.Recomputed,
 		})
 	}
@@ -381,6 +382,7 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		slog.Int("bytes", len(raw)),
 		slog.Uint64("epoch", epoch),
 		slog.Int("maintained", mres.Maintained),
+		slog.Int("carried", mres.Carried),
 		slog.Int("recomputed", mres.Recomputed),
 		slog.Int("skipped", mres.Skipped),
 		slog.Int64("maintenance_us", maintDur.Microseconds()),

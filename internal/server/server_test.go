@@ -708,3 +708,38 @@ func TestServerPlanSurvivesWrite(t *testing.T) {
 			misses, hits, s.planner.Len())
 	}
 }
+
+// TestServerFactsReportsCarried: POST /facts says how many of the maintained
+// entries the write could not reach (re-keyed as they were), next to the
+// maintained and recomputed counts, and the counter moves with it.
+func TestServerFactsReportsCarried(t *testing.T) {
+	s, ts := newTestServer(t, tcProgram)
+	getQuery(t, ts, "?- p(a, Y).")
+	post := func(facts string) map[string]float64 {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/facts", "text/plain", strings.NewReader(facts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]float64
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	// An edge between nodes a does not reach: nothing to do for p(a, Y).
+	if out := post("e(far1, far2)."); out["maintained"] != 1 || out["carried"] != 1 || out["recomputed"] != 0 {
+		t.Errorf("unreachable write: %v, want maintained=1 carried=1 recomputed=0", out)
+	}
+	// An edge off the chain's end: the entry grows.
+	if out := post("e(d, x)."); out["maintained"] != 1 || out["carried"] != 0 {
+		t.Errorf("reachable write: %v, want maintained=1 carried=0", out)
+	}
+	if res := getQuery(t, ts, "?- p(a, Y)."); !res.Cached || !res.Maintained || res.Count != 4 {
+		t.Errorf("after both writes: cached=%v maintained=%v count=%d, want true/true/4", res.Cached, res.Maintained, res.Count)
+	}
+	if got := s.Registry().Counter("dl_resultcache_carried_total").Value(); got != 1 {
+		t.Errorf("carried counter = %d, want 1", got)
+	}
+}

@@ -179,8 +179,8 @@ func (r *Relation) MatchCount(bound []bool, vals Tuple) int {
 
 // StatsVersion returns the relation's statistics stamp: 0 before any index
 // publish, otherwise the globally unique version of the last rebuild that
-// changed its column statistics (BuildIndexes, CompactIndexes, or an
-// overflow-triggered staleness rebuild during Insert).
+// changed its column statistics (BuildIndexes, or an overflow-triggered
+// staleness rebuild during Insert).
 func (r *Relation) StatsVersion() uint64 { return r.statsVer }
 
 // StatsEpoch folds every relation's statistics stamp into one number: the

@@ -98,8 +98,8 @@ func TestMatchCountBuckets(t *testing.T) {
 }
 
 // TestStatsEpochAdvances pins the plan-cache invalidation hook: building,
-// compacting after overflow, and COW snapshots all interact with the
-// statistics stamp as documented.
+// the staleness rebuild after overflow, and COW snapshots all interact with
+// the statistics stamp as documented.
 func TestStatsEpochAdvances(t *testing.T) {
 	db := NewDatabase()
 	db.Insert("e", "a", "b")
@@ -112,18 +112,20 @@ func TestStatsEpochAdvances(t *testing.T) {
 	if e1 == 0 {
 		t.Fatal("post-build epoch still 0")
 	}
-	// No overflow: CompactIndexes has nothing to rebuild, epoch unchanged.
-	db.Rel("e").CompactIndexes()
-	if got := db.StatsEpoch(); got != e1 {
-		t.Fatalf("no-op compact moved epoch %d -> %d", e1, got)
-	}
-	// Overflow + compact rebuilds the index and must advance the epoch so
-	// cached plans compiled against the old statistics stop being served.
+	// A few overflow inserts leave the CSR body, and the epoch, alone.
 	db.Insert("e", "c", "d")
-	db.Rel("e").CompactIndexes()
+	if got := db.StatsEpoch(); got != e1 {
+		t.Fatalf("one overflow insert moved epoch %d -> %d", e1, got)
+	}
+	// Outgrowing the last build by half plus 64 tuples (colIndex.stale)
+	// folds the overflow back and must advance the epoch so cached plans
+	// compiled against the old statistics stop being served.
+	for i := 0; i < 70; i++ {
+		db.Insert("e", fmt.Sprintf("x%d", i), "y")
+	}
 	e2 := db.StatsEpoch()
 	if e2 <= e1 {
-		t.Fatalf("compact after overflow: epoch %d, want > %d", e2, e1)
+		t.Fatalf("staleness rebuild after overflow: epoch %d, want > %d", e2, e1)
 	}
 	if got := db.Rel("e").StatsVersion(); got != e2 {
 		t.Fatalf("relation stamp %d != db epoch %d", got, e2)

@@ -11,7 +11,8 @@ package storage
 // Inserts after a build do not disturb the CSR arrays (readers may hold
 // posting slices): new positions go to a small per-value overflow, and the
 // whole index is rebuilt — under the writer's exclusive access — once the
-// overflow exceeds half the built prefix.
+// overflow exceeds half the built prefix (stale). There is no explicit
+// compaction.
 
 type colIndex struct {
 	// CSR body covering tuple positions [0, built).

@@ -143,6 +143,9 @@ func (s *ValueSet) Clone() *ValueSet {
 	return &ValueSet{table: append([]Value(nil), s.table...), n: s.n}
 }
 
+// SizeBytes estimates the set's resident memory (result-cache accounting).
+func (s *ValueSet) SizeBytes() int64 { return 32 + int64(len(s.table))*valueBytes }
+
 // Each calls f for every value in the set (in table order) until f returns
 // false.
 func (s *ValueSet) Each(f func(Value) bool) {

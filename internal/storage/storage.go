@@ -169,8 +169,8 @@ type Relation struct {
 	lineage uint64
 	// statsVer is the relation's statistics version: a globally unique stamp
 	// taken whenever the column statistics materially change (BuildIndexes
-	// publishing, CompactIndexes or staleness rebuilds folding overflow back
-	// into the CSR body). Plan caches fold it into their keys so compiled
+	// publishing, or Insert's staleness rebuild folding overflow back into
+	// the CSR body). Plan caches fold it into their keys so compiled
 	// join orders computed against stale statistics are never served after
 	// an index rebuild. Copy-on-write clones inherit it (their stats are the
 	// same until their own rebuild). Zero means "never stamped".
@@ -481,27 +481,6 @@ func (r *Relation) BuildIndexes() {
 	r.statsVer = statsVersion.Add(1)
 }
 
-// CompactIndexes rebuilds every column index carrying overflow postings so
-// the CSR body covers all tuples again. Cow-clones copy the overflow map
-// entry by entry, so a relation that is frozen, cloned and extended once
-// per write — the incremental-maintenance loop — must compact before
-// publishing or the per-write clone cost grows with the write count.
-// Requires exclusive access (the maintenance kernels call it on relations
-// they built this round, before any reader can hold them).
-func (r *Relation) CompactIndexes() {
-	rebuilt := false
-	for col, ci := range r.colIdx {
-		if ci != nil && ci.nextra > 0 {
-			r.stats.IndexBuilds++
-			r.colIdx[col] = buildColIndex(r.tuples, col)
-			rebuilt = true
-		}
-	}
-	if rebuilt {
-		r.statsVer = statsVersion.Add(1)
-	}
-}
-
 // Indexed reports whether every column index is materialized, i.e. whether
 // the relation's read path is free of lazy index construction and therefore
 // safe for concurrent readers.
@@ -614,7 +593,11 @@ func (r *Relation) Clone() *Relation {
 // result cache freezes cached answer relations for the same reason. There
 // is no Unfreeze: a header that was ever published to readers stays
 // read-only forever, and writers get a fresh copy-on-write header instead.
+// Freezing a frozen relation writes nothing: readers may already hold it.
 func (r *Relation) Freeze() {
+	if r.frozen {
+		return
+	}
 	r.BuildIndexes()
 	r.frozen = true
 }
