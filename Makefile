@@ -21,8 +21,9 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The round driver's worker pool (eval/driver.go: every parallel, streamed
-# and maintained round), the obs span/metrics layer, the
+# The round driver's worker pool (eval/driver.go: every materialized and
+# streamed fixpoint round; maintenance passes run on the writer's goroutine
+# under the readers' feet), the obs span/metrics layer, the
 # snapshot/result-cache serving path and the HTTP server are only
 # trustworthy race-detector clean; vet runs first so the race build never
 # masks a static diagnostic.
@@ -35,8 +36,8 @@ race:
 # internal/eval (so X/XOpts twins cannot quietly come back), may not pass the
 # ceilings the last shrinking PR left behind. Raise one only in a PR that
 # says what the new lines or names buy.
-EVAL_SIZE_MAX = 5779
-SERVER_SIZE_MAX = 1012
+EVAL_SIZE_MAX = 5775
+SERVER_SIZE_MAX = 1011
 STORAGE_SIZE_MAX = 1894
 EVAL_SURFACE_MAX = 55
 size:

@@ -358,7 +358,7 @@ func (r *runner) q6() {
 			return
 		}
 		tPar, outPar, stPar, err = timeProg(r.reps(), func() (*storage.Database, eval.Stats, error) {
-			return eval.ParallelSemiNaiveOpts(prog, db, eval.Opts{Workers: workers})
+			return eval.ParallelSemiNaiveOpts(prog, db, eval.Opts{})
 		})
 		if err != nil {
 			r.check("Q6", "parallel", false, err.Error())
@@ -374,7 +374,7 @@ func (r *runner) q6() {
 	}
 	// Per-round trace of the largest workload.
 	fmt.Printf("  per-round trace (largest workload, %d workers):\n", workers)
-	_, stTrace, err := eval.ParallelSemiNaiveOpts(prog, lastDB, eval.Opts{Workers: workers})
+	_, stTrace, err := eval.ParallelSemiNaiveOpts(prog, lastDB, eval.Opts{})
 	if err != nil {
 		r.check("Q6", "trace", false, err.Error())
 		return

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dlserve -program FILE [-facts FILE] [-addr :8080]
-//	        [-cache-bytes N] [-workers N] [-max-facts-bytes N]
+//	        [-cache-bytes N] [-max-facts-bytes N]
 //	        [-max-query-bytes N] [-read-header-timeout D]
 //	        [-write-timeout D] [-idle-timeout D]
 //	        [-journal-size N] [-slow-query D] [-trace-sample N]
@@ -77,7 +77,6 @@ func main() {
 		program     = flag.String("program", "", "Datalog program file: rules plus optional seed facts (required)")
 		factsPath   = flag.String("facts", "", "bulk-load additional ground facts from this file at startup (readiness gates on it)")
 		cacheBytes  = flag.Int64("cache-bytes", eval.DefaultResultCacheBytes, "result-cache byte budget")
-		workers     = flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 		maxFacts    = flag.Int64("max-facts-bytes", server.DefaultMaxFactsBytes, "POST /facts body size cap (negative = unlimited)")
 		maxQuery    = flag.Int64("max-query-bytes", server.DefaultMaxQueryBytes, "POST /query body size cap (negative = unlimited)")
 		rhTimeout   = flag.Duration("read-header-timeout", obs.DefaultReadHeaderTimeout, "http.Server ReadHeaderTimeout (slowloris bound; negative = disabled)")
@@ -103,7 +102,6 @@ func main() {
 	s, err := server.New(string(src), server.Config{
 		Registry:           obs.Default(),
 		CacheBytes:         *cacheBytes,
-		Workers:            *workers,
 		MaxFactsBytes:      *maxFacts,
 		MaxQueryBytes:      *maxQuery,
 		JournalSize:        *journalSize,
@@ -130,7 +128,6 @@ func main() {
 			slog.String("program", *program),
 			slog.String("facts", *factsPath),
 			slog.Int64("cache_bytes", *cacheBytes),
-			slog.Int("workers", *workers),
 			slog.Int("gomaxprocs", runtime.GOMAXPROCS(0)),
 			slog.Int64("max_facts_bytes", *maxFacts),
 			slog.Int64("max_query_bytes", *maxQuery),

@@ -239,13 +239,14 @@ func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storag
 
 // run is the one switch from a plan's kind to its kernel, whoever consumes
 // the answers. With the zero sink it materializes: the answer relation comes
-// back with the kind-specific state the result cache needs to maintain the
-// entry incrementally across writes (maintain.go) — the exit relation and
-// BFS closure for TC plans, the materialized IDB fixpoint for the parallel
-// plans, nil for bounded plans (their answers alone suffice). With an emit
-// sink it streams: every answer is handed to the sink as its round derives
-// it, a declined emit ends the evaluation with errStreamStop (returned with
-// the stats, not an error to the consumer) and no state is kept. The result
+// back with the kind-specific state the result cache needs to maintain it
+// incrementally across writes (maintain.go) — the exit relation and BFS
+// closure of a TC entry, the materialized IDB fixpoint of the parallel plans
+// (the program's view), nil for bounded plans (their answers alone
+// suffice). With an emit sink it streams: every answer is handed to the sink
+// as its round derives it, a declined emit ends the evaluation with
+// errStreamStop (returned with the stats, not an error to the consumer) and
+// no state is kept. The result
 // cache's compute, AnswerOpts, Stream and the maintenance pass's recompute
 // fallback are all this function.
 func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel *storage.Relation, aux any, st Stats, err error) {
@@ -273,8 +274,8 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 }
 
 // fixpointAnswer runs the round driver over the program. Materializing, it
-// selects the query's answers from the finished fixpoint, which it keeps as
-// the entry's maintenance state. Streaming, it shows the sink each fresh
+// selects the query's answers from the finished fixpoint, which it hands
+// back for the result cache to keep as the program's view. Streaming, it shows the sink each fresh
 // tuple of the query predicate that matches the query's constants — the same
 // selection, applied as the rounds derive — and returns no relation.
 func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, any, Stats, error) {

@@ -74,7 +74,7 @@ func BenchmarkParallelSemiNaive(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: workers}); err != nil {
+				if _, _, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -522,7 +522,7 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 	// contract). Inserts during the single-threaded merges keep the
 	// indexes current.
 	work.BuildIndexes()
-	r := &fixRun{work: work, full: DBRels(work), workers: opts.Workers, snk: snk, opts: opts}
+	r := &fixRun{work: work, full: DBRels(work), workers: opts.workers, snk: snk, opts: opts}
 	st := &r.st
 	if r.workers <= 0 {
 		r.workers = runtime.GOMAXPROCS(0)

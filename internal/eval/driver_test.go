@@ -196,7 +196,7 @@ func TestDriverModesAgree(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", f.name, workers), func(t *testing.T) {
 				src, db, queries := f.build(t)
-				opts := Opts{Workers: workers}
+				opts := Opts{workers: workers}
 				pl, rc := NewPlanner(), NewResultCache(0)
 
 				snap := db.Snapshot()

@@ -21,10 +21,12 @@ import (
 //     compose the new edges against the frozen closure (all-free queries).
 //   - Bounded plans (maintainBounded) seed every positive occurrence of a
 //     changed predicate in the expansion rules with the inserted tuples.
-//   - Stable/generic parallel plans (incrementalFixpoint) run the round
-//     driver with a diffSeed over the frozen old fixpoint once for every
-//     cached query of the program; each entry takes the tuples that run
-//     derived which match its constants (fixState.answer).
+//   - Stable/generic parallel plans advance the program's view — the one
+//     cached fixpoint of the program at an epoch (resultcache.go) — once per
+//     write: incrementalFixpoint runs the round driver with a diffSeed over
+//     the old epoch's view, else the plan recomputes it; each entry then
+//     takes the tuples the pass derived which match its constants, or is
+//     re-selected from a recomputed view (maintainer.fromView).
 //
 // Nothing is compacted on the way: a carried relation keeps its index
 // overflow until Insert folds it (colIndex.stale, storage/csr.go).
@@ -46,8 +48,8 @@ type MaintSpec struct {
 	// Sys is the program the serving layer answers, as it was handed to
 	// ResultCache.Answer.
 	Sys Source
-	// Opts carries workers, metrics and tracing into the delta passes and
-	// fallback recomputes.
+	// Opts carries metrics and tracing into the delta passes and fallback
+	// recomputes.
 	Opts Opts
 	// Budget caps the number of derivation attempts a delta pass may make
 	// before falling back to a full recompute; 0 means an adaptive default
@@ -87,11 +89,25 @@ func (a *tcAux) with(exit *storage.Relation, visited *storage.ValueSet) *tcAux {
 	return &tcAux{exit: exit, visited: visited}
 }
 
-// fixAux is the maintenance state of a fixpoint-plan entry: the
-// materialized IDB relations of the program at the entry's epoch. Shared by
-// every cached query of the same program; immutable once published.
+// fixAux is a view's state: the materialized IDB relations of a fixpoint
+// program at the view's epoch, which every fixpoint-plan entry of the program
+// at that epoch is selected from. Immutable once published.
 type fixAux struct {
 	idb map[string]*storage.Relation
+	// from, when the delta pass advanced the view from the one at epoch base,
+	// is each head's length in that view: the tuples past it are the ones the
+	// pass derived. nil for a view computed from scratch.
+	from map[string]int
+	base uint64
+}
+
+// rel is the relation a query of pred selects from: the derived one, or the
+// database's when the program derives none.
+func (a *fixAux) rel(pred string, db *storage.Database) *storage.Relation {
+	if r := a.idb[pred]; r != nil {
+		return r
+	}
+	return db.Rel(pred)
 }
 
 // sizeBytes sums the footprint of the materialized relations.
@@ -107,37 +123,34 @@ func (a *fixAux) sizeBytes() int64 {
 // out of the engine's working database.
 func newFixAux(prog *ast.Program, work *storage.Database) *fixAux {
 	m := make(map[string]*storage.Relation)
-	for _, r := range prog.Rules {
-		if _, ok := m[r.Head.Pred]; !ok {
-			if rel := work.Rel(r.Head.Pred); rel != nil {
-				m[r.Head.Pred] = rel
-			}
+	add := func(pred string) {
+		if rel := work.Rel(pred); rel != nil {
+			m[pred] = rel
 		}
 	}
+	for _, r := range prog.Rules {
+		add(r.Head.Pred)
+	}
 	for _, f := range prog.Facts {
-		if _, ok := m[f.Pred]; !ok {
-			if rel := work.Rel(f.Pred); rel != nil {
-				m[f.Pred] = rel
-			}
-		}
+		add(f.Pred)
 	}
 	return &fixAux{idb: m}
 }
 
-// privateBytes is the footprint of the state an entry keeps to itself: a TC
-// entry's exit copy and visited set. A fixAux is shared, and charged once by
-// the cache (ResultCache.fixRefs).
-func privateBytes(aux any) int64 {
-	a, ok := aux.(*tcAux)
-	if !ok {
-		return 0
-	}
+// auxBytes is the footprint of the state an entry keeps beside its answers:
+// a TC entry's exit copy and visited set, a view's fixpoint.
+func auxBytes(aux any) int64 {
 	var n int64
-	if a.exit != nil {
-		n += a.exit.SizeBytes()
-	}
-	if a.visited != nil {
-		n += a.visited.SizeBytes()
+	switch a := aux.(type) {
+	case *tcAux:
+		if a.exit != nil {
+			n += a.exit.SizeBytes()
+		}
+		if a.visited != nil {
+			n += a.visited.SizeBytes()
+		}
+	case *fixAux:
+		n = a.sizeBytes()
 	}
 	return n
 }
@@ -204,9 +217,8 @@ func (c *ResultCache) Maintain(old, cur *storage.Snapshot, spec MaintSpec) Maint
 	return res
 }
 
-// maintainer is the per-Maintain working state: the diff, and a memo so all
-// cached queries of the program share a single maintained (or recomputed)
-// fixpoint.
+// maintainer is the per-Maintain working state: the new snapshot and the
+// diff that leads to it.
 type maintainer struct {
 	cache    *ResultCache
 	cur      *storage.Snapshot
@@ -214,65 +226,6 @@ type maintainer struct {
 	diff     *storage.SnapshotDiff
 	diffOK   bool
 	diffSize int
-	fix      *fixState // the shared fixpoint outcome, once fixTried
-	fixTried bool
-}
-
-// fixState is the memoized outcome of maintaining the program's fixpoint;
-// nil records a failed attempt (don't retry per entry).
-type fixState struct {
-	aux        *fixAux
-	maintained bool
-	// from, when maintained, is each head relation's length before the delta
-	// pass: the tuples past it are the ones the pass derived.
-	from map[string]int
-	st   Stats // the recompute's own stats when !maintained
-}
-
-// answer returns the entry's answers over the program's new fixpoint. After a
-// delta pass they are the old answers plus the tuples the pass added to the
-// query's predicate (the diff's own, for a stored predicate) that match the
-// query's constants: the old relation itself when none does, else its
-// copy-on-write clone extended by those. A recomputed fixpoint has no old
-// answers to extend, and the matching tuples are selected out of it whole.
-func (fs *fixState) answer(e *resultEntry, m *maintainer) (*storage.Relation, bool) {
-	pred, n := e.q.Atom.Pred, e.q.Atom.Arity()
-	src, derived := fs.aux.idb[pred], true
-	if src == nil {
-		src, derived = m.cur.Rel(pred), false
-	}
-	if src != nil && src.Arity() != n {
-		return nil, false
-	}
-	out := e.rel
-	if fs.maintained {
-		fresh := m.diff.Inserted[pred]
-		if derived {
-			fresh = src.Tuples()[fs.from[pred]:]
-		}
-		if len(fresh) == 0 {
-			return out, true
-		}
-		bound, vals, known := selection(e.q, m.cur.Syms())
-		for _, t := range fresh {
-			if !known || !matches(bound, vals, t) {
-				continue
-			}
-			if out == e.rel {
-				out = e.rel.CowClone()
-			}
-			out.Insert(t)
-		}
-		return out, true
-	}
-	out = storage.NewRelation(n)
-	if bound, vals, known := selection(e.q, m.cur.Syms()); known && src != nil {
-		src.EachMatch(bound, vals, func(t storage.Tuple) bool {
-			out.Insert(t)
-			return true
-		})
-	}
-	return out, true
 }
 
 // budget returns the derivation-attempt cap for a delta pass over an entry
@@ -286,56 +239,39 @@ func (m *maintainer) budget(oldSize int) int {
 
 // entry carries one entry across the diff: by the delta kernel of the plan
 // that is sound on the new database (Plan.over — an insert under the planned
-// predicate itself retires the TC and bounded deltas for good), or by
-// recomputing it through Plan.run when that kernel declines.
+// predicate itself retires the TC and bounded deltas for good), by the
+// program's view for the fixpoint plans, or by recomputing it through
+// Plan.run when the kernel declines.
 func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 	p, _, err := m.spec.Planner.planFor(m.spec.Sys, e.q, m.cur.DB(), m.spec.Opts)
 	if err != nil {
 		res.Skipped++
 		return
 	}
-	if m.diffOK && m.diff.Empty() {
+	np := p.over(m.cur.DB())
+	switch {
+	case np.Kind == PlanStable || np.Kind == PlanGeneric:
+		m.fromView(np, e, res)
+		return
+	case m.diffOK && m.diff.Empty():
 		// A write that inserted nothing new: the answers carry over as-is.
 		m.publish(e, e.rel, e.aux, e.st, true, res)
 		return
-	}
-	p = p.over(m.cur.DB())
-	switch p.Kind {
-	case PlanTC:
-		if m.diffOK {
-			aux, _ := e.aux.(*tcAux)
-			if rel, na, ok := maintainTC(p.sys, p.tc, e.q, e.rel, aux, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
-				m.publish(e, rel, na, e.st, true, res)
-				return
-			}
-		}
-	case PlanBounded:
-		if m.diffOK {
-			if rel, _, ok := maintainBounded(p, e.q, e.rel, m.cur.DB(), m.diff); ok {
-				m.publish(e, rel, nil, e.st, true, res)
-				return
-			}
-		}
-	default: // PlanStable, PlanGeneric: one maintained fixpoint for all entries.
-		fs := m.fixStateFor(p, e)
-		if fs == nil {
-			res.Skipped++
+	case !m.diffOK:
+	case np.Kind == PlanTC:
+		aux, _ := e.aux.(*tcAux)
+		if rel, na, ok := maintainTC(np.sys, np.tc, e.q, e.rel, aux, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
+			m.publish(e, rel, na, e.st, true, res)
 			return
 		}
-		ans, ok := fs.answer(e, m)
-		if !ok {
-			res.Skipped++
+	default: // PlanBounded
+		if rel, _, ok := maintainBounded(np, e.q, e.rel, m.cur.DB(), m.diff); ok {
+			m.publish(e, rel, nil, e.st, true, res)
 			return
 		}
-		st := e.st
-		if !fs.maintained {
-			st = fs.st
-		}
-		m.publish(e, ans, fs.aux, st, fs.maintained, res)
-		return
 	}
 	// Fallback: recompute the entry from scratch at the new epoch.
-	rel, aux, st, err := p.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
+	rel, aux, st, err := np.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
 	if err != nil {
 		res.Skipped++
 		return
@@ -343,30 +279,71 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 	m.publish(e, rel, aux, st, false, res)
 }
 
-// fixStateFor returns the program's maintained fixpoint, computing it on
-// first use: the incremental delta pass when the diff, the program and the
-// entry's state allow it, a full recompute through the plan otherwise.
-func (m *maintainer) fixStateFor(p *Plan, e *resultEntry) *fixState {
-	if m.fixTried {
-		return m.fix
-	}
-	var fs *fixState
-	if old, _ := e.aux.(*fixAux); m.diffOK && old != nil {
-		size := 0
-		for _, r := range old.idb {
-			size += r.Len()
+// fromView carries a fixpoint-plan entry (np, its plan on the new database)
+// over the program's view at the new epoch, which the first entry makes: the
+// old epoch's view advanced by the delta pass when it can be, recomputed
+// otherwise, replacing the old one. An advanced view extends the entry by
+// the tuples the pass added to its predicate (the diff's own, for a stored
+// one) that carry its constants — the old relation itself when none does,
+// else its copy-on-write clone. From a recomputed view the entry is selected
+// whole and reports the view's Stats.
+func (m *maintainer) fromView(np *Plan, e *resultEntry, res *MaintResult) {
+	c := m.cache
+	oldKey := resultKey{program: e.key.program, epoch: e.key.epoch}
+	key := resultKey{program: e.key.program, epoch: m.cur.Epoch()}
+	_, aux, st, hit, err := c.do(key, ast.Query{}, false, nil, func(<-chan struct{}) (*storage.Relation, any, Stats, error) {
+		c.mu.Lock()
+		old, ok := c.entries[oldKey]
+		c.mu.Unlock()
+		if ok && m.diffOK {
+			oe := old.Value.(*resultEntry)
+			if v := incrementalFixpoint(np.fix.Program(), oe.aux.(*fixAux), m.cur.DB(), m.diff, m.budget); v != nil {
+				v.base = e.key.epoch
+				return nil, v, oe.st, nil
+			}
 		}
-		if na, from, ok := incrementalFixpoint(p.fix.Program(), old, m.cur.DB(), m.diff, m.budget(size)); ok {
-			fs = &fixState{aux: na, maintained: true, from: from}
-		}
+		_, aux, st, err := np.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
+		return nil, aux, st, err
+	})
+	if err != nil {
+		res.Skipped++
+		return
 	}
-	if fs == nil {
-		if _, aux, st, err := p.run(e.q, m.cur.DB(), m.spec.Opts, sink{}); err == nil {
-			fs = &fixState{aux: aux.(*fixAux), st: st}
+	if !hit {
+		c.mu.Lock()
+		if old, ok := c.entries[oldKey]; ok {
+			c.removeLocked(old)
 		}
+		c.mu.Unlock()
 	}
-	m.fix, m.fixTried = fs, true
-	return fs
+	v, pred := aux.(*fixAux), e.q.Atom.Pred
+	src := v.rel(pred, m.cur.DB())
+	switch {
+	case src != nil && src.Arity() != e.q.Atom.Arity():
+		res.Skipped++
+	case v.from == nil || v.base != e.key.epoch:
+		rel, _ := selectAnswers(src, e.q, m.cur.Syms()) // the arities agree: checked above
+		st.Plan = np.planInfo()
+		m.publish(e, rel, nil, st, false, res)
+	default:
+		fresh := m.diff.Inserted[pred]
+		if n, derived := v.from[pred]; derived {
+			fresh = src.Tuples()[n:]
+		}
+		out := e.rel
+		if len(fresh) > 0 {
+			bound, vals, known := selection(e.q, m.cur.Syms())
+			for _, t := range fresh {
+				if known && matches(bound, vals, t) {
+					if out == e.rel {
+						out = e.rel.CowClone()
+					}
+					out.Insert(t)
+				}
+			}
+		}
+		m.publish(e, out, nil, e.st, true, res)
+	}
 }
 
 // publish freezes and inserts the carried-forward entry under the new
@@ -643,40 +620,40 @@ func maintainBounded(p *Plan, q ast.Query, oldRel *storage.Relation, db *storage
 	return out, visited, true
 }
 
-// incrementalFixpoint carries a program's materialized least fixpoint
-// across an insert-only EDB delta on the round driver: the diff seeds the
-// first frontier (diffSeed) and delta rounds run to quiescence over the frozen
-// old IDB relations, each cloned copy-on-write at its first fresh tuple
-// (Database.Ensure), all on the calling goroutine — the budget already caps
-// the work below what fan-out would pay for. It returns the new state and
-// each head's old length, past which lie the tuples the pass derived; a head
-// that gained none is the old relation still, and a diff no rule reads or a
-// pass that derived nothing gives the old state back. Sound for positive programs only — restarting
-// semi-naive iteration from the old fixpoint plus the delta converges to the
-// new least fixpoint because evaluation is monotone and the old fixpoint is a
-// subset of the new one.
-func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*fixAux, map[string]int, bool) {
+// incrementalFixpoint carries a program's view across an insert-only EDB
+// delta on the round driver: the diff seeds the first frontier (diffSeed) and
+// delta rounds run to quiescence over the frozen old IDB relations, each
+// cloned copy-on-write at its first fresh tuple (Database.Ensure), all on the
+// calling goroutine — the budget already caps the work below what fan-out
+// would pay for. The new view records each head's old length (fixAux.from),
+// past which lie the tuples the pass derived; a head that gained none is the
+// old relation still. nil when the pass does not apply or runs over budget.
+// Sound for positive programs only — restarting semi-naive iteration from
+// the old fixpoint plus the delta converges to the new least fixpoint because
+// evaluation is monotone and the old fixpoint is a subset of the new one.
+func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, diff *storage.SnapshotDiff, budget func(size int) int) *fixAux {
 	if ast.HasNegation(prog) {
-		return nil, nil, false
+		return nil
 	}
 	idb := make(map[string]bool, len(aux.idb))
 	from := make(map[string]int, len(aux.idb))
-	touched := false
+	touched, size := false, 0
 	for pred, r := range aux.idb {
 		idb[pred] = true
 		from[pred] = r.Len()
+		size += r.Len()
 		touched = touched || len(diff.Inserted[pred]) > 0
 	}
 	for _, r := range prog.Rules {
 		if !idb[r.Head.Pred] {
-			return nil, nil, false // fixpoint state predates this rule's head
+			return nil // the view predates this rule's head
 		}
 		for _, a := range r.Body {
 			touched = touched || len(diff.Inserted[a.Pred]) > 0
 		}
 	}
 	if !touched {
-		return aux, from, true
+		return &fixAux{idb: aux.idb, from: from}
 	}
 	// Working database: the new EDB and the old IDB, both shared read-only.
 	work := storage.NewDatabaseWithSymbols(db.Syms)
@@ -688,19 +665,15 @@ func incrementalFixpoint(prog *ast.Program, aux *fixAux, db *storage.Database, d
 	}
 	rules, err := compileRules(db.Syms, prog.Rules, nil)
 	if err != nil {
-		return nil, nil, false
+		return nil
 	}
-	run := fixRun{work: work, full: DBRels(work), workers: 1, snk: sink{budget: budget}}
+	run := fixRun{work: work, full: DBRels(work), workers: 1, snk: sink{budget: budget(size)}}
 	if run.stratum(diffSeed{diff}, rules, idb, 0) != nil {
-		return nil, nil, false
+		return nil
 	}
-	heads, grew := make(map[string]*storage.Relation, len(aux.idb)), false
-	for pred, r := range aux.idb {
+	heads := make(map[string]*storage.Relation, len(aux.idb))
+	for pred := range aux.idb {
 		heads[pred] = work.Rel(pred)
-		grew = grew || heads[pred] != r
 	}
-	if !grew {
-		return aux, from, true
-	}
-	return &fixAux{idb: heads}, from, true
+	return &fixAux{idb: heads, from: from}
 }

@@ -353,8 +353,8 @@ func TestMaintainIndexBuildsAmortised(t *testing.T) {
 }
 
 // TestMaintainUntouchedHeadNotCloned: in a program with two heads, writes that
-// grow only one of them leave the other's fixpoint relation the very object
-// the cold run published — the delta pass clones a head at its first fresh
+// grow only one of them leave the other's relation in the program's view the
+// very object the cold run published — the delta pass clones a head at its first fresh
 // tuple, so a head whose rules fire without deriving anything new costs no
 // clone and no index rebuild, write after write.
 func TestMaintainUntouchedHeadNotCloned(t *testing.T) {
@@ -389,7 +389,7 @@ func TestMaintainUntouchedHeadNotCloned(t *testing.T) {
 		if res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: prog, Opts: Opts{}}); res.Maintained != len(queries) || res.Carried != 1 {
 			t.Fatalf("write %d: Maintain = %+v, want %d maintained, loop carried", i, res, len(queries))
 		}
-		aux := entryAt(t, rc, prog, queries[1], snap).aux.(*fixAux)
+		aux := viewAt(t, rc, snap)
 		if i == 1 {
 			loop, builds0 = aux.idb["loop"], aux.idb["loop"].Stats().IndexBuilds
 		}
@@ -430,6 +430,11 @@ func TestMaintainUnaffectedEntryZeroCopy(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := entryAt(t, rc, w.sys, q, snap)
+			fixpoint := w.kind == PlanStable || w.kind == PlanGeneric
+			var view *fixAux
+			if fixpoint {
+				view = viewAt(t, rc, snap)
+			}
 			// Writes no derivation of the entry can use: a predicate the
 			// program never reads, then facts in a component (or under a
 			// constant) the query does not touch.
@@ -451,9 +456,16 @@ func TestMaintainUnaffectedEntryZeroCopy(t *testing.T) {
 					t.Errorf("write %d: the carried entry holds a different relation", i)
 				}
 				// The first write reaches no rule at all: the maintenance state
-				// is the same object too. (The second may grow a fixpoint the
-				// entry shares without matching the entry.)
-				if sameAux := after.aux == before.aux; !sameAux && (i == 0 || w.kind == PlanTC || w.kind == PlanBounded) {
+				// is the same object too — the entry's own, or for a fixpoint
+				// plan every relation of the program's view. (The second may
+				// grow the view without matching the entry.)
+				same := after.aux == before.aux
+				if fixpoint {
+					next := viewAt(t, rc, snap)
+					same = sameRels(next.idb, view.idb)
+					view = next
+				}
+				if !same && (i == 0 || !fixpoint) {
 					t.Errorf("write %d: the carried entry holds a different maintenance state", i)
 				}
 				if want := oracleRows(t, w.sys, q, snap.DB()); !rowsEqual(relRows(after.rel), want) {
@@ -466,9 +478,12 @@ func TestMaintainUnaffectedEntryZeroCopy(t *testing.T) {
 }
 
 // TestResultCacheChargesMaintenanceState: the byte budget sees what an entry
-// keeps beside its answers — a TC entry's visited set, a fixpoint shared by
-// all the entries of a program exactly once — and lets go of it with the
-// entry, write after write.
+// keeps beside its answers — a TC entry's visited set, a program's view
+// exactly once — and lets go of it with the entry. Any number of distinct
+// cold queries of a fixpoint program at one epoch run the round driver once,
+// between them, and a write advances the view once; every answer, including
+// one read through a reader still pinned to the old snapshot, stays the
+// naive one.
 func TestResultCacheChargesMaintenanceState(t *testing.T) {
 	reg := obs.NewRegistry()
 	rc, pl := NewResultCacheWith(reg, 0), NewPlanner()
@@ -489,45 +504,121 @@ func TestResultCacheChargesMaintenanceState(t *testing.T) {
 		t.Errorf("TC entry charged %d (cache %d), want at least answers+visited = %d", e.size, rc.Bytes(), want)
 	}
 
-	// Three cached queries of one fixpoint program: after a write they share
-	// one fixpoint state, charged once.
-	gen := maintWorkloads(t)[4]
-	rc = NewResultCacheWith(reg, 0)
-	gdb := storage.NewDatabase()
-	if err := insertAll(gdb, [][]string{{"a", "n0", "n1"}, {"b", "n1", "n2"}, {"e3", "n0", "n1", "n2"}, {"e3", "n1", "n2", "n0"}}); err != nil {
-		t.Fatal(err)
+	// Six cached queries of each fixpoint program: one view per program,
+	// charged once, before and after writes.
+	for _, w := range maintWorkloads(t)[3:] {
+		t.Run(w.name, func(t *testing.T) {
+			evals := obs.NewRegistry()
+			opts := Opts{Metrics: evals}
+			driverRuns := func() int64 { return evals.Counter(mEvaluations).Value() }
+			rc := NewResultCacheWith(reg, 0)
+			db := storage.NewDatabase()
+			if err := insertAll(db, workSeed(w)); err != nil {
+				t.Fatal(err)
+			}
+			c := "s"
+			if w.kind == PlanGeneric {
+				c = "n"
+			}
+			var qs []string
+			for i := 0; i < 5; i++ {
+				qs = append(qs, fmt.Sprintf("?- p(%s%d, Y, Z).", c, i))
+			}
+			queries := parseQueries(t, append(qs, "?- p(X, Y, Z).")...)
+			snap := db.Snapshot()
+			check := func(at *storage.Snapshot, cached bool) {
+				t.Helper()
+				for _, q := range queries {
+					got, _, hit, err := rc.Answer(pl, w.sys, q, at, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hit != cached {
+						t.Errorf("%v at epoch %d: cached=%v, want %v", q, at.Epoch(), hit, cached)
+					}
+					if want := oracleRows(t, w.sys, q, at.DB()); !rowsEqual(relRows(got), want) {
+						t.Errorf("%v at epoch %d: %d rows, naive %d", q, at.Epoch(), got.Len(), len(want))
+					}
+				}
+			}
+			check(snap, false)
+			if n := driverRuns(); n != 1 {
+				t.Errorf("%d cold queries ran the round driver %d times, want once", len(queries), n)
+			}
+			charges := func(at *storage.Snapshot) {
+				t.Helper()
+				v := viewAt(t, rc, at)
+				var want int64
+				rc.mu.Lock()
+				for el := rc.lru.Front(); el != nil; el = el.Next() {
+					e := el.Value.(*resultEntry)
+					if e.hasQuery && e.aux != nil {
+						t.Errorf("%s holds maintenance state of its own", e.key.query)
+					}
+					want += e.size
+				}
+				rc.mu.Unlock()
+				if got := rc.Bytes(); got != want || want < v.sizeBytes() {
+					t.Errorf("cache charges %d bytes, entries sum to %d, view alone %d", got, want, v.sizeBytes())
+				}
+			}
+			charges(snap)
+
+			old := snap
+			if err := insertAll(db, [][]string{oneFact[w.name](0), oneFact[w.name](1)}); err != nil {
+				t.Fatal(err)
+			}
+			snap = db.Snapshot()
+			res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: w.sys, Opts: opts})
+			if res.Maintained != len(queries) || driverRuns() != 1 {
+				t.Fatalf("Maintain = %+v with %d driver runs, want %d maintained by the delta pass", res, driverRuns()-1, len(queries))
+			}
+			if v := viewAt(t, rc, snap); v.from == nil || v.base != old.Epoch() {
+				t.Errorf("the view at the new epoch was not advanced from the old one (base %d)", v.base)
+			}
+			charges(snap)
+			check(snap, true)
+			// The old epoch's view went with its entries: a reader pinned there
+			// computes it again, once, and answers as of its snapshot.
+			check(old, false)
+			if n := driverRuns(); n != 2 {
+				t.Errorf("the pinned reader ran the round driver %d times, want once", n-1)
+			}
+		})
 	}
-	snap = gdb.Snapshot()
-	queries := parseQueries(t, "?- p(X, Y, Z).", "?- p(n0, Y, Z).", "?- p(n1, Y, Z).")
-	for _, q := range queries {
-		if _, _, _, err := rc.Answer(pl, gen.sys, q, snap, Opts{}); err != nil {
-			t.Fatal(err)
+}
+
+// viewAt digs the one view cached at the snapshot's epoch out of the cache.
+func viewAt(t *testing.T, rc *ResultCache, snap *storage.Snapshot) *fixAux {
+	t.Helper()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	var v *fixAux
+	for k, el := range rc.entries {
+		if a, ok := el.Value.(*resultEntry).aux.(*fixAux); ok && k.epoch == snap.Epoch() {
+			if v != nil {
+				t.Fatalf("two views at epoch %d", snap.Epoch())
+			}
+			v = a
 		}
 	}
-	for i := 0; i < 5; i++ {
-		old := snap
-		if _, err := gdb.Insert("e3", "n0", fmt.Sprintf("v%d", i), "n2"); err != nil {
-			t.Fatal(err)
-		}
-		snap = gdb.Snapshot()
-		if res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: gen.sys, Opts: Opts{}}); res.Maintained != len(queries) {
-			t.Fatalf("write %d: Maintain = %+v", i, res)
+	if v == nil {
+		t.Fatalf("no view at epoch %d", snap.Epoch())
+	}
+	return v
+}
+
+// sameRels reports whether two views hold the very same relations.
+func sameRels(a, b map[string]*storage.Relation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for pred, r := range a {
+		if b[pred] != r {
+			return false
 		}
 	}
-	var want int64
-	shared := entryAt(t, rc, gen.sys, queries[0], snap).aux.(*fixAux)
-	for _, q := range queries {
-		e := entryAt(t, rc, gen.sys, q, snap)
-		if e.aux != any(shared) {
-			t.Errorf("%v holds its own fixpoint state after a write", q)
-		}
-		want += e.size
-	}
-	want += shared.sizeBytes()
-	if got := rc.Bytes(); got != want || len(rc.fixRefs) != 1 || rc.fixRefs[shared] != len(queries) {
-		t.Errorf("cache charges %d bytes with %d fixpoint states (%d holders), want %d bytes, one state, %d holders",
-			got, len(rc.fixRefs), rc.fixRefs[shared], want, len(queries))
-	}
+	return true
 }
 
 // TestFreezeNoWriteUnderReaders (run under -race by `make race`): a reader on

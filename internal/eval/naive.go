@@ -393,7 +393,12 @@ func semiNaiveFixpoint(work *storage.Database, rules []compiledRule, local map[s
 // query atom's constants and returns them as a relation of the query's
 // arity.
 func AnswerQuery(db *storage.Database, q ast.Query) (*storage.Relation, error) {
-	rel := db.Rel(q.Atom.Pred)
+	return selectAnswers(db.Rel(q.Atom.Pred), q, db.Syms)
+}
+
+// selectAnswers copies the tuples of rel (nil: none) that carry the query's
+// constants into a fresh relation.
+func selectAnswers(rel *storage.Relation, q ast.Query, syms *storage.Symbols) (*storage.Relation, error) {
 	out := storage.NewRelation(q.Atom.Arity())
 	if rel == nil {
 		return out, nil
@@ -401,7 +406,7 @@ func AnswerQuery(db *storage.Database, q ast.Query) (*storage.Relation, error) {
 	if rel.Arity() != q.Atom.Arity() {
 		return nil, fmt.Errorf("eval: query arity %d vs relation %d", q.Atom.Arity(), rel.Arity())
 	}
-	bound, vals, ok := selection(q, db.Syms)
+	bound, vals, ok := selection(q, syms)
 	if !ok {
 		return out, nil
 	}

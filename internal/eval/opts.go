@@ -17,13 +17,10 @@ var ErrCanceled = errors.New("eval: evaluation canceled")
 
 // Opts configures evaluation for every strategy. The zero value is the
 // uninstrumented default: no tracing (nil Tracer keeps the hot paths
-// allocation-free — every obs method no-ops on nil), metrics flushed to the
-// process-wide obs.Default() registry at evaluation granularity, and the
-// parallel engine sized to GOMAXPROCS.
+// allocation-free — every obs method no-ops on nil) and metrics flushed to
+// the process-wide obs.Default() registry at evaluation granularity. The
+// round driver's pool is GOMAXPROCS workers.
 type Opts struct {
-	// Workers is the parallel engine's pool size; 0 or negative means
-	// runtime.GOMAXPROCS(0). Ignored by the sequential engines.
-	Workers int
 	// Tracer, when non-nil, receives the evaluation's hierarchical spans
 	// (fixpoint → round → per-rule join, plus classify/plan-compile from
 	// the auto planner).
@@ -48,6 +45,10 @@ type Opts struct {
 	// keeps them exact ablation baselines). Unexported: Opts is passed by
 	// value everywhere, so plans can attach it without callers forging one.
 	book *orderBook
+	// workers overrides the round driver's pool size (0 = GOMAXPROCS). Only
+	// the in-package determinism tests set it, to run one evaluation on
+	// several pool sizes.
+	workers int
 }
 
 // canceled reports whether the abort channel has closed. Engines call it at

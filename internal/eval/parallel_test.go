@@ -40,7 +40,7 @@ func TestParallelMatchesSemiNaiveOnRandomSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d seminaive: %v", trial, err)
 		}
-		par, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 1 + trial%4})
+		par, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: 1 + trial%4})
 		if err != nil {
 			t.Fatalf("trial %d parallel: %v", trial, err)
 		}
@@ -80,7 +80,7 @@ func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 1 + trial%3})
+		par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: 1 + trial%3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 2, 3, 8} {
-		out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: workers})
+		out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestParallelRoundTrace(t *testing.T) {
 	if err := storage.GenChain(db, "e", 16); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 2})
+	_, st, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestParallelManyStrataStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{Workers: 4})
+	par, _, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

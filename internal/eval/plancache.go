@@ -162,22 +162,15 @@ func (pl *Planner) pruneStatsLocked(key planKey) {
 // the first use of this program and query form). Stats.Plan reports the
 // class, the chosen strategy and whether the plan came from the cache.
 func (pl *Planner) AnswerOpts(src Source, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, _, st, err := pl.answer(src, q, db, opts)
-	return rel, st, err
-}
-
-// answer is AnswerOpts plus the plan's maintenance state (see Plan.run) — what
-// the result cache computes on a miss and stores with the entry.
-func (pl *Planner) answer(src Source, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, any, Stats, error) {
 	p, hit, err := pl.planFor(src, q, db, opts)
 	if err != nil {
-		return nil, nil, Stats{}, err
+		return nil, Stats{}, err
 	}
-	rel, aux, st, err := p.run(q, db, opts, sink{})
+	rel, st, err := p.AnswerOpts(q, db, opts)
 	if st.Plan != nil {
 		st.Plan.CacheHit = hit
 	}
-	return rel, aux, st, err
+	return rel, st, err
 }
 
 // Metrics returns the hit and miss counters accumulated since the planner

@@ -11,36 +11,38 @@ import (
 )
 
 // ResultCache memoizes materialized query answers keyed by (program, query,
-// snapshot epoch). Bounded and stable formulas compile to fixed-depth plans
-// whose answers depend only on the database state, which the snapshot epoch
-// names exactly — so a cached answer can never be stale: a write advances
-// the epoch and the old entries simply stop being asked for, aging out of
-// the LRU. Entries are charged against a byte budget (Relation.SizeBytes
-// plus key overhead, plus the maintenance state the entry keeps: a TC
-// entry's own visited set and private exit copy per entry, a program's
-// shared fixpoint once for all the entries holding it) and evicted
-// least-recently-used.
+// snapshot epoch). An answer depends only on the program and the database
+// state, which the snapshot epoch names exactly — so a cached answer can never
+// be stale: a write advances the epoch and the old entries simply stop being
+// asked for, aging out of the LRU. Entries are charged against a byte budget
+// (Relation.SizeBytes plus key overhead, plus the maintenance state the entry
+// keeps) and evicted least-recently-used. The stable and generic plans
+// evaluate the whole program before selecting, so the cache keeps that
+// fixpoint once per program and epoch as the program's view — an entry like
+// any other, whose aux is the *fixAux — and a fixpoint-plan entry keeps only
+// its answers, selected from the view.
 //
 // Maintain (maintain.go) carries the previous epoch's entries forward to the
-// new epoch by running a delta pass over only the inserted tuples, falling
-// back to a full recompute when the delta is not expressible.
+// new epoch by running a delta pass over only the inserted tuples (once per
+// view), falling back to a full recompute when the delta is not expressible.
 //
-// Concurrent identical queries are deduplicated singleflight-style: the
+// Concurrent misses of one key are deduplicated singleflight-style: the
 // first caller computes while the rest block on its result, so N identical
-// cold queries trigger exactly one fixpoint. A panicking compute fails its
-// flight (waiters get an error, the key stays usable) and re-panics in the
-// computing goroutine. Cached relations are frozen
-// (storage.Relation.Freeze) before publication, so any number of readers
-// may probe and iterate them concurrently; callers must not mutate them
-// (a mutation attempt panics).
+// cold queries trigger exactly one fixpoint, and so do N distinct cold
+// queries of one fixpoint program (they share the view's flight). A
+// panicking compute fails its flight (waiters get an error, the key stays
+// usable) and re-panics in the computing goroutine. Cached relations are
+// frozen (storage.Relation.Freeze) before publication, so any number of
+// readers may probe and iterate them concurrently; callers must not mutate
+// them (a mutation attempt panics).
 //
 // Hit, miss and eviction counts live in an obs.Registry under the
-// dl_resultcache_{hits,misses,evictions}_total names; the current byte and
-// entry footprints are the dl_resultcache_{bytes,entries} gauges; the
-// maintenance pass counts entries into
-// dl_resultcache_{maintained,carried,recomputed}_total (carried: the
-// maintained entries re-keyed with their relation untouched) and its
-// wall-clock into the dl_resultcache_maintenance_seconds histogram.
+// dl_resultcache_{hits,misses,evictions}_total names (a view lookup counts
+// nothing: it is part of the query that made it); the current byte and entry
+// footprints are the dl_resultcache_{bytes,entries} gauges; the maintenance
+// pass counts entries into dl_resultcache_{maintained,carried,recomputed}_total
+// (carried: the maintained entries re-keyed with their relation untouched)
+// and its wall-clock into the dl_resultcache_maintenance_seconds histogram.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int64
@@ -48,9 +50,6 @@ type ResultCache struct {
 	entries map[resultKey]*list.Element
 	lru     *list.List // front = most recently used
 	flight  map[resultKey]*flight
-	// fixRefs counts the entries holding each shared fixpoint state, which is
-	// charged to bytes once, while the count is positive.
-	fixRefs map[*fixAux]int
 
 	hits, misses, evictions         *obs.Counter
 	maintained, carried, recomputed *obs.Counter
@@ -58,6 +57,10 @@ type ResultCache struct {
 	bytesG, entriesG                *obs.Gauge
 }
 
+// resultKey names an entry. A view is keyed by its source's programKey and
+// the empty query, which no parsed query renders to: at one epoch every plan
+// of a source runs the same fixpoint program (compilePlan reads neither the
+// adornment nor the data, Plan.over only the epoch's data).
 type resultKey struct {
 	program string
 	query   string
@@ -66,22 +69,22 @@ type resultKey struct {
 
 type resultEntry struct {
 	key  resultKey
-	rel  *storage.Relation
+	rel  *storage.Relation // nil for a view
 	st   Stats
 	size int64
 	// q is the parsed query (valid when hasQuery), kept so Maintain can
-	// re-plan and re-answer the entry at a later epoch. Do-keyed entries
-	// have no parsed query and are never maintained.
+	// re-plan and re-answer the entry at a later epoch. Do-keyed entries and
+	// views have none: Maintain advances a view through its entries.
 	q        ast.Query
 	hasQuery bool
 	// aux is the plan-class-specific maintenance state captured at compute
-	// time (maintain.go): *tcAux for TC plans, *fixAux for fixpoint plans,
-	// nil when the plan keeps none (bounded plans need only the answers).
+	// time (maintain.go): *tcAux for TC plans, *fixAux for a view, nil when
+	// the entry keeps none (bounded and fixpoint-plan answers).
 	aux any
 }
 
 // flight is one in-progress computation other callers of the same key wait
-// on. rel/st/err are written once before done closes.
+// on. rel/aux/st/err are written once before done closes.
 //
 // Each flight refcounts its interested callers: the leader joins at
 // creation, every waiter joins before blocking and leaves when its own
@@ -93,6 +96,7 @@ type resultEntry struct {
 type flight struct {
 	done chan struct{}
 	rel  *storage.Relation
+	aux  any
 	st   Stats
 	err  error
 
@@ -149,7 +153,6 @@ func NewResultCacheWith(reg *obs.Registry, maxBytes int64) *ResultCache {
 		entries:    make(map[resultKey]*list.Element),
 		lru:        list.New(),
 		flight:     make(map[resultKey]*flight),
-		fixRefs:    make(map[*fixAux]int),
 		hits:       reg.Counter(mResultHits),
 		misses:     reg.Counter(mResultMisses),
 		evictions:  reg.Counter(mResultEvict),
@@ -165,22 +168,50 @@ func NewResultCacheWith(reg *obs.Registry, maxBytes int64) *ResultCache {
 // Answer evaluates the query against the snapshot through the planner,
 // serving a memoized answer when one exists for the snapshot's epoch. The
 // bool result reports whether the answer came from the cache (including
-// riding along on another caller's in-flight computation). The entry keeps
-// the plan's maintenance state, so Maintain can carry it across writes.
+// riding along on another caller's in-flight computation). A miss looks its
+// plan up once. A fixpoint plan selects from the program's view at the epoch,
+// or runs (one flight for every miss of the program) and leaves its fixpoint
+// behind as the view; a selection reports the view's Stats under its own
+// PlanInfo. Any other plan runs, its entry keeping the maintenance state.
 func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage.Snapshot, opts Opts) (*storage.Relation, Stats, bool, error) {
 	key := resultKey{program: programKey(src), query: q.String(), epoch: snap.Epoch()}
-	return c.do(key, q, true, opts.Abort, func(abort <-chan struct{}) (*storage.Relation, any, Stats, error) {
+	rel, _, st, hit, err := c.do(key, q, true, opts.Abort, func(abort <-chan struct{}) (rel *storage.Relation, aux any, st Stats, err error) {
 		o := opts
 		o.Abort = abort
-		return pl.answer(src, q, snap.DB(), o)
+		p, planHit, err := pl.planFor(src, q, snap.DB(), o)
+		if err != nil {
+			return nil, nil, st, err
+		}
+		if p = p.over(snap.DB()); p.Kind != PlanStable && p.Kind != PlanGeneric {
+			rel, aux, st, err = p.run(q, snap.DB(), o, sink{})
+		} else {
+			var viewHit bool
+			vk := resultKey{program: key.program, epoch: key.epoch}
+			_, aux, st, viewHit, err = c.do(vk, ast.Query{}, false, abort, func(abort <-chan struct{}) (_ *storage.Relation, vaux any, _ Stats, _ error) {
+				o.Abort = abort
+				rel, vaux, st, err = p.run(q, snap.DB(), o, sink{})
+				return nil, vaux, st, err
+			})
+			if viewHit && err == nil {
+				v := aux.(*fixAux) // the empty query names only views
+				rel, err = selectAnswers(v.rel(q.Atom.Pred, snap.DB()), q, snap.Syms())
+			}
+			aux, st.Plan = nil, p.planInfo()
+		}
+		if st.Plan != nil {
+			st.Plan.CacheHit = planHit
+		}
+		return rel, aux, st, err
 	})
+	return rel, st, hit, err
 }
 
 // Do returns the cached answer for (program, query, epoch), computing and
 // inserting it on a miss. Concurrent Do calls with the same key share one
 // compute invocation: exactly one runs, the rest block until it finishes
 // and return its result. Errors are returned to every waiter but never
-// cached, so a transient failure is retried by the next caller.
+// cached, so a transient failure is retried by the next caller. The empty
+// query is reserved: it names the programs' views.
 //
 // abort, when non-nil, is THIS caller's cancellation: a blocked waiter
 // unblocks with ErrCanceled, and the computing leader's evaluation is
@@ -189,10 +220,11 @@ func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage
 // Opts.Abort).
 func (c *ResultCache) Do(abort <-chan struct{}, program, query string, epoch uint64, compute func(abort <-chan struct{}) (*storage.Relation, Stats, error)) (*storage.Relation, Stats, bool, error) {
 	key := resultKey{program: program, query: query, epoch: epoch}
-	return c.do(key, ast.Query{}, false, abort, func(fa <-chan struct{}) (*storage.Relation, any, Stats, error) {
+	rel, _, st, hit, err := c.do(key, ast.Query{}, false, abort, func(fa <-chan struct{}) (*storage.Relation, any, Stats, error) {
 		rel, st, err := compute(fa)
 		return rel, nil, st, err
 	})
+	return rel, st, hit, err
 }
 
 // Lookup peeks at the cache for (program, query, epoch) without computing
@@ -216,38 +248,39 @@ func (c *ResultCache) Lookup(program, query string, epoch uint64) (*storage.Rela
 }
 
 // do is the shared hit/flight/compute path. compute additionally returns
-// the plan-specific maintenance state stored alongside the entry.
-func (c *ResultCache) do(key resultKey, q ast.Query, hasQuery bool, callerAbort <-chan struct{}, compute func(abort <-chan struct{}) (*storage.Relation, any, Stats, error)) (*storage.Relation, Stats, bool, error) {
+// the plan-specific maintenance state stored alongside the entry, which do
+// hands back with the answers; a view's compute returns no relation.
+func (c *ResultCache) do(key resultKey, q ast.Query, hasQuery bool, callerAbort <-chan struct{}, compute func(abort <-chan struct{}) (*storage.Relation, any, Stats, error)) (*storage.Relation, any, Stats, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		e := el.Value.(*resultEntry)
 		c.mu.Unlock()
-		c.hits.Inc()
-		return e.rel, e.st, true, nil
+		c.count(key, c.hits)
+		return e.rel, e.aux, e.st, true, nil
 	}
 	if f, ok := c.flight[key]; ok && f.tryJoin() {
 		c.mu.Unlock()
-		c.hits.Inc()
+		c.count(key, c.hits)
 		select {
 		case <-f.done:
-			return f.rel, f.st, true, f.err
+			return f.rel, f.aux, f.st, true, f.err
 		case <-callerAbort:
 			// Losing the race against a just-finished compute must not
 			// discard a perfectly good answer.
 			select {
 			case <-f.done:
-				return f.rel, f.st, true, f.err
+				return f.rel, f.aux, f.st, true, f.err
 			default:
 			}
 			f.leave()
-			return nil, Stats{}, false, fmt.Errorf("eval: wait for in-flight result of %q: %w", key.query, ErrCanceled)
+			return nil, nil, Stats{}, false, fmt.Errorf("eval: wait for in-flight result of %q: %w", key.query, ErrCanceled)
 		}
 	}
 	f := &flight{done: make(chan struct{}), abort: make(chan struct{}), waiters: 1}
 	c.flight[key] = f
 	c.mu.Unlock()
-	c.misses.Inc()
+	c.count(key, c.misses)
 
 	// The leader's own caller disconnecting releases only the leader's
 	// share of the flight: the watcher leaves, and the compute dies only if
@@ -264,46 +297,45 @@ func (c *ResultCache) do(key resultKey, q ast.Query, hasQuery bool, callerAbort 
 		}()
 	}
 
-	var aux any
 	// A panicking compute must not wedge the key: fail the flight so waiters
 	// unblock with an error, unregister it, then let the panic continue.
+	keep := false
 	defer func() {
-		if r := recover(); r != nil {
-			f.rel, f.err = nil, fmt.Errorf("eval: result compute for %q panicked: %v", key.query, r)
-			close(f.done)
-			c.unregisterFlight(key, f)
+		r := recover()
+		if r != nil {
+			f.rel, f.aux, f.err = nil, nil, fmt.Errorf("eval: result compute for %q panicked: %v", key.query, r)
+		}
+		close(f.done)
+		c.mu.Lock()
+		if c.flight[key] == f {
+			delete(c.flight, key)
+		}
+		if keep {
+			c.insertLocked(&resultEntry{key: key, rel: f.rel, st: f.st, q: q, hasQuery: hasQuery, aux: f.aux})
+		}
+		c.mu.Unlock()
+		if r != nil {
 			panic(r)
 		}
 	}()
-	f.rel, aux, f.st, f.err = compute(f.abort)
-	if f.err == nil && f.rel != nil {
+	f.rel, f.aux, f.st, f.err = compute(f.abort)
+	if keep = f.err == nil && (f.rel != nil || f.aux != nil); keep {
 		// Freeze before publication: waiters and future hits may read the
 		// relation (and the maintenance state) from any number of goroutines.
-		f.rel.Freeze()
-		freezeAux(aux)
+		if f.rel != nil {
+			f.rel.Freeze()
+		}
+		freezeAux(f.aux)
 	}
-	close(f.done)
-
-	c.mu.Lock()
-	if cur, ok := c.flight[key]; ok && cur == f {
-		delete(c.flight, key)
-	}
-	if f.err == nil && f.rel != nil {
-		c.insertLocked(&resultEntry{key: key, rel: f.rel, st: f.st, q: q, hasQuery: hasQuery, aux: aux})
-	}
-	c.mu.Unlock()
-	return f.rel, f.st, false, f.err
+	return f.rel, f.aux, f.st, false, f.err
 }
 
-// unregisterFlight removes f from the flight table unless a successor
-// flight already replaced it (an aborted flight's key is reusable before
-// its dying compute returns).
-func (c *ResultCache) unregisterFlight(key resultKey, f *flight) {
-	c.mu.Lock()
-	if cur, ok := c.flight[key]; ok && cur == f {
-		delete(c.flight, key)
+// count records a query's hit or miss; a view's lookups are part of the
+// query that made them and count nothing.
+func (c *ResultCache) count(key resultKey, n *obs.Counter) {
+	if key.query != "" {
+		n.Inc()
 	}
-	c.mu.Unlock()
 }
 
 // insertLocked adds the entry and evicts from the LRU tail until the byte
@@ -313,11 +345,9 @@ func (c *ResultCache) insertLocked(e *resultEntry) {
 	if _, ok := c.entries[e.key]; ok {
 		return // a racing compute of the same key beat us; keep the first
 	}
-	e.size = e.rel.SizeBytes() + privateBytes(e.aux) + int64(len(e.key.program)+len(e.key.query)) + 96
-	if a, ok := e.aux.(*fixAux); ok {
-		if c.fixRefs[a]++; c.fixRefs[a] == 1 {
-			c.bytes += a.sizeBytes()
-		}
+	e.size = auxBytes(e.aux) + int64(len(e.key.program)+len(e.key.query)) + 96
+	if e.rel != nil {
+		e.size += e.rel.SizeBytes()
 	}
 	c.entries[e.key] = c.lru.PushFront(e)
 	c.bytes += e.size
@@ -329,19 +359,12 @@ func (c *ResultCache) insertLocked(e *resultEntry) {
 	c.entriesG.Set(int64(c.lru.Len()))
 }
 
-// removeLocked drops the entry and its charge, and a shared fixpoint state's
-// with its last holder. Caller holds c.mu.
+// removeLocked drops the entry and its charge. Caller holds c.mu.
 func (c *ResultCache) removeLocked(el *list.Element) {
 	e := el.Value.(*resultEntry)
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.bytes -= e.size
-	if a, ok := e.aux.(*fixAux); ok {
-		if c.fixRefs[a]--; c.fixRefs[a] == 0 {
-			delete(c.fixRefs, a)
-			c.bytes -= a.sizeBytes()
-		}
-	}
 }
 
 // Len returns the number of cached entries.

@@ -371,7 +371,7 @@ func TestStreamCloseMidStream(t *testing.T) {
 	prog := sys.Program()
 	base = runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		it := (&Plan{Kind: PlanGeneric, fix: prog}).Stream(q, db, Opts{Workers: 4}, 0)
+		it := (&Plan{Kind: PlanGeneric, fix: prog}).Stream(q, db, Opts{workers: 4}, 0)
 		if !it.Next() {
 			t.Fatal("parallel stream ended immediately")
 		}

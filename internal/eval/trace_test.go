@@ -73,7 +73,7 @@ func TestSpanTreeGolden(t *testing.T) {
 		{"parallel", func(t *testing.T, opts Opts) {
 			// One worker keeps task execution (and span attachment) in feed
 			// order, so the tree is byte-for-byte reproducible.
-			opts.Workers = 1
+			opts.workers = 1
 			if _, _, err := AnswerOpts(StrategyParallel, tcSys, q, chainDB(t, 4), opts); err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestParallelSpanEmissionRace(t *testing.T) {
 			defer wg.Done()
 			tr := obs.New("race")
 			db := chainDB(t, 40)
-			if _, _, err := AnswerOpts(StrategyParallel, sys, q, db, Opts{Tracer: tr, Workers: 8}); err != nil {
+			if _, _, err := AnswerOpts(StrategyParallel, sys, q, db, Opts{Tracer: tr, workers: 8}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -83,11 +83,12 @@ type answer struct {
 // the row source. A cache hit is a zero-copy iterator over the frozen
 // cached relation, whatever form the request takes. On a miss an unlimited,
 // unstreamed request is materialised through the result cache (singleflight
-// with identical concurrent queries; the answer and its maintenance state
-// are kept) and iterated from the new entry, while a limit or stream request
-// evaluates as a stream that the limit or a ctx cancellation stops
-// mid-fixpoint and never fills the cache: a truncated answer set must not
-// be served as the full one.
+// with identical concurrent queries; a fixpoint plan selects from its
+// program's cached view; the answer and its maintenance state are kept) and
+// iterated from the new entry, while a limit or stream request evaluates as
+// a stream that the limit or a ctx cancellation stops mid-fixpoint and never
+// fills the cache: a truncated answer set must not be served as the full
+// one.
 func (s *Server) open(ctx context.Context, qs string, limit int, stream bool, tracer *obs.Tracer) (answer, error) {
 	q, err := parser.ParseQuery(qs)
 	if err != nil {

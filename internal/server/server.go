@@ -95,8 +95,8 @@ const DefaultMaxQueryBytes = 1 << 20
 // land there, anything a human would call slow does.
 const DefaultSlowQueryThreshold = 250 * time.Millisecond
 
-// Config tunes a Server. The zero value works: default cache budget,
-// GOMAXPROCS workers, a fresh registry, incremental maintenance on.
+// Config tunes a Server. The zero value works: default cache budget, a
+// fresh registry, incremental maintenance on.
 type Config struct {
 	// Registry receives the server and engine metrics; nil means a new
 	// isolated registry (obs.Default() shares process-wide counters).
@@ -104,8 +104,6 @@ type Config struct {
 	// CacheBytes is the result-cache budget; 0 means
 	// eval.DefaultResultCacheBytes.
 	CacheBytes int64
-	// Workers is handed to eval.Opts.Workers for the parallel engine.
-	Workers int
 	// MaxFactsBytes caps the POST /facts request body; 0 means
 	// DefaultMaxFactsBytes, negative means no limit.
 	MaxFactsBytes int64
@@ -311,7 +309,7 @@ func (s *Server) loadFacts(src string) (uint64, eval.MaintResult, time.Duration,
 // evalOpts is the server's configuration as the engines take it, plus the
 // request's tracer and cancellation (both nil outside a request).
 func (s *Server) evalOpts(tracer *obs.Tracer, abort <-chan struct{}) eval.Opts {
-	return eval.Opts{Workers: s.cfg.Workers, Metrics: s.cfg.Registry, Tracer: tracer, Abort: abort}
+	return eval.Opts{Metrics: s.cfg.Registry, Tracer: tracer, Abort: abort}
 }
 
 // Snapshot returns the latest published snapshot.
