@@ -117,6 +117,19 @@ func Closure(nonRecursive []ast.Atom, determined map[string]bool) {
 // the non-recursive literals, and the result is the adornment of the
 // recursive literal in the antecedent.
 func Step(rule ast.Rule, a Adornment) Adornment {
+	out, _ := step(rule, a, false)
+	return out
+}
+
+// StepReach is Step also returning, in body order, the non-recursive
+// literals the closure reached: those holding a determined variable. They
+// are the only ones that constrain the recursive literal's determined
+// positions; the rest join in nothing the bound head positions fix.
+func StepReach(rule ast.Rule, a Adornment) (Adornment, []ast.Atom) {
+	return step(rule, a, true)
+}
+
+func step(rule ast.Rule, a Adornment, reach bool) (Adornment, []ast.Atom) {
 	recAtom, _ := rule.RecursiveAtom()
 	determined := make(map[string]bool)
 	for i, t := range rule.Head.Args {
@@ -124,12 +137,25 @@ func Step(rule ast.Rule, a Adornment) Adornment {
 			determined[t.Name] = true
 		}
 	}
-	Closure(rule.NonRecursiveAtoms(), determined)
+	nonRec := rule.NonRecursiveAtoms()
+	Closure(nonRec, determined)
 	out := make(Adornment, len(recAtom.Args))
 	for i, t := range recAtom.Args {
 		out[i] = determined[t.Name]
 	}
-	return out
+	if !reach {
+		return out, nil
+	}
+	var reached []ast.Atom
+	for _, atom := range nonRec {
+		for _, t := range atom.Args {
+			if t.IsVar() && determined[t.Name] {
+				reached = append(reached, atom)
+				break
+			}
+		}
+	}
+	return out, reached
 }
 
 // Pattern returns the sequence of adornments of the recursive literal over

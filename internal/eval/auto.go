@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/adorn"
 	"repro/internal/ast"
 	"repro/internal/classify"
 	"repro/internal/obs"
@@ -264,7 +265,13 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 	case PlanBounded:
 		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)
 	default:
-		rel, aux, st, err = fixpointAnswer(p.fix.Program(), q, db, opts, snk)
+		magic := false
+		if snk.emit != nil {
+			st, magic, err = p.magicStream(q, db, opts, snk)
+		}
+		if !magic {
+			rel, aux, st, err = fixpointAnswer(p.fix.Program(), q, db, opts, snk)
+		}
 	}
 	if err != nil && err != errStreamStop {
 		return nil, nil, st, err
@@ -280,11 +287,15 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 // selection, applied as the rounds derive — and returns no relation.
 func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, any, Stats, error) {
 	if emit := snk.emit; emit != nil {
-		// A constant the database has never seen matches no tuple, but the
-		// fixpoint still runs so Stats mirror the materializing path (which
-		// also evaluates, then selects).
+		// The program's facts and head constants are interned as it runs:
+		// an unknown constant is looked up again whenever the symbols grew.
 		bound, vals, known := selection(q, db.Syms)
+		syms := db.Syms.Len()
 		snk.emit = func(t storage.Tuple) bool {
+			if !known && db.Syms.Len() != syms {
+				syms = db.Syms.Len()
+				bound, vals, known = selection(q, db.Syms)
+			}
 			if !known || len(t) != len(vals) || !matches(bound, vals, t) {
 				return true
 			}
@@ -300,4 +311,28 @@ func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts O
 		return nil, nil, st, err
 	}
 	return ans, newFixAux(prog, out), st, nil
+}
+
+// magicStream streams a bound query of a classified system through the
+// query's magic-sets program (magic.go) on the round driver: the magic
+// relation holds the query's constants, so the rounds derive only what they
+// reach (PAPER.md §5's selections before joins), and the sink watches the
+// adorned query predicate through the same constant filter. A constant the
+// database never interned ends the stream at once. ok is false, and nothing
+// ran, for an all-free query, a classless program, or a database storing
+// tuples under the planned predicate (which the adorned predicates would
+// miss): those stream the full fixpoint.
+func (p *Plan) magicStream(q ast.Query, db *storage.Database, opts Opts, snk sink) (st Stats, ok bool, err error) {
+	sys, ok := p.fix.(*ast.RecursiveSystem)
+	a := adorn.FromQuery(q)
+	stored := db.Rel(q.Atom.Pred)
+	if !ok || q.Atom.Pred != sys.Pred() || len(a) != sys.Arity() || a.BoundCount() == 0 || stored != nil && stored.Len() > 0 {
+		return st, false, nil
+	}
+	m := rewriteMagic(sys, a)
+	if seeded, known := m.seeded(q, db); known {
+		snk.pred, snk.magic = m.pred, a.String()
+		_, _, st, err = fixpointAnswer(m.Program, q, seeded, opts, snk)
+	}
+	return st, true, err
 }

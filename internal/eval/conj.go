@@ -388,22 +388,10 @@ func (e *enumState) step(remaining int) bool {
 	return cont
 }
 
-// EvalSeeded enumerates the satisfying bindings of the conjunction with the
-// positive atom at seedIdx pre-resolved to the single tuple seed: the atom's
-// variables are bound from the tuple (constants and repeated variables are
-// checked for consistency) and the search runs over the remaining atoms with
-// dynamic ordering. The parallel semi-naive engine uses this to drive one
-// delta tuple at a time without materializing single-tuple relations. The
-// binding is mutated during the search and restored before returning.
-func (c *Conj) EvalSeeded(rels RelFunc, binding []storage.Value, seedIdx int, seed storage.Tuple, yield func([]storage.Value) bool) bool {
-	s := newSeeder(c, rels, binding, yield)
-	return s.seed(seedIdx, seed)
-}
-
 // seeder drives repeated seeded enumerations over one conjunction, reusing
 // the search scratch (done flags, assigned-slot buffer) across calls. The
 // parallel engine creates one per task and feeds it every delta tuple of the
-// task's chunk; EvalSeeded wraps it for one-shot use.
+// task's chunk.
 type seeder struct {
 	e        enumState
 	assigned []int
@@ -426,8 +414,11 @@ func newSeederWith(c *Conj, rels RelFunc, binding []storage.Value, order []int, 
 	}}
 }
 
-// seed binds the positive atom at seedIdx to the tuple and enumerates the
-// rest of the conjunction; see EvalSeeded for the contract.
+// seed enumerates the satisfying bindings of the conjunction with the
+// positive atom at seedIdx pre-resolved to the single tuple: the atom's
+// variables are bound from the tuple (constants and repeated variables are
+// checked for consistency) and the search runs over the remaining atoms. The
+// binding is mutated during the search and restored before returning.
 func (s *seeder) seed(seedIdx int, seed storage.Tuple) bool {
 	c, binding := s.e.c, s.e.binding
 	if s.e.order != nil && s.e.order[0] != seedIdx {
@@ -499,10 +490,10 @@ func project(buf storage.Tuple, slots []int, fixed storage.Tuple, b []storage.Va
 	}
 }
 
-// HeadSlots maps the head atom's arguments to conjunction slots: for a
+// headSlots maps the head atom's arguments to conjunction slots: for a
 // variable argument its slot id, for a constant −1 with the constant placed
 // in the fixed tuple.
-func HeadSlots(c *Conj, syms *storage.Symbols, head ast.Atom) (slots []int, fixed storage.Tuple, err error) {
+func headSlots(c *Conj, syms *storage.Symbols, head ast.Atom) (slots []int, fixed storage.Tuple, err error) {
 	slots = make([]int, len(head.Args))
 	fixed = make(storage.Tuple, len(head.Args))
 	for i, t := range head.Args {

@@ -112,10 +112,10 @@ func TestEvalSeeded(t *testing.T) {
 	va, _ := db.Syms.Lookup("a")
 	vb, _ := db.Syms.Lookup("b")
 	n := 0
-	conj.EvalSeeded(DBRels(db), binding, 0, storage.Tuple{va, vb}, func(b []storage.Value) bool {
+	newSeeder(conj, DBRels(db), binding, func(b []storage.Value) bool {
 		n++
 		return true
-	})
+	}).seed(0, storage.Tuple{va, vb})
 	if n != 1 {
 		t.Errorf("seeded e(a, b): %d bindings, want 1 (through p(b, c))", n)
 	}
@@ -128,10 +128,10 @@ func TestEvalSeeded(t *testing.T) {
 	rule2 := parser.MustParseRule("q(Y) :- e(a, Y).")
 	conj2 := CompileConj(db.Syms, rule2.Body)
 	n = 0
-	conj2.EvalSeeded(DBRels(db), conj2.NewBinding(), 0, storage.Tuple{vb, vb}, func([]storage.Value) bool {
+	newSeeder(conj2, DBRels(db), conj2.NewBinding(), func([]storage.Value) bool {
 		n++
 		return true
-	})
+	}).seed(0, storage.Tuple{vb, vb})
 	if n != 0 {
 		t.Errorf("constant-mismatched seed yielded %d bindings", n)
 	}
@@ -139,10 +139,10 @@ func TestEvalSeeded(t *testing.T) {
 	rule3 := parser.MustParseRule("q(X) :- e(X, X).")
 	conj3 := CompileConj(db.Syms, rule3.Body)
 	n = 0
-	conj3.EvalSeeded(DBRels(db), conj3.NewBinding(), 0, storage.Tuple{va, vb}, func([]storage.Value) bool {
+	newSeeder(conj3, DBRels(db), conj3.NewBinding(), func([]storage.Value) bool {
 		n++
 		return true
-	})
+	}).seed(0, storage.Tuple{va, vb})
 	if n != 0 {
 		t.Errorf("non-diagonal seed for e(X, X) yielded %d bindings", n)
 	}

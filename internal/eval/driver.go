@@ -57,6 +57,9 @@ type sink struct {
 	// budget, when positive, caps the derivation attempts (Stats.Facts) of
 	// the evaluation; the round that exceeds it ends it with errOverBudget.
 	budget int
+	// magic, when set, is the query adornment whose magic-sets program a
+	// bound stream runs; it only labels the fixpoint span.
+	magic string
 }
 
 // fresh shows a newly inserted tuple of pred to the consumer; false stops
@@ -528,6 +531,9 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 		r.workers = runtime.GOMAXPROCS(0)
 	}
 	fix := opts.parent().Child("fixpoint").SetStr("engine", "parallel")
+	if snk.magic != "" {
+		fix.SetStr("magic", snk.magic)
+	}
 	defer fix.End()
 	if rel := work.Rel(snk.pred); snk.emit != nil && rel != nil {
 		stopped := false

@@ -17,7 +17,9 @@ import (
 // stream drained to exhaustion and the entry maintained across an insert
 // batch all equal the naive oracle — and the materialized and streamed runs,
 // on either worker count, do the same work (identical rounds and
-// derivations).
+// derivations), except a bound stream of a classified stable or generic
+// plan, which runs the query's magic-sets program and derives what the magic
+// strategy derives.
 
 // oracleRows answers q by naive evaluation.
 func oracleRows(t *testing.T, src Source, q ast.Query, db *storage.Database) []string {
@@ -237,7 +239,20 @@ func TestDriverModesAgree(t *testing.T) {
 					if got := drainStream(t, it); !rowsEqual(got, want) {
 						t.Errorf("%v: streamed %d rows, oracle %d", q, len(got), len(want))
 					}
-					if sst := it.Stats(); sst.Rounds != mst.Rounds || sst.Derived != mst.Derived || sst.Plan.Strategy != mst.Plan.Strategy {
+					sst := it.Stats()
+					same := sst.Rounds == mst.Rounds && sst.Derived == mst.Derived
+					if magicStreamed(p, q, snap.DB()) {
+						// A bound stream of a classified fixpoint plan runs the
+						// query's magic-sets program instead: the derivations of
+						// the magic strategy, whose magic set may be the whole
+						// domain on a fixture this dense.
+						_, rst, err := MagicSetsOpts(p.fix.(*ast.RecursiveSystem), q, snap.DB(), Opts{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						same = sst.Derived == rst.Derived
+					}
+					if !same || sst.Plan.Strategy != mst.Plan.Strategy {
 						t.Errorf("%v: streamed rounds=%d derived=%d %s, materialized rounds=%d derived=%d %s",
 							q, sst.Rounds, sst.Derived, sst.Plan.Strategy, mst.Rounds, mst.Derived, mst.Plan.Strategy)
 					}

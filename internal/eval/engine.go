@@ -75,28 +75,14 @@ func Answer(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *storag
 // the strategy selects: every strategy feeds the same tracer and metrics
 // registry through Opts.
 func AnswerOpts(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
+	var engine func(*ast.Program, *storage.Database, Opts) (*storage.Database, Stats, error)
 	switch strategy {
 	case StrategyNaive:
-		out, st, err := NaiveOpts(sys.Program(), db, opts)
-		if err != nil {
-			return nil, st, err
-		}
-		ans, err := AnswerQuery(out, q)
-		return ans, st, err
+		engine = NaiveOpts
 	case StrategySemiNaive:
-		out, st, err := SemiNaiveOpts(sys.Program(), db, opts)
-		if err != nil {
-			return nil, st, err
-		}
-		ans, err := AnswerQuery(out, q)
-		return ans, st, err
+		engine = SemiNaiveOpts
 	case StrategyParallel:
-		out, st, err := ParallelSemiNaiveOpts(sys.Program(), db, opts)
-		if err != nil {
-			return nil, st, err
-		}
-		ans, err := AnswerQuery(out, q)
-		return ans, st, err
+		engine = ParallelSemiNaiveOpts
 	case StrategyMagic:
 		return MagicSetsOpts(sys, q, db, opts)
 	case StrategyState:
@@ -108,6 +94,12 @@ func AnswerOpts(strategy Strategy, sys *ast.RecursiveSystem, q ast.Query, db *st
 	default:
 		return nil, Stats{}, fmt.Errorf("eval: unknown strategy %v", strategy)
 	}
+	out, st, err := engine(sys.Program(), db, opts)
+	if err != nil {
+		return nil, st, err
+	}
+	ans, err := AnswerQuery(out, q)
+	return ans, st, err
 }
 
 // ClassEvalOpts classifies the system and dispatches to the most specific

@@ -8,95 +8,114 @@ import (
 	"repro/internal/storage"
 )
 
-// MagicSetsOpts rewrites the linear recursive system for the query's adornment
-// using the magic-sets transformation (the standard post-1988 baseline the
-// reproduction compares the paper's compiled plans against) and evaluates
-// the rewritten program semi-naively.
-//
-// Adorned predicates p_a and magic predicates m_a are generated on demand:
-// the adornment of the recursive literal follows the paper's determined-
-// variable closure (adorn.Step), so one recursive rule can fan out into a
-// small family of adorned rules, one per reachable adornment.
-//
-// The rewriting itself is recorded under a "magic-rewrite" span (adornment
-// count, generated rules) and the semi-naive evaluation of the rewritten
-// program attaches its own fixpoint span as a sibling. Like the paper, it
-// assumes the database stores no tuples under the recursive predicate itself.
+// magicProgram is a linear recursive system's magic-sets rewrite for one
+// query adornment: the reference "magic" strategy's program, and the one a
+// bound stream of a fixpoint plan runs. Adorned predicates p@a and magic
+// predicates magic@a are generated per adornment the determined-variable
+// closure (adorn.Step) reaches from the query's.
+type magicProgram struct {
+	*ast.Program
+	pred, seed string // the query's adorned predicate and its magic one
+	adornments int
+}
+
+// rewriteMagic rewrites the system for the adornment. Each magic propagation
+// rule joins only the non-recursive literals the closure reaches from the
+// bound head positions (adorn.StepReach): dropping the others can only
+// enlarge the magic set, which the adorned rules filter anyway, and keeps a
+// stabilized system's unrelated (often Cartesian) literals out of the join.
+func rewriteMagic(sys *ast.RecursiveSystem, a0 adorn.Adornment) *magicProgram {
+	rule := sys.Recursive
+	recAtom, recIdx := rule.RecursiveAtom()
+	pName := func(a adorn.Adornment) string { return sys.Pred() + "@" + a.String() }
+	mAtom := func(a adorn.Adornment, atom ast.Atom) ast.Atom {
+		var bound []ast.Term
+		for i, t := range atom.Args {
+			if a[i] {
+				bound = append(bound, t)
+			}
+		}
+		return ast.NewAtom("magic@"+a.String(), bound...)
+	}
+	m := &magicProgram{Program: &ast.Program{}, pred: pName(a0), seed: "magic@" + a0.String()}
+	seen := map[string]bool{}
+	for work := []adorn.Adornment{a0}; len(work) > 0; work = work[1:] {
+		a := work[0]
+		if seen[a.String()] {
+			continue
+		}
+		seen[a.String()] = true
+		b, reached := adorn.StepReach(rule, a)
+		work = append(work, b)
+		// m_b(bound rec args) :- m_a(bound head args), reached NR.
+		m.AddRule(ast.NewRule(mAtom(b, recAtom), append([]ast.Atom{mAtom(a, rule.Head)}, reached...)...))
+		// p_a(head) :- m_a(bound head), NR, p_b(rec args).
+		body := append([]ast.Atom{mAtom(a, rule.Head)}, rule.Body[:recIdx]...)
+		body = append(append(body, rule.Body[recIdx+1:]...), ast.NewAtom(pName(b), recAtom.Args...))
+		m.AddRule(ast.NewRule(ast.NewAtom(pName(a), rule.Head.Args...), body...))
+		// p_a(head) :- m_a(bound head), exit body.
+		for _, exit := range sys.Exits {
+			m.AddRule(ast.NewRule(ast.NewAtom(pName(a), exit.Head.Args...), append([]ast.Atom{mAtom(a, exit.Head)}, exit.Body...)...))
+		}
+	}
+	m.adornments = len(seen)
+	return m
+}
+
+// seeded returns a database reading db's relations plus the magic relation
+// of the query's adornment, holding the query's constants. A query constant
+// is never interned into db's shared symbols: ok is false when one is
+// unknown, as no answer can then carry it. (The program's head constants
+// are interned first, as evaluating the program would.)
+func (m *magicProgram) seeded(q ast.Query, db *storage.Database) (*storage.Database, bool) {
+	for _, r := range m.Rules {
+		for _, t := range r.Head.Args {
+			if !t.IsVar() {
+				db.Syms.Intern(t.Name)
+			}
+		}
+	}
+	bound, vals, ok := selection(q, db.Syms)
+	if !ok {
+		return nil, false
+	}
+	out := storage.NewDatabaseWithSymbols(db.Syms)
+	for _, pred := range db.Preds() {
+		out.Set(pred, db.Rel(pred))
+	}
+	seed := make(storage.Tuple, 0, len(vals))
+	for i, b := range bound {
+		if b {
+			seed = append(seed, vals[i])
+		}
+	}
+	rel := storage.NewRelation(len(seed))
+	rel.Insert(seed)
+	out.Set(m.seed, rel)
+	return out, true
+}
+
+// MagicSetsOpts answers the query by evaluating the system's magic-sets
+// rewrite for the query's adornment semi-naively, the rewriting recorded
+// under a "magic-rewrite" span (adornment count, generated rules). Like the
+// paper, it assumes the database stores no tuples under the recursive
+// predicate itself.
 func MagicSetsOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {
 		return nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/%d", q, sys.Pred(), n)
 	}
 	mr := opts.parent().Child("magic-rewrite")
-	a0 := adorn.FromQuery(q)
-	prog := &ast.Program{}
-	rule := sys.Recursive
-	recAtom, recIdx := rule.RecursiveAtom()
-
-	boundArgs := func(atom ast.Atom, a adorn.Adornment) []ast.Term {
-		var out []ast.Term
-		for i, t := range atom.Args {
-			if a[i] {
-				out = append(out, t)
-			}
-		}
-		return out
+	m := rewriteMagic(sys, adorn.FromQuery(q))
+	mr.SetInt("adornments", int64(m.adornments)).SetInt("rules", int64(len(m.Rules))).End()
+	seeded, ok := m.seeded(q, db)
+	if !ok {
+		return storage.NewRelation(n), Stats{}, nil
 	}
-	pName := func(a adorn.Adornment) string { return sys.Pred() + "@" + a.String() }
-	mName := func(a adorn.Adornment) string { return "magic@" + a.String() }
-
-	// Generate rules per reachable adornment.
-	seen := map[string]bool{}
-	work := []adorn.Adornment{a0}
-	for len(work) > 0 {
-		a := work[0]
-		work = work[1:]
-		if seen[a.String()] {
-			continue
-		}
-		seen[a.String()] = true
-		b := adorn.Step(rule, a)
-		if !seen[b.String()] {
-			work = append(work, b)
-		}
-
-		// Magic propagation: m_b(bound rec args) :- m_a(bound head args), NR.
-		mHead := ast.NewAtom(mName(b), boundArgs(recAtom, b)...)
-		mBody := []ast.Atom{ast.NewAtom(mName(a), boundArgs(rule.Head, a)...)}
-		mBody = append(mBody, rule.NonRecursiveAtoms()...)
-		prog.AddRule(ast.NewRule(mHead, mBody...))
-
-		// Adorned recursive rule:
-		// p_a(head) :- m_a(bound head), NR, p_b(rec args).
-		rBody := []ast.Atom{ast.NewAtom(mName(a), boundArgs(rule.Head, a)...)}
-		rBody = append(rBody, rule.Body[:recIdx]...)
-		rBody = append(rBody, rule.Body[recIdx+1:]...)
-		rBody = append(rBody, ast.NewAtom(pName(b), recAtom.Args...))
-		prog.AddRule(ast.NewRule(ast.NewAtom(pName(a), rule.Head.Args...), rBody...))
-
-		// Adorned exit rules: p_a(head) :- m_a(bound head), exit body.
-		for _, exit := range sys.Exits {
-			eBody := []ast.Atom{ast.NewAtom(mName(a), boundArgs(exit.Head, a)...)}
-			eBody = append(eBody, exit.Body...)
-			prog.AddRule(ast.NewRule(ast.NewAtom(pName(a), exit.Head.Args...), eBody...))
-		}
-	}
-
-	// Seed magic fact from the query constants.
-	seed := ast.NewAtom(mName(a0), boundArgs(q.Atom, a0)...)
-	if len(seed.Args) == 0 || seed.IsGround() {
-		prog.Facts = append(prog.Facts, seed)
-	} else {
-		mr.End()
-		return nil, Stats{}, fmt.Errorf("eval: non-ground magic seed %v", seed)
-	}
-	mr.SetInt("adornments", int64(len(seen))).SetInt("rules", int64(len(prog.Rules))).End()
-
-	out, st, err := SemiNaiveOpts(prog, db, opts)
+	out, st, err := SemiNaiveOpts(m.Program, seeded, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	adornedQ := ast.Query{Atom: ast.NewAtom(pName(a0), q.Atom.Args...)}
-	answers, err := AnswerQuery(out, adornedQ)
+	answers, err := AnswerQuery(out, ast.Query{Atom: ast.NewAtom(m.pred, q.Atom.Args...)})
 	return answers, st, err
 }

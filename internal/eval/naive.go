@@ -42,7 +42,7 @@ func compileRules(syms *storage.Symbols, rules []ast.Rule, book *orderBook) ([]c
 	out := make([]compiledRule, 0, len(rules))
 	for _, r := range rules {
 		c := CompileConj(syms, r.Body)
-		slots, fixed, err := HeadSlots(c, syms, r.Head)
+		slots, fixed, err := headSlots(c, syms, r.Head)
 		if err != nil {
 			return nil, fmt.Errorf("rule %v: %w", r, err)
 		}

@@ -76,7 +76,7 @@ func MaterializeExit(sys *ast.RecursiveSystem, db *storage.Database) (*storage.R
 	rels := DBRels(db)
 	for _, exit := range sys.Exits {
 		c := CompileConj(db.Syms, exit.Body)
-		slots, fixed, err := HeadSlots(c, db.Syms, exit.Head)
+		slots, fixed, err := headSlots(c, db.Syms, exit.Head)
 		if err != nil {
 			return nil, fmt.Errorf("exit rule %v: %w", exit, err)
 		}

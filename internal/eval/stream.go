@@ -107,8 +107,10 @@ type evalIterator struct {
 // delivered and one more was derived (Stats.Truncated set). Bound-argument
 // queries on TC plans additionally exit as soon as the answer set is complete
 // — a fully bound tc(a, b)? stops at its first derivation without computing
-// the rest of the closure. The iterator's answers equal AnswerOpts' answer
-// relation, in deterministic order per plan. opts.Abort, when non-nil,
+// the rest of the closure — and on classified stable and generic plans run
+// the query's magic-sets program instead of the whole fixpoint. The
+// iterator's answers equal AnswerOpts' answer relation, in deterministic
+// order per plan. opts.Abort, when non-nil,
 // cancels the stream from outside (a watcher goroutine forwards it to the
 // producer); Err then reports ErrCanceled. Emitted tuples stay valid until
 // the evaluation's working storage is garbage — every sink is handed
