@@ -573,7 +573,7 @@ func BenchmarkAblationJoinOrder(b *testing.B) {
 			binding[xID] = w
 			count := 0
 			if ordered {
-				conj.EvalOrdered(rels, binding, func([]storage.Value) bool { count++; return true })
+				conj.EvalWith(rels, binding, []int{0, 1, 2}, nil, func([]storage.Value) bool { count++; return true })
 			} else {
 				conj.Eval(rels, binding, func([]storage.Value) bool { count++; return true })
 			}

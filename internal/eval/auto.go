@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/adorn"
 	"repro/internal/ast"
@@ -85,6 +86,9 @@ type Plan struct {
 	// enumerates conjunctions. The planner's cache key includes the
 	// database's statistics epoch, so a book never outlives its statistics.
 	book *orderBook
+	// magic is what a bound stream of a classified stable or generic plan
+	// runs (magicStream): the adornment's magic-sets program; else nil.
+	magic *magicProgram
 }
 
 // CompilePlanOpts compiles the plan for the source's rules. A linear
@@ -105,15 +109,19 @@ func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
 // bookless plan — every engine then keeps the runtime greedy ordering).
 // bound flags the query's adorned head argument positions (true = the query
 // supplies a constant there); the bounded path pre-binds those variables
-// when costing its expansion rules, which is why the plan cache keys plans
-// by adornment. The chosen orders and the summed cost estimate land on the
-// "plan-compile" span and in PlanInfo.
+// when costing its expansion rules, and a classified stable or generic plan
+// compiles its magic-sets program for them, which is why the plan cache
+// keys plans by adornment. The chosen orders and the summed cost estimate
+// land on the "plan-compile" span and in PlanInfo.
 func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
 	p, pc, err := compilePlan(src, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer pc.End()
+	if sys, ok := p.fix.(*ast.RecursiveSystem); ok && len(bound) == sys.Arity() && adorn.Adornment(bound).BoundCount() > 0 {
+		p.magic = compileMagic(sys, bound, db, pc)
+	}
 	if db != nil {
 		p.compileBook(db, bound)
 		if p.book != nil {
@@ -145,9 +153,9 @@ func (p *Plan) compileBook(db *storage.Database, bound []bool) {
 			}
 			return m
 		}
-		p.book = compileOrderBook(db.Syms, p.rules, db, boundOf)
+		p.book = compileOrderBook(db.Syms, p.rules, db, "", boundOf)
 	default:
-		p.book = compileOrderBook(db.Syms, p.fix.Program().Rules, db, nil)
+		p.book = compileOrderBook(db.Syms, p.fix.Program().Rules, db, "", nil)
 	}
 }
 
@@ -270,7 +278,7 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 			st, magic, err = p.magicStream(q, db, opts, snk)
 		}
 		if !magic {
-			rel, aux, st, err = fixpointAnswer(p.fix.Program(), q, db, opts, snk)
+			rel, aux, st, err = fixpointAnswer(p.fix.Program(), nil, q, db, opts, snk)
 		}
 	}
 	if err != nil && err != errStreamStop {
@@ -285,7 +293,7 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 // back for the result cache to keep as the program's view. Streaming, it shows the sink each fresh
 // tuple of the query predicate that matches the query's constants — the same
 // selection, applied as the rounds derive — and returns no relation.
-func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, any, Stats, error) {
+func fixpointAnswer(prog *ast.Program, cache *atomic.Pointer[compiledProgram], q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, any, Stats, error) {
 	if emit := snk.emit; emit != nil {
 		// The program's facts and head constants are interned as it runs:
 		// an unknown constant is looked up again whenever the symbols grew.
@@ -302,7 +310,7 @@ func fixpointAnswer(prog *ast.Program, q ast.Query, db *storage.Database, opts O
 			return emit(t)
 		}
 	}
-	out, st, err := fixpoint(prog, db, opts, snk)
+	out, st, err := fixpoint(prog, cache, db, opts, snk)
 	if err != nil || snk.emit != nil {
 		return nil, nil, st, err
 	}
@@ -329,10 +337,13 @@ func (p *Plan) magicStream(q ast.Query, db *storage.Database, opts Opts, snk sin
 	if !ok || q.Atom.Pred != sys.Pred() || len(a) != sys.Arity() || a.BoundCount() == 0 || stored != nil && stored.Len() > 0 {
 		return st, false, nil
 	}
-	m := rewriteMagic(sys, a)
+	m := p.magic
+	if m == nil || m.adorn != a.String() { // a plan not from the Planner
+		m = compileMagic(sys, a, nil, opts.parent())
+	}
 	if seeded, known := m.seeded(q, db); known {
-		snk.pred, snk.magic = m.pred, a.String()
-		_, _, st, err = fixpointAnswer(m.Program, q, seeded, opts, snk)
+		snk.pred, snk.magic, opts.book = m.pred, m.adorn, m.book
+		_, _, st, err = fixpointAnswer(m.Program, &m.compiled, q, seeded, opts, snk)
 	}
 	return st, true, err
 }

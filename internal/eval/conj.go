@@ -122,15 +122,7 @@ func DBRels(db *storage.Database) RelFunc {
 // return false to stop early. Eval reports whether enumeration ran to
 // completion (true) or was stopped by yield (false).
 func (c *Conj) Eval(rels RelFunc, binding []storage.Value, yield func([]storage.Value) bool) bool {
-	return c.eval(rels, binding, yield, true, nil, nil)
-}
-
-// EvalOrdered is Eval without the dynamic bound-first ordering: atoms are
-// processed strictly in source order. It exists as the ablation baseline
-// for the paper's evaluation principle (selections before joins); see
-// BenchmarkAblationJoinOrder.
-func (c *Conj) EvalOrdered(rels RelFunc, binding []storage.Value, yield func([]storage.Value) bool) bool {
-	return c.eval(rels, binding, yield, false, nil, nil)
+	return c.EvalWith(rels, binding, nil, nil, yield)
 }
 
 // EvalWith is Eval with an optional compiled join order and an optional
@@ -140,9 +132,17 @@ func (c *Conj) EvalOrdered(rels RelFunc, binding []storage.Value, yield func([]s
 // that order with no per-step selection scan. A nil order falls back to the
 // dynamic greedy ordering. When visits is non-nil it is incremented once
 // per tuple the enumeration pulls from an index posting or scan — the
-// intermediate-result work the cost model estimates.
+// intermediate-result work the cost model estimates. The identity order is
+// strict source order, the ablation baseline of the paper's evaluation
+// principle (BenchmarkAblationJoinOrder).
 func (c *Conj) EvalWith(rels RelFunc, binding []storage.Value, order []int, visits *int64, yield func([]storage.Value) bool) bool {
-	return c.eval(rels, binding, yield, true, order, visits)
+	e := enumState{
+		c: c, rels: rels, binding: binding, yield: yield,
+		done:    make([]bool, len(c.atoms)),
+		scratch: make([]atomScratch, len(c.atoms)),
+		order:   order, visits: visits,
+	}
+	return e.step(len(c.atoms))
 }
 
 // boundArgs counts the atom's arguments that are constants or bound
@@ -155,23 +155,6 @@ func boundArgs(binding []storage.Value, a compiledAtom) int {
 		}
 	}
 	return bound
-}
-
-// selectStatic picks the next un-done atom in source order, or −1 when none
-// is eligible. Negated literals are deferred until every one of their
-// variables is bound (for a safe rule the positive atoms guarantee this
-// happens, regardless of where the negation sits in source order).
-func (e *enumState) selectStatic() int {
-	for i, a := range e.c.atoms {
-		if e.done[i] {
-			continue
-		}
-		if a.neg && boundArgs(e.binding, a) < len(a.args) {
-			continue // defer until positives bind it
-		}
-		return i
-	}
-	return -1
 }
 
 // selectDynamic picks the next un-done atom greedily: the most-bound atom,
@@ -226,16 +209,6 @@ func (e *enumState) selectDynamic() int {
 	return best
 }
 
-func (c *Conj) eval(rels RelFunc, binding []storage.Value, yield func([]storage.Value) bool, dynamic bool, order []int, visits *int64) bool {
-	e := enumState{
-		c: c, rels: rels, binding: binding, yield: yield,
-		dynamic: dynamic, done: make([]bool, len(c.atoms)),
-		scratch: make([]atomScratch, len(c.atoms)),
-		order:   order, visits: visits,
-	}
-	return e.step(len(c.atoms))
-}
-
 // atomScratch holds one atom's per-enumeration buffers. Each atom is done
 // at most once along any search path, so its scratch is never live at two
 // recursion depths at the same time — the buffers are allocated once per
@@ -257,7 +230,6 @@ type enumState struct {
 	rels    RelFunc
 	binding []storage.Value
 	yield   func([]storage.Value) bool
-	dynamic bool
 	done    []bool
 	scratch []atomScratch
 	// order, when non-nil, is the compiled join order: atom order[k] runs at
@@ -288,13 +260,10 @@ func (e *enumState) step(remaining int) bool {
 	}
 	c, binding := e.c, e.binding
 	var best int
-	switch {
-	case e.order != nil:
+	if e.order != nil {
 		best = e.order[len(e.order)-remaining]
-	case e.dynamic:
+	} else {
 		best = e.selectDynamic()
-	default:
-		best = e.selectStatic()
 	}
 	if best == -1 {
 		// Only negated literals with unbound variables remain: the rule
@@ -408,7 +377,7 @@ func newSeeder(c *Conj, rels RelFunc, binding []storage.Value, yield func([]stor
 func newSeederWith(c *Conj, rels RelFunc, binding []storage.Value, order []int, visits *int64, yield func([]storage.Value) bool) *seeder {
 	return &seeder{e: enumState{
 		c: c, rels: rels, binding: binding, yield: yield,
-		dynamic: true, done: make([]bool, len(c.atoms)),
+		done:    make([]bool, len(c.atoms)),
 		scratch: make([]atomScratch, len(c.atoms)),
 		order:   order, visits: visits,
 	}}

@@ -4,14 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/dlgen"
 	"repro/internal/parser"
 	"repro/internal/storage"
 )
 
 // TestEvalOrderedMatchesDynamic: the ablation evaluation mode (source
-// order) must produce exactly the same satisfying bindings as the
-// bound-first dynamic ordering.
+// order: EvalWith's identity order) must produce exactly the same
+// satisfying bindings as the bound-first dynamic ordering.
 func TestEvalOrderedMatchesDynamic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {
@@ -30,7 +31,11 @@ func TestEvalOrderedMatchesDynamic(t *testing.T) {
 				return true
 			}
 			if ordered {
-				conj.EvalOrdered(rels, binding, f)
+				identity := make([]int, len(conj.atoms))
+				for i := range identity {
+					identity[i] = i
+				}
+				conj.EvalWith(rels, binding, identity, nil, f)
 			} else {
 				conj.Eval(rels, binding, f)
 			}
@@ -51,8 +56,9 @@ func TestEvalOrderedMatchesDynamic(t *testing.T) {
 // TestNegationFirstOrdering is the regression test for negation deferral:
 // a safe rule whose negated literals precede (in source order) the positive
 // atoms that bind their variables must evaluate without panicking and with
-// identical results in both orderings — the anti-join waits for the
-// positives instead of being taken in source position.
+// identical results in both orderings, the greedy one and the cost
+// planner's compiled one — the anti-join waits for the positives instead of
+// being taken in source position.
 func TestNegationFirstOrdering(t *testing.T) {
 	db := storage.NewDatabase()
 	db.Insert("q", "a")
@@ -85,7 +91,8 @@ func TestNegationFirstOrdering(t *testing.T) {
 					}
 				}()
 				if ordered {
-					conj.EvalOrdered(DBRels(db), conj.NewBinding(), f)
+					order, _ := searchOrder(conj, newCostModel([]ast.Rule{rule}, db, ""), make([]bool, conj.NumVars()), -1)
+					conj.EvalWith(DBRels(db), conj.NewBinding(), order, nil, f)
 				} else {
 					conj.Eval(DBRels(db), conj.NewBinding(), f)
 				}

@@ -59,12 +59,18 @@ type costModel struct {
 
 // newCostModel reads the statistics of every body predicate of the rules
 // from db. It never builds indexes (ColStats samples unindexed columns), so
-// concurrent planners may share the database.
-func newCostModel(rules []ast.Rule, db *storage.Database) *costModel {
+// concurrent planners may share the database. seed, when set, names a
+// magic-sets program's seed relation: it holds one tuple (the query's
+// constants) when the rules run, not an unknown IDB's defaultN.
+func newCostModel(rules []ast.Rule, db *storage.Database, seed string) *costModel {
 	m := &costModel{stats: make(map[string]relStat), defaultN: 16}
 	for _, r := range rules {
 		for _, a := range r.Body {
 			if _, ok := m.stats[a.Pred]; ok {
+				continue
+			}
+			if a.Pred == seed { // fanout reads the zero MaxBucket as 1
+				m.stats[seed] = relStat{n: 1, cols: make([]storage.ColStats, a.Arity())}
 				continue
 			}
 			rel := db.Rel(a.Pred)
@@ -286,14 +292,14 @@ func searchOrder(c *Conj, m *costModel, preBound []bool, seed int) ([]int, float
 }
 
 // compileOrderBook chooses a join order for every rule against the
-// database's current statistics. boundOf, when non-nil, names the variables
-// already bound before each rule's body runs (the bounded plan's adorned
-// head constants); nil means no pre-bound variables. Rules whose bodies
-// exceed maxPlanAtoms get no compiled order and keep the runtime greedy
-// ordering.
-func compileOrderBook(syms *storage.Symbols, rules []ast.Rule, db *storage.Database, boundOf func(ast.Rule) map[string]bool) *orderBook {
+// database's current statistics (and seed's, see newCostModel). boundOf,
+// when non-nil, names the variables already bound before each rule's body
+// runs (the bounded plan's adorned head constants); nil means no pre-bound
+// variables. Rules whose bodies exceed maxPlanAtoms get no compiled order
+// and keep the runtime greedy ordering.
+func compileOrderBook(syms *storage.Symbols, rules []ast.Rule, db *storage.Database, seed string, boundOf func(ast.Rule) map[string]bool) *orderBook {
 	book := &orderBook{orders: make(map[string]*ruleOrder, len(rules))}
-	m := newCostModel(rules, db)
+	m := newCostModel(rules, db, seed)
 	for ri, r := range rules {
 		key := r.String()
 		if _, ok := book.orders[key]; ok {

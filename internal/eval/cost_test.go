@@ -53,7 +53,7 @@ func skewDB(t testing.TB) *storage.Database {
 // the switch between the greedy ordering and compiled orders, with
 // everything else about the engine held fixed.
 func costed(prog *ast.Program, db *storage.Database, opts Opts) Opts {
-	opts.book = compileOrderBook(db.Syms, prog.Rules, db, nil)
+	opts.book = compileOrderBook(db.Syms, prog.Rules, db, "", nil)
 	return opts
 }
 
@@ -69,7 +69,7 @@ func TestCostModelSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newCostModel([]ast.Rule{rule}, db)
+	m := newCostModel([]ast.Rule{rule}, db, "")
 	c := CompileConj(db.Syms, rule.Body)
 
 	// Fan-out of s with Z bound must be the hot bucket, not |s|/distinct(Z).
@@ -324,5 +324,36 @@ func TestAutoPlanReportsCost(t *testing.T) {
 	}
 	if st.Visited <= 0 {
 		t.Errorf("Stats.Visited = %d, want > 0", st.Visited)
+	}
+}
+
+// TestMagicSeedLeads: when a magic-sets program runs, its seed relation
+// holds the query's constants — one tuple. Told so (newCostModel's seed),
+// the search leads s11's magic propagation rule with it; costed as an
+// unknown IDB of size defaultN, the seed is not placed first.
+func TestMagicSeedLeads(t *testing.T) {
+	sys := mustStatement(t, "s11").System()
+	db, err := dlgen.RandomDB(sys, 60, 90, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := ast.V
+	rule := ast.NewRule(ast.NewAtom("magic@dd", v("X1"), v("Y1")),
+		ast.NewAtom("magic@dv", v("X")), ast.NewAtom("a", v("X"), v("X1")),
+		ast.NewAtom("b", v("Y"), v("Y1")), ast.NewAtom("c", v("X1"), v("Y1")))
+	c := CompileConj(db.Syms, rule.Body)
+	for _, seeded := range []bool{true, false} {
+		seed := ""
+		if seeded {
+			seed = "magic@dv"
+		}
+		m := newCostModel([]ast.Rule{rule}, db, seed)
+		order, cost := searchOrder(c, m, make([]bool, c.NumVars()), -1)
+		if order == nil {
+			t.Fatal("searchOrder declined a 4-atom body")
+		}
+		if lead := c.atoms[order[0]].pred; (lead == "magic@dv") != seeded {
+			t.Errorf("seed statistics %v: order leads with %s (cost %v)", seeded, lead, cost)
+		}
 	}
 }

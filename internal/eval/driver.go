@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ast"
@@ -31,9 +32,18 @@ import (
 //     work budget that may run out (maintenance).
 //
 // A round's tasks are contiguous chunks of each predicate's frontier, three
-// per worker. Answers are identical to SemiNaive whatever the combination
-// and the worker count: the chunks are exhaustive and disjoint, the fixpoint
-// is confluent and the merge order is deterministic.
+// per worker, unless the round is narrow (below). Answers are identical to
+// SemiNaive whatever the combination and the worker count: the chunks are
+// exhaustive and disjoint, the fixpoint is confluent and the merge order is
+// deterministic (an unchunked task derives, in order, what its chunks would).
+
+// roundGrain is the order-book estimate (tuples visited) below which a round
+// is narrow: one task per (rule, occurrence), run on the calling goroutine,
+// as fanning it out costs more than the work it would split. A bookless
+// round (estimate 0) always fans out.
+const roundGrain = 1024
+
+func narrow(est int64) bool { return est > 0 && est < roundGrain }
 
 // errStreamStop is the internal sentinel an evaluation returns when the
 // sink's consumer declined further tuples (limit satisfied, goal answered,
@@ -155,9 +165,6 @@ func (ws *workerScratch) bufFor(n int) storage.Tuple {
 // workers are joined before return. Panics inside a task are converted to
 // errors so a misbehaving rule cannot kill unrelated goroutines.
 func runTasks(tasks []parTask, workers int, rels RelFunc) ([]parResult, time.Duration, error) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
 	results := make([]parResult, len(tasks))
 	if workers <= 1 {
 		var scratch workerScratch
@@ -285,11 +292,11 @@ type fixRun struct {
 	round   int // global round number across strata
 }
 
-// run executes one round: fan the tasks out, merge their buffers into the
-// task heads in task order, file every fresh tuple under its predicate in
-// next (nil: the round feeds no frontier), show it to the sink, and record
-// the round. It returns the number of fresh tuples. The abort channel is
-// polled once per round; a close surfaces as ErrCanceled.
+// run executes one round: fan the tasks out (a narrow round's run inline),
+// merge their buffers into the task heads in task order, file every fresh
+// tuple under its predicate in next (nil: no frontier), show it to the
+// sink, and record the round. It returns the number of fresh tuples. The
+// abort channel is polled once per round; a close surfaces as ErrCanceled.
 func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next frontier) (int, error) {
 	if r.opts.canceled() {
 		return 0, fmt.Errorf("parallel fixpoint: %w", ErrCanceled)
@@ -300,7 +307,11 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 	for i := range tasks {
 		tasks[i].span = r.rs.span
 	}
-	results, busy, err := runTasks(tasks, r.workers, r.full)
+	workers := min(r.workers, len(tasks))
+	if narrow(est) {
+		workers = min(1, workers)
+	}
+	results, busy, err := runTasks(tasks, workers, r.full)
 	if err != nil {
 		return 0, err
 	}
@@ -341,7 +352,7 @@ func (r *fixRun) run(stratum int, tasks []parTask, est int64, delta int, next fr
 	r.st.Visited += visited
 	r.rs.end(RoundStats{
 		Round: r.round, Stratum: stratum, Tasks: len(tasks), Delta: delta,
-		Derived: added, Attempted: attempted, Workers: r.workers, Busy: busy,
+		Derived: added, Attempted: attempted, Workers: workers, Busy: busy,
 		Estimated: est, Visited: visited,
 	})
 	switch {
@@ -461,30 +472,39 @@ func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, s
 }
 
 // stratum saturates one rule group: the seed's first frontier, then delta
-// rounds — one task per (rule, positive local occurrence, chunk) — until a
-// round derives nothing.
+// rounds — one task per (rule, positive local occurrence, chunk; one chunk
+// when narrow) — until a round derives nothing.
 func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bool, stratum int) error {
 	fr, err := sd.seed(r, rules, local, stratum)
 	if err != nil {
 		return err
 	}
 	for {
-		var tasks []parTask
 		var est int64
+		for i := range rules {
+			for bi, a := range rules[i].rule.Body {
+				if _, perTuple := rules[i].seededOrder(bi); perTuple > 0 && !a.Neg && local[a.Pred] {
+					est += int64(perTuple * float64(len(fr[a.Pred])))
+				}
+			}
+		}
+		parts := r.workers * 3
+		if narrow(est) {
+			parts = 1
+		}
+		var tasks []parTask
 		delta := 0
 		for i := range rules {
 			cr := &rules[i]
 			for bi, a := range cr.rule.Body {
 				d := fr[a.Pred]
-				if a.Neg || !local[a.Pred] || len(d) == 0 {
+				if a.Neg || !local[a.Pred] {
 					continue
 				}
-				if _, perTuple := cr.seededOrder(bi); perTuple > 0 {
-					est += int64(perTuple * float64(len(d)))
-				}
-				pred := cr.rule.Head.Pred
-				for _, chunk := range storage.PartitionTuples(d, r.workers*3) {
-					tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: chunk, head: r.work.Rel(pred)})
+				// parts contiguous chunks, as storage.PartitionTuples cuts them.
+				pred, per := cr.rule.Head.Pred, max(1, (len(d)+parts-1)/parts)
+				for lo := 0; lo < len(d); lo += per {
+					tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: d[lo:min(lo+per, len(d))], head: r.work.Rel(pred)})
 				}
 			}
 		}
@@ -510,12 +530,12 @@ func (r *fixRun) stratum(sd roundSeed, rules []compiledRule, local map[string]bo
 // stream first; when the consumer stops, the partially saturated database is
 // returned with errStreamStop so the caller can account for it, but it is
 // NOT a fixpoint.
-func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*storage.Database, Stats, error) {
+func fixpoint(prog *ast.Program, cache *atomic.Pointer[compiledProgram], db *storage.Database, opts Opts, snk sink) (*storage.Database, Stats, error) {
 	work, idb, err := prepare(prog, db)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	strata, err := strataOf(prog)
+	cp, err := compileProgram(prog, db.Syms, opts.book, cache)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -547,14 +567,10 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 		}
 	}
 	r.rs = newRoundSink(st, opts, fix)
-	for si, group := range strata {
-		rules, err := compileRules(db.Syms, group, opts.book)
-		if err != nil {
-			return nil, *st, err
-		}
+	for si, rules := range cp.strata {
 		local := make(map[string]bool)
-		for _, rule := range group {
-			local[rule.Head.Pred] = true
+		for i := range rules {
+			local[rules[i].rule.Head.Pred] = true
 		}
 		r0 := r.round
 		if err := r.stratum(fullSeed{}, rules, local, si); err != nil {
@@ -577,5 +593,34 @@ func fixpoint(prog *ast.Program, db *storage.Database, opts Opts, snk sink) (*st
 // single-threaded before the deltas swap. Answers are identical to
 // SemiNaive; per-round metrics are recorded in Stats.Trace.
 func ParallelSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
-	return fixpoint(prog, db, opts, sink{})
+	return fixpoint(prog, nil, db, opts, sink{})
+}
+
+// compiledProgram is a program's strata compiled against one symbol table.
+// Compiled conjunctions hold interned constants, so one is valid only
+// against the table that interned them.
+type compiledProgram struct {
+	syms   *storage.Symbols
+	strata [][]compiledRule
+}
+
+// compileProgram compiles the program with the book's orders, or returns
+// the one cache holds for syms; a new compile replaces the cached one (a
+// plan's magic program keeps its last, so its streams on one database
+// compile it once).
+func compileProgram(prog *ast.Program, syms *storage.Symbols, book *orderBook, cache *atomic.Pointer[compiledProgram]) (*compiledProgram, error) {
+	if cache != nil {
+		if cp := cache.Load(); cp != nil && cp.syms == syms {
+			return cp, nil
+		}
+	}
+	groups, err := strataOf(prog)
+	cp := &compiledProgram{syms: syms, strata: make([][]compiledRule, len(groups))}
+	for i := 0; err == nil && i < len(groups); i++ {
+		cp.strata[i], err = compileRules(syms, groups[i], book)
+	}
+	if err == nil && cache != nil {
+		cache.Store(cp)
+	}
+	return cp, err
 }

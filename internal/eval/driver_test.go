@@ -2,10 +2,13 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/adorn"
 	"repro/internal/ast"
 	"repro/internal/dlgen"
+	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/storage"
 )
@@ -120,7 +123,9 @@ func programFixture(rules string, facts [][]string, queries ...string) func(t *t
 	}
 }
 
-func TestDriverModesAgree(t *testing.T) {
+// modeFixtures is TestDriverModesAgree's table: one fixture per plan class,
+// classless programs, and a fact stored under the planned predicate.
+func modeFixtures() []modeFixture {
 	chain := [][]string{{"e", "a", "b"}, {"e", "b", "c"}, {"e", "c", "d"}, {"e", "d", "b"}, {"e", "x", "y"}}
 	moreEdges := func(t *testing.T, _ Source, db *storage.Database) {
 		if err := insertAll(db, [][]string{{"e", "d", "x"}, {"e", "y", "z"}}); err != nil {
@@ -191,7 +196,11 @@ func TestDriverModesAgree(t *testing.T) {
 					storeUnderHead(t, src, db)
 				}})
 	}
-	for _, f := range fixtures {
+	return fixtures
+}
+
+func TestDriverModesAgree(t *testing.T) {
+	for _, f := range modeFixtures() {
 		// Rounds and derivations per query, as the first worker count ran
 		// them; the second must repeat them.
 		work := make(map[string][2]int)
@@ -292,6 +301,140 @@ func TestDriverModesAgree(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// inflated copies the book with every estimate scaled by roundGrain: each
+// round with work to estimate then sits at or above the grain and fans out,
+// while the join orders — and so every enumeration — stay the same.
+func inflated(b *orderBook) *orderBook {
+	if b == nil {
+		return nil
+	}
+	out := &orderBook{orders: make(map[string]*ruleOrder, len(b.orders)), cost: b.cost, desc: b.desc}
+	for key, o := range b.orders {
+		c := *o
+		c.fullCost *= roundGrain
+		c.seedCost = make([]float64, len(o.seedCost))
+		for i, v := range o.seedCost {
+			c.seedCost[i] = v * roundGrain
+		}
+		out.orders[key] = &c
+	}
+	return out
+}
+
+// streamInOrder drains a stream, keeping the order the rows came in.
+func streamInOrder(t *testing.T, it Iterator) []string {
+	t.Helper()
+	defer it.Close()
+	var rows []string
+	for it.Next() {
+		rows = append(rows, fmt.Sprint(it.Tuple()))
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func intAttr(sp *obs.Span, key string) int64 {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return a.Int
+		}
+	}
+	return 0
+}
+
+// TestDriverNarrowRoundsInline: streaming TestDriverModesAgree's bound
+// fixpoint rows on a pool of four, a round whose estimate is below
+// roundGrain runs on one worker, and the stream emits the same tuple
+// sequence, with the same work counts, as a run whose inflated estimates
+// force every round to fan out. A below-grain delta round runs one task per
+// (rule, occurrence) over that occurrence's whole delta: its join spans
+// are the fanned-out round's units before chunking, each of which the
+// fanned-out round cuts into min(|delta|, workers*3) tasks.
+func TestDriverNarrowRoundsInline(t *testing.T) {
+	const workers = 4
+	narrowRounds := 0
+	for _, f := range modeFixtures() {
+		if f.kind != PlanStable && f.kind != PlanGeneric {
+			continue
+		}
+		src, db, queries := f.build(t)
+		snap := db.Snapshot()
+		for _, q := range queries {
+			if adorn.FromQuery(q).BoundCount() == 0 {
+				continue
+			}
+			p, _, err := NewPlanner().PlanForEpoch(src, q, snap.Epoch(), snap.DB(), Opts{workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			forced := *p
+			forced.book = inflated(p.book)
+			if m := p.magic; m != nil {
+				forced.magic = &magicProgram{Program: m.Program, pred: m.pred, seed: m.seed, adorn: m.adorn, book: inflated(m.book)}
+			}
+			tr := obs.New("inline")
+			it := p.Stream(q, snap.DB(), Opts{workers: workers, Tracer: tr}, 0)
+			rows, st := streamInOrder(t, it), it.Stats()
+			tr.Finish()
+			fit := forced.Stream(q, snap.DB(), Opts{workers: workers}, 0)
+			frows, fst := streamInOrder(t, fit), fit.Stats()
+			if !slices.Equal(rows, frows) || st.Derived != fst.Derived || st.Visited != fst.Visited || len(st.Trace) != len(fst.Trace) {
+				t.Errorf("%s %v: inline rounds emit %d rows (derived %d, visited %d, %d rounds), fanned out %d (%d, %d, %d)",
+					f.name, q, len(rows), st.Derived, st.Visited, len(st.Trace), len(frows), fst.Derived, fst.Visited, len(fst.Trace))
+				continue
+			}
+			// occs[rule] counts the rule's positive derived literals: the
+			// most tasks one unchunked round can give it.
+			prog := p.over(snap.DB()).fix.Program()
+			if magicStreamed(p, q, snap.DB()) {
+				prog = p.magic.Program
+			}
+			occs := make(map[string]int)
+			for _, r := range prog.Rules {
+				for _, a := range r.Body {
+					if !a.Neg && slices.ContainsFunc(prog.Rules, func(h ast.Rule) bool { return h.Head.Pred == a.Pred }) {
+						occs[r.String()]++
+					}
+				}
+			}
+			spans := tr.Root().Find("fixpoint").Children()
+			for i, r := range st.Trace {
+				if !narrow(r.Estimated) {
+					continue
+				}
+				narrowRounds++
+				if r.Workers > 1 {
+					t.Errorf("%s %v round %d: estimate %d ran on %d workers", f.name, q, r.Round, r.Estimated, r.Workers)
+				}
+				if r.Delta == 0 {
+					continue // the seed round: one task per rule either way
+				}
+				cut := 0
+				joins := spans[i].Children()
+				perRule := make(map[string]int)
+				for _, js := range joins {
+					cut += min(int(intAttr(js, "chunk")), workers*3)
+					perRule[spanAttr(js, "rule")]++
+				}
+				for rule, n := range perRule {
+					if n > occs[rule] {
+						t.Errorf("%s %v round %d: %d tasks for %s, which has %d derived literals", f.name, q, r.Round, n, rule, occs[rule])
+					}
+				}
+				if r.Tasks != len(joins) || cut != fst.Trace[i].Tasks {
+					t.Errorf("%s %v round %d: %d tasks (%d join spans) cut into %d, fanned out into %d",
+						f.name, q, r.Round, r.Tasks, len(joins), cut, fst.Trace[i].Tasks)
+				}
+			}
+		}
+	}
+	if narrowRounds == 0 {
+		t.Fatal("no round fell below the grain: the test proves nothing")
 	}
 }
 

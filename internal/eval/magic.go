@@ -2,9 +2,11 @@ package eval
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/adorn"
 	"repro/internal/ast"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -16,7 +18,24 @@ import (
 type magicProgram struct {
 	*ast.Program
 	pred, seed string // the query's adorned predicate and its magic one
+	adorn      string // the query adornment it was rewritten for
 	adornments int
+	// book holds the rules' orders, the seed costed as one tuple; nil when
+	// compiled without a database (the runtime greedy ordering).
+	book     *orderBook
+	compiled atomic.Pointer[compiledProgram] // the last compile (compileProgram)
+}
+
+// compileMagic rewrites the system for the adornment under a "magic-rewrite"
+// span below parent and, given a database, compiles its order book.
+func compileMagic(sys *ast.RecursiveSystem, a adorn.Adornment, db *storage.Database, parent *obs.Span) *magicProgram {
+	mr := parent.Child("magic-rewrite")
+	m := rewriteMagic(sys, a)
+	if db != nil {
+		m.book = compileOrderBook(db.Syms, m.Rules, db, m.seed, nil)
+	}
+	mr.SetInt("adornments", int64(m.adornments)).SetInt("rules", int64(len(m.Rules))).End()
+	return m
 }
 
 // rewriteMagic rewrites the system for the adornment. Each magic propagation
@@ -37,7 +56,7 @@ func rewriteMagic(sys *ast.RecursiveSystem, a0 adorn.Adornment) *magicProgram {
 		}
 		return ast.NewAtom("magic@"+a.String(), bound...)
 	}
-	m := &magicProgram{Program: &ast.Program{}, pred: pName(a0), seed: "magic@" + a0.String()}
+	m := &magicProgram{Program: &ast.Program{}, pred: pName(a0), seed: "magic@" + a0.String(), adorn: a0.String()}
 	seen := map[string]bool{}
 	for work := []adorn.Adornment{a0}; len(work) > 0; work = work[1:] {
 		a := work[0]
@@ -105,9 +124,7 @@ func MagicSetsOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, 
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {
 		return nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/%d", q, sys.Pred(), n)
 	}
-	mr := opts.parent().Child("magic-rewrite")
-	m := rewriteMagic(sys, adorn.FromQuery(q))
-	mr.SetInt("adornments", int64(m.adornments)).SetInt("rules", int64(len(m.Rules))).End()
+	m := compileMagic(sys, adorn.FromQuery(q), nil, opts.parent())
 	seeded, ok := m.seeded(q, db)
 	if !ok {
 		return storage.NewRelation(n), Stats{}, nil

@@ -2,6 +2,9 @@ package eval
 
 import (
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/adorn"
@@ -225,6 +228,109 @@ func TestMagicStreamDoesLessWork(t *testing.T) {
 	if prop := m.Rules[0]; m.adornments != 1 || len(prop.Body) != 4 || p.Kind != PlanStable {
 		t.Errorf("stabilized s4a: %v plan, %d adornments, propagation %v", p.Kind, m.adornments, prop)
 	}
+}
+
+// countSpans counts the spans named name in the tree under sp.
+func countSpans(sp *obs.Span, name string) int {
+	if sp == nil {
+		return 0
+	}
+	n := 0
+	if sp.Name() == name {
+		n++
+	}
+	for _, c := range sp.Children() {
+		n += countSpans(c, name)
+	}
+	return n
+}
+
+// TestMagicProgramCompiledOnce: the magic-sets program of a bound query is
+// part of its plan. Two streams of one bound query through one Planner run
+// the same *magicProgram, with its seed-aware order book, and the same
+// compiled rules; the rewrite happens under the first stream's plan-cache
+// miss and never on the second.
+func TestMagicProgramCompiledOnce(t *testing.T) {
+	for _, id := range []string{"s4a", "s11"} {
+		sys := mustStatement(t, id).System()
+		db, err := dlgen.RandomDB(sys, 6, 14, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		q := queryFor(sys, 1, firstConstant(db))
+		pl := NewPlanner()
+		var progs []*magicProgram
+		var compiled []*compiledProgram
+		for run := 0; run < 2; run++ {
+			tr := obs.New("stream")
+			opts := Opts{Tracer: tr}
+			p, hit, err := pl.PlanForEpoch(sys, q, snap.Epoch(), snap.DB(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.magic == nil || p.magic.book == nil || p.magic.adorn != adorn.FromQuery(q).String() {
+				t.Fatalf("%s run %d: plan carries magic program %+v", id, run, p.magic)
+			}
+			drainStream(t, p.Stream(q, snap.DB(), opts, 0))
+			tr.Finish()
+			if got, want := countSpans(tr.Root(), "magic-rewrite"), 1-run; got != want || hit != (run == 1) {
+				t.Errorf("%s run %d: %d magic-rewrite spans (plan cache hit %v), want %d", id, run, got, hit, want)
+			}
+			if spanAttr(tr.Root().Find("fixpoint"), "magic") != "dv"+strings.Repeat("v", sys.Arity()-2) {
+				t.Errorf("%s run %d: the stream did not run the magic program", id, run)
+			}
+			progs, compiled = append(progs, p.magic), append(compiled, p.magic.compiled.Load())
+		}
+		if progs[0] != progs[1] || compiled[0] == nil || compiled[0] != compiled[1] {
+			t.Errorf("%s: the second stream ran another magic program or compiled it again", id)
+		}
+	}
+}
+
+// TestMagicProgramConcurrentStreams: streams of one plan run concurrently
+// on two databases — two symbol tables, so each compile replaces the
+// other's in the magic program's cache — and each answers like naive
+// evaluation on its own database.
+func TestMagicProgramConcurrentStreams(t *testing.T) {
+	sys := mustStatement(t, "s11").System()
+	var dbs []*storage.Database
+	var want [][]string
+	for seed := int64(1); seed <= 2; seed++ {
+		db, err := dlgen.RandomDB(sys, 6, 14, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db.Snapshot().DB()) // readers share a snapshot, as the server's do
+	}
+	q := queryFor(sys, 1, firstConstant(dbs[0]))
+	for _, db := range dbs {
+		want = append(want, oracleRows(t, sys, q, db))
+	}
+	p, _, err := NewPlanner().PlanForEpoch(sys, q, 0, dbs[0], Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 5; n++ {
+				it := p.Stream(q, dbs[i], Opts{}, 0)
+				var got []string
+				for it.Next() {
+					got = append(got, fmt.Sprint(it.Tuple()))
+				}
+				it.Close()
+				sort.Strings(got)
+				if it.Err() != nil || !rowsEqual(got, want[i]) {
+					t.Errorf("database %d: streamed %d rows (err %v), naive %d", i, len(got), it.Err(), len(want[i]))
+				}
+			}
+		}(g % 2)
+	}
+	wg.Wait()
 }
 
 // TestMagicStreamUnknownConstant: a constant the database never interned

@@ -128,7 +128,8 @@ type RoundStats struct {
 	// Attempted is the number of head-tuple derivations the round produced
 	// before deduplication (the per-round analogue of Stats.Facts).
 	Attempted int
-	// Workers is the size of the worker pool.
+	// Workers is the number of workers the round ran on: at most the pool
+	// and the task count, 1 for a round run inline.
 	Workers int
 	// Duration is the wall-clock time of the round (fan-out through merge).
 	Duration time.Duration

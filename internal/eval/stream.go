@@ -31,9 +31,12 @@ const streamChanSize = 64
 // returned false; Err and Stats are valid only after Next returned false or
 // Close returned. Tuples stay valid until Close — they may alias the
 // producer's arena, so a consumer keeping tuples past Close must copy them.
-// An Iterator is single-consumer: Next/Tuple from one goroutine only.
+// An Iterator is single-consumer: Next/Tuple from one goroutine only. Ready
+// reports whether the next Next call returns without waiting for the
+// producer — the point at which a buffered writer must flush what it holds.
 type Iterator interface {
 	Next() bool
+	Ready() bool
 	Tuple() storage.Tuple
 	Err() error
 	Stats() Stats
@@ -76,6 +79,7 @@ func (it *relIterator) Next() bool {
 	return true
 }
 
+func (it *relIterator) Ready() bool          { return true }
 func (it *relIterator) Tuple() storage.Tuple { return it.cur }
 func (it *relIterator) Err() error           { return nil }
 func (it *relIterator) Stats() Stats         { return it.st }
@@ -195,6 +199,9 @@ func (it *evalIterator) Next() bool {
 	it.cur = t
 	return true
 }
+
+// Ready may turn stale at once, which costs the caller only an early flush.
+func (it *evalIterator) Ready() bool { return len(it.ch) > 0 }
 
 func (it *evalIterator) Tuple() storage.Tuple { return it.cur }
 

@@ -270,41 +270,54 @@ func (s *Server) replyJSON(rq *request, req queryRequest, tracer *obs.Tracer) (*
 
 // replyNDJSON is the /query consumer for chunked NDJSON: a header object
 // (request_id, query, epoch, cached, limit), one {"row": [...]} line per
-// answer flushed as it is derived, and a final {"done": true, ...} summary.
-// A client disconnect cancels the evaluation via the request context; rows
-// already buffered are simply dropped.
+// answer, and a final {"done": true, ...} summary. Lines are flushed only
+// when no further row is ready (and after the done line), so a cached
+// answer leaves in one write while a derived one reaches the client before
+// the server waits on the producer. A client disconnect cancels the
+// evaluation via the request context; rows already buffered are simply
+// dropped.
 func (s *Server) replyNDJSON(rq *request, req queryRequest, tracer *obs.Tracer) (*QueryResult, error) {
-	ctx := rq.r.Context()
-	a, err := s.open(ctx, req.Query, req.Limit, true, tracer)
+	a, err := s.open(rq.r.Context(), req.Query, req.Limit, true, tracer)
 	if err != nil {
 		return nil, err
 	}
+	return s.writeNDJSON(rq, &a, req, tracer)
+}
+
+// rowLine is one NDJSON answer line.
+type rowLine struct {
+	Row []string `json:"row"`
+}
+
+// writeNDJSON drains the opened answer as NDJSON lines.
+func (s *Server) writeNDJSON(rq *request, a *answer, req queryRequest, tracer *obs.Tracer) (*QueryResult, error) {
+	ctx := rq.r.Context()
 	rq.streaming = true
 	rq.w.Header().Set("Content-Type", "application/x-ndjson")
 	rq.w.Header().Set("X-Content-Type-Options", "nosniff")
-	flusher, _ := rq.w.(http.Flusher)
-	enc := json.NewEncoder(rq.w)
-	line := func(v any) bool {
-		if enc.Encode(v) != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+	flush := func() {}
+	if f, ok := rq.w.(http.Flusher); ok {
+		flush = f.Flush
 	}
-	line(map[string]any{
+	enc := json.NewEncoder(rq.w)
+	enc.Encode(map[string]any{
 		"request_id": rq.id,
 		"query":      a.query,
 		"epoch":      a.snap.Epoch(),
 		"cached":     a.cached,
 		"limit":      a.limit,
 	})
+	if !a.it.Ready() {
+		flush()
+	}
 	// A failed write means the client is gone: stop pulling, and the context
 	// cancellation tears down the producer.
 	alive := true
-	res, err := s.drain(&a, func(row []string) bool {
-		alive = line(map[string]any{"row": row})
+	res, err := s.drain(a, func(row []string) bool {
+		alive = enc.Encode(rowLine{row}) == nil
+		if alive && !a.it.Ready() {
+			flush()
+		}
 		return alive
 	})
 	if err == nil && (!alive || ctx.Err() != nil) {
@@ -332,7 +345,8 @@ func (s *Server) replyNDJSON(rq *request, req queryRequest, tracer *obs.Tracer) 
 	if req.Trace {
 		done["trace"] = traceJSON(tracer)
 	}
-	line(done)
+	enc.Encode(done)
+	flush()
 	return res, err
 }
 
