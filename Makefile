@@ -36,10 +36,10 @@ race:
 # internal/eval (so X/XOpts twins cannot quietly come back), may not pass the
 # ceilings the last shrinking PR left behind. Raise one only in a PR that
 # says what the new lines or names buy.
-EVAL_SIZE_MAX = 5876
+EVAL_SIZE_MAX = 5640
 SERVER_SIZE_MAX = 1025
 STORAGE_SIZE_MAX = 1894
-EVAL_SURFACE_MAX = 52
+EVAL_SURFACE_MAX = 51
 size:
 	@for row in internal/eval:$(EVAL_SIZE_MAX) internal/server:$(SERVER_SIZE_MAX) internal/storage:$(STORAGE_SIZE_MAX); do \
 		pkg=$${row%:*}; max=$${row#*:}; \

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -34,7 +35,8 @@ type Source interface {
 type PlanKind uint8
 
 const (
-	// PlanTC runs the frontier-BFS transitive-closure kernel (tc.go).
+	// PlanTC runs the frontier-BFS transitive-closure kernel (tc.go) for
+	// bound queries; Plan.over runs the all-free query generically.
 	PlanTC PlanKind = iota
 	// PlanBounded evaluates the finite non-recursive expansion union in a
 	// single stratified pass (§5; no fixpoint).
@@ -93,13 +95,13 @@ type Plan struct {
 
 // CompilePlanOpts compiles the plan for the source's rules. A linear
 // recursive system is classified and gets, in selection order: the
-// transitive-closure shape (its kernel beats every generic engine on its
-// workload), then boundedness (recursion elimination), then
-// transformability (stabilize, then parallel semi-naive), then the generic
-// parallel engine; the classification is recorded under a "classify" span
-// (class code, rank when bounded). Any other program compiles to the generic
-// engine unclassified. The strategy selection plus rewriting land under a
-// "plan-compile" span (kind).
+// transitive-closure shape over a stored exit relation (its kernel beats
+// every generic engine on bound queries), then boundedness (recursion
+// elimination), then transformability (stabilize, then parallel
+// semi-naive), then the generic parallel engine; the classification is
+// recorded under a "classify" span (class code, rank when bounded). Any
+// other program compiles to the generic engine unclassified. The strategy
+// selection plus rewriting land under a "plan-compile" span (kind).
 func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
 	return CompilePlanDB(src, nil, nil, opts)
 }
@@ -222,17 +224,22 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 	return p, pc, nil
 }
 
-// over returns the plan that is sound on db. The TC kernel, the expansion
-// union and the stabilized system all compute p = exits ∪ recursion over
-// exits, so they are only right while the database stores nothing under the
-// planned predicate itself; once it does (a fact for p in the program text,
-// or loaded later), the plan to run is the generic one over the original
-// rules, which seeds stored tuples like any other. The class is unchanged.
-func (p *Plan) over(db *storage.Database) *Plan {
+// over returns the plan that serves q on db; it is the one place a plan is
+// routed, so run, ResultCache.Answer and the maintenance pass agree. The
+// generic plan over the original rules (class unchanged) replaces the
+// compiled one in two cases. The TC kernel, the expansion union and the
+// stabilized system all compute p = exits ∪ recursion over exits, so they
+// are only right while the database stores nothing under the planned
+// predicate itself; once it does (a fact for p in the program text, or
+// loaded later), the generic plan seeds stored tuples like any other. And
+// the TC kernel is a selection pushed down the σ-chain: an all-free query
+// has none, so its answer is the program's fixpoint.
+func (p *Plan) over(db *storage.Database, q ast.Query) *Plan {
 	if p.Kind == PlanGeneric {
 		return p
 	}
-	if stored := db.Rel(p.sys.Pred()); stored == nil || stored.Len() == 0 {
+	bound := slices.ContainsFunc(q.Atom.Args, func(t ast.Term) bool { return !t.IsVar() })
+	if stored := db.Rel(p.sys.Pred()); (stored == nil || stored.Len() == 0) && (p.Kind != PlanTC || bound) {
 		return p
 	}
 	return &Plan{Class: p.Class, Kind: PlanGeneric, fix: p.sys}
@@ -249,8 +256,8 @@ func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storag
 // run is the one switch from a plan's kind to its kernel, whoever consumes
 // the answers. With the zero sink it materializes: the answer relation comes
 // back with the kind-specific state the result cache needs to maintain it
-// incrementally across writes (maintain.go) — the exit relation and BFS
-// closure of a TC entry, the materialized IDB fixpoint of the parallel plans
+// incrementally across writes (maintain.go) — the BFS visited set of a TC
+// entry, the materialized IDB fixpoint of the parallel plans
 // (the program's view), nil for bounded plans (their answers alone
 // suffice). With an emit sink it streams: every answer is handed to the sink
 // as its round derives it, a declined emit ends the evaluation with
@@ -259,16 +266,15 @@ func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storag
 // cache's compute, AnswerOpts, Stream and the maintenance pass's recompute
 // fallback are all this function.
 func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel *storage.Relation, aux any, st Stats, err error) {
-	p = p.over(db)
+	p = p.over(db, q)
 	if opts.book == nil {
 		opts.book = p.book
 	}
 	switch p.Kind {
 	case PlanTC:
-		var ta *tcAux
-		rel, ta, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk)
-		if ta != nil {
-			aux = ta
+		var visited *storage.ValueSet
+		if rel, visited, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk); visited != nil {
+			aux = visited
 		}
 	case PlanBounded:
 		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)

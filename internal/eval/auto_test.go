@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/adorn"
 	"repro/internal/ast"
 	"repro/internal/dlgen"
 	"repro/internal/parser"
@@ -98,8 +99,19 @@ func tcTestDB(t testing.TB, edgePred string, domain, edges, exitTuples int, seed
 	return db
 }
 
-// TestTCEvalMatchesNaive runs the frontier kernel through every adornment
-// on both orientations and compares against the naive fixpoint.
+// servedKind is the kind that answers q on a plan compiled to kind, with
+// nothing stored under the planned predicate: a TC plan serves only bound
+// queries, and its all-free query runs the generic plan.
+func servedKind(kind PlanKind, q ast.Query) PlanKind {
+	if kind == PlanTC && adorn.FromQuery(q).BoundCount() == 0 {
+		return PlanGeneric
+	}
+	return kind
+}
+
+// TestTCEvalMatchesNaive runs the TC plan through every adornment on both
+// orientations and compares against the naive fixpoint: the bound ones on
+// the frontier kernel, the all-free one generically, class A5 throughout.
 func TestTCEvalMatchesNaive(t *testing.T) {
 	rules := []string{
 		"p(X, Y) :- a(X, Z), p(Z, Y).",
@@ -136,8 +148,8 @@ func TestTCEvalMatchesNaive(t *testing.T) {
 					t.Errorf("%s seed %d %s: TC kernel %d tuples, naive %d",
 						rule, seed, qs, got.Len(), ref.Len())
 				}
-				if st.Plan == nil || st.Plan.Strategy != PlanTC.String() {
-					t.Errorf("%s %s: stats plan = %+v, want tc-frontier", rule, qs, st.Plan)
+				if want := servedKind(PlanTC, q); st.Plan == nil || st.Plan.Strategy != want.String() || st.Plan.Class != "A5" {
+					t.Errorf("%s %s: stats plan = %+v, want %v class A5", rule, qs, st.Plan, want)
 				}
 			}
 		}
@@ -170,6 +182,16 @@ func TestTCEvalEdgeCases(t *testing.T) {
 	q, _ := parser.ParseQuery("?- p(ghost, Y).")
 	if got, _, err := Answer(StrategyAuto, sys, q, db); err != nil || got.Len() != 0 {
 		t.Errorf("unknown constant: %v answers, err %v", got.Len(), err)
+	}
+	// The second exit is no stored relation renamed: the system plans
+	// generically, class kept, and a bound stream runs its magic program.
+	// TestDriverModesAgree's tc-two-exits row checks its answers.
+	if p, err := CompilePlanOpts(sys, Opts{}); err != nil || p.Kind != PlanGeneric || p.Class != "A5" {
+		t.Fatalf("plan %+v err %v, want generic-parallel class A5", p, err)
+	}
+	q, _ = parser.ParseQuery("?- p(n1, Y).")
+	if _, _, fix := streamSpan(t, NewPlanner(), sys, q, db.Snapshot(), 0); fix == nil || spanAttr(fix, "magic") != "dv" {
+		t.Errorf("%v: fixpoint span %v, want magic=dv", q, fix)
 	}
 }
 

@@ -416,35 +416,14 @@ func (fullSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, str
 	return fr, nil
 }
 
-// diffTasks builds one task per positive occurrence of a changed non-local
-// predicate: the occurrence is restricted to the inserted tuples while the
-// other occurrences read the full (new) database — the semi-naive seeded
-// join over a snapshot diff instead of a round's delta. Two changed
-// occurrences in one rule are covered pairwise: each seeding reads the other
-// occurrence's full relation.
-func diffTasks(rules []compiledRule, local map[string]bool, diff *storage.SnapshotDiff, head func(pred string) *storage.Relation) []parTask {
-	var tasks []parTask
-	for i := range rules {
-		cr := &rules[i]
-		for bi, a := range cr.rule.Body {
-			ts := diff.Inserted[a.Pred]
-			// A relation's tuples share one arity; an occurrence of another
-			// arity can never match it.
-			if a.Neg || local[a.Pred] || len(ts) == 0 || len(ts[0]) != a.Arity() {
-				continue
-			}
-			pred := cr.rule.Head.Pred
-			tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: ts, head: head(pred)})
-		}
-	}
-	return tasks
-}
-
 // diffSeed is the maintenance seed: the heads already hold the old fixpoint
 // (frozen; one that grows is extended copy-on-write), inserted tuples of
 // derived predicates enter them and the frontier directly, and one seed round
-// runs every rule occurrence over a changed base predicate restricted to its
-// inserted tuples.
+// runs one task per positive occurrence of a changed base predicate,
+// restricted to its inserted tuples while the other occurrences read the
+// full (new) database — the semi-naive seeded join over a snapshot diff
+// instead of a round's delta. Two changed occurrences in one rule are covered
+// pairwise: each seeding reads the other occurrence's full relation.
 type diffSeed struct{ diff *storage.SnapshotDiff }
 
 func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, stratum int) (frontier, error) {
@@ -463,7 +442,21 @@ func (d diffSeed) seed(r *fixRun, rules []compiledRule, local map[string]bool, s
 			}
 		}
 	}
-	if tasks := diffTasks(rules, local, d.diff, r.work.Rel); len(tasks) > 0 {
+	var tasks []parTask
+	for i := range rules {
+		cr := &rules[i]
+		for bi, a := range cr.rule.Body {
+			ts := d.diff.Inserted[a.Pred]
+			// A relation's tuples share one arity; an occurrence of another
+			// arity can never match it.
+			if a.Neg || local[a.Pred] || len(ts) == 0 || len(ts[0]) != a.Arity() {
+				continue
+			}
+			pred := cr.rule.Head.Pred
+			tasks = append(tasks, parTask{cr: cr, pred: pred, seedIdx: bi, chunk: ts, head: r.work.Rel(pred)})
+		}
+	}
+	if len(tasks) > 0 {
 		if _, err := r.run(stratum, tasks, 0, 0, fr); err != nil {
 			return nil, err
 		}

@@ -50,7 +50,8 @@ func firstConstant(db *storage.Database) string {
 }
 
 // modeFixture is one row of TestDriverModesAgree: a source with its database
-// and queries, the strategy every cold answer must report, the write the
+// and queries, the strategy every cold answer must report (servedKind: the
+// all-free query of a TC plan runs generically), the write the
 // maintained answer is carried across, and whether the maintenance pass
 // carries it by a delta (else it must recompute — and still agree).
 type modeFixture struct {
@@ -141,6 +142,17 @@ func modeFixtures() []modeFixture {
 		// pool, sparse enough that the fixpoint stays small.
 		{name: "s12", kind: PlanGeneric, build: paperFixture("s12", 300, 900), grow: growEDB},
 
+		// TC-shaped with an exit that is no stored relation renamed: planned
+		// generically, class kept, in every adornment.
+		{name: "tc-two-exits", kind: PlanGeneric, grow: growEDB, build: func(t *testing.T) (Source, *storage.Database, []ast.Query) {
+			sys := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).", "p(X, Y) :- g(Y, X).")
+			db := tcTestDB(t, "a", 6, 9, 4, 5)
+			if err := storage.GenRandomRelation(db, "g", 2, 6, 4, 6); err != nil {
+				t.Fatal(err)
+			}
+			return sys, db, parseQueries(t, "?- p(X, Y).", "?- p(n1, Y).", "?- p(X, n2).", "?- p(n1, n2).")
+		}},
+
 		// Programs that are not one linear system: planned classless.
 		{name: "nonlinear", kind: PlanGeneric, classless: true, grow: moreEdges, build: programFixture(
 			"t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), t(Z, Y).", chain,
@@ -176,8 +188,9 @@ func modeFixtures() []modeFixture {
 	// expansion union and the stabilized system all assume there is none, so
 	// the plan must run generically (class unchanged) — whether the fact is
 	// there when the plan compiles or arrives in the maintained diff, which
-	// retires the TC and bounded deltas (recompute) while a stable entry's
-	// fixpoint is carried on by the original rules.
+	// retires the bounded delta (recompute) while the original rules carry
+	// on the program's view: a stable plan's, and a TC plan's, which its
+	// all-free query made.
 	for _, f := range []struct {
 		id   string
 		kind PlanKind
@@ -190,7 +203,7 @@ func modeFixtures() []modeFixture {
 					storeUnderHead(t, src, db)
 					return src, db, qs
 				}},
-			modeFixture{name: f.id + "/stored-in-diff", kind: f.kind, build: build, recomputed: f.kind != PlanStable,
+			modeFixture{name: f.id + "/stored-in-diff", kind: f.kind, build: build, recomputed: f.kind == PlanBounded,
 				grow: func(t *testing.T, src Source, db *storage.Database) {
 					growEDB(t, src, db)
 					storeUnderHead(t, src, db)
@@ -222,8 +235,8 @@ func TestDriverModesAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 					before[q.String()] = mat
-					if mst.Plan == nil || mst.Plan.Strategy != f.kind.String() || (mst.Plan.Class == "") != f.classless {
-						t.Fatalf("%v: plan %+v, want %v (classless=%v)", q, mst.Plan, f.kind, f.classless)
+					if want := servedKind(f.kind, q); mst.Plan == nil || mst.Plan.Strategy != want.String() || (mst.Plan.Class == "") != f.classless {
+						t.Fatalf("%v: plan %+v, want %v (classless=%v)", q, mst.Plan, want, f.classless)
 					}
 					if !rowsEqual(relRows(mat), want) {
 						t.Errorf("%v: materialized %d rows, oracle %d", q, mat.Len(), len(want))
@@ -390,7 +403,7 @@ func TestDriverNarrowRoundsInline(t *testing.T) {
 			}
 			// occs[rule] counts the rule's positive derived literals: the
 			// most tasks one unchunked round can give it.
-			prog := p.over(snap.DB()).fix.Program()
+			prog := p.over(snap.DB(), q).fix.Program()
 			if magicStreamed(p, q, snap.DB()) {
 				prog = p.magic.Program
 			}
@@ -438,9 +451,9 @@ func TestDriverNarrowRoundsInline(t *testing.T) {
 	}
 }
 
-// TestDriverBudgetFallsBack: a delta pass whose sink runs out of budget is
-// abandoned for a from-scratch recompute, on the round driver (a fixpoint
-// entry) and on the TC compose kernel (an all-free entry) alike.
+// TestDriverBudgetFallsBack: a view's delta pass whose sink runs out of
+// budget is abandoned for a from-scratch recompute, for a fixpoint plan's
+// all-free entry and for a TC plan's, which runs the generic plan alike.
 func TestDriverBudgetFallsBack(t *testing.T) {
 	for _, id := range []string{"s11", "s1a"} {
 		t.Run(id, func(t *testing.T) {

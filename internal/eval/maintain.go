@@ -16,9 +16,9 @@ import (
 // re-keyed to the new epoch as it is — same relation, nothing copied — and
 // the others pay for the inserted tuples, not for their own size:
 //
-//   - TC frontier plans (maintainTC) restart the kernel's bfs from the new
-//     edges' endpoints against the frozen visited set (bound queries), or
-//     compose the new edges against the frozen closure (all-free queries).
+//   - TC frontier plans (maintainTC; bound queries only) restart the
+//     kernel's bfs from the new edges' endpoints against the frozen visited
+//     set.
 //   - Bounded plans (maintainBounded) seed every positive occurrence of a
 //     changed predicate in the expansion rules with the inserted tuples.
 //   - Stable/generic parallel plans advance the program's view — the one
@@ -71,24 +71,6 @@ type MaintResult struct {
 	Skipped int
 }
 
-// tcAux is the maintenance state of a TC-frontier entry: the exit relation
-// when it is a private materialized copy (nil when the kernel reads the
-// database's own relation, tcShape.exitPred) and, for bound queries, the BFS
-// visited set. Both are immutable once the entry is published.
-type tcAux struct {
-	exit    *storage.Relation
-	visited *storage.ValueSet // nil for the all-free query (answers = closure)
-}
-
-// with returns the state holding the given exit copy and visited set: a
-// itself when neither changed.
-func (a *tcAux) with(exit *storage.Relation, visited *storage.ValueSet) *tcAux {
-	if exit == a.exit && visited == a.visited {
-		return a
-	}
-	return &tcAux{exit: exit, visited: visited}
-}
-
 // fixAux is a view's state: the materialized IDB relations of a fixpoint
 // program at the view's epoch, which every fixpoint-plan entry of the program
 // at that epoch is selected from. Immutable once published.
@@ -138,32 +120,22 @@ func newFixAux(prog *ast.Program, work *storage.Database) *fixAux {
 }
 
 // auxBytes is the footprint of the state an entry keeps beside its answers:
-// a TC entry's exit copy and visited set, a view's fixpoint.
+// a TC entry's visited set, a view's fixpoint.
 func auxBytes(aux any) int64 {
-	var n int64
 	switch a := aux.(type) {
-	case *tcAux:
-		if a.exit != nil {
-			n += a.exit.SizeBytes()
-		}
-		if a.visited != nil {
-			n += a.visited.SizeBytes()
-		}
+	case *storage.ValueSet:
+		return a.SizeBytes()
 	case *fixAux:
-		n = a.sizeBytes()
+		return a.sizeBytes()
 	}
-	return n
+	return 0
 }
 
-// freezeAux freezes the relations a maintenance state holds, making the
-// entry safe for concurrent readers (and for CowClone at the next write).
+// freezeAux freezes the relations a view holds, making the entry safe for
+// concurrent readers (and for CowClone at the next write). A TC entry's
+// visited set is never written once published: maintenance clones it.
 func freezeAux(aux any) {
-	switch a := aux.(type) {
-	case *tcAux:
-		if a.exit != nil {
-			a.exit.Freeze()
-		}
-	case *fixAux:
+	if a, ok := aux.(*fixAux); ok {
 		for _, r := range a.idb {
 			r.Freeze()
 		}
@@ -238,9 +210,9 @@ func (m *maintainer) budget(oldSize int) int {
 }
 
 // entry carries one entry across the diff: by the delta kernel of the plan
-// that is sound on the new database (Plan.over — an insert under the planned
-// predicate itself retires the TC and bounded deltas for good), by the
-// program's view for the fixpoint plans, or by recomputing it through
+// that serves its query on the new database (Plan.over — an insert under the
+// planned predicate itself retires the TC and bounded deltas for good), by
+// the program's view for the fixpoint plans, or by recomputing it through
 // Plan.run when the kernel declines.
 func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 	p, _, err := m.spec.Planner.planFor(m.spec.Sys, e.q, m.cur.DB(), m.spec.Opts)
@@ -248,7 +220,7 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 		res.Skipped++
 		return
 	}
-	np := p.over(m.cur.DB())
+	np := p.over(m.cur.DB(), e.q)
 	switch {
 	case np.Kind == PlanStable || np.Kind == PlanGeneric:
 		m.fromView(np, e, res)
@@ -259,8 +231,8 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 		return
 	case !m.diffOK:
 	case np.Kind == PlanTC:
-		aux, _ := e.aux.(*tcAux)
-		if rel, na, ok := maintainTC(np.sys, np.tc, e.q, e.rel, aux, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
+		visited, _ := e.aux.(*storage.ValueSet)
+		if rel, na, ok := maintainTC(np.tc, e.q, e.rel, visited, m.cur.DB(), m.diff, m.budget(e.rel.Len())); ok {
 			m.publish(e, rel, na, e.st, true, res)
 			return
 		}
@@ -286,7 +258,8 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 // the tuples the pass added to its predicate (the diff's own, for a stored
 // one) that carry its constants — the old relation itself when none does,
 // else its copy-on-write clone. From a recomputed view the entry is selected
-// whole and reports the view's Stats.
+// whole and reports the view's Stats. Either way the entry reports np's
+// PlanInfo: the plan that carried it, which Plan.over may have switched.
 func (m *maintainer) fromView(np *Plan, e *resultEntry, res *MaintResult) {
 	c := m.cache
 	oldKey := resultKey{program: e.key.program, epoch: e.key.epoch}
@@ -342,7 +315,9 @@ func (m *maintainer) fromView(np *Plan, e *resultEntry, res *MaintResult) {
 				}
 			}
 		}
-		m.publish(e, out, nil, e.st, true, res)
+		st = e.st
+		st.Plan = np.planInfo()
+		m.publish(e, out, nil, st, true, res)
 	}
 }
 
@@ -387,127 +362,35 @@ func (m *maintainer) publish(e *resultEntry, rel *storage.Relation, aux any, st 
 	}
 }
 
-// maintainTC carries one TC-frontier entry across an insert-only diff on the
-// kernel of tc.go. The exit delta is the diff's own tuples when the exit
-// relation is the database's (tcShape.exitPred), one diff-seeded round over
-// the exit rules into a copy-on-write clone of the private copy otherwise.
-// The bound cases restart the BFS from the frontier the new edges open up
-// (sources already visited, targets not yet) against the cloned visited set,
-// adding answers only for the newly visited values (plus the new exit tuples
-// joined against the old visited set for the closure-join cases); an entry
-// with no such frontier and no such exit tuple comes back as it is. The
-// all-free case composes the new exit tuples and the new edges against a
-// copy-on-write clone of the frozen closure, made at the first fresh tuple.
-// Reports ok=false — recompute instead — when negation is involved, the
-// shapes don't line up, or the budget is exceeded.
-func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *storage.Relation, aux *tcAux, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*storage.Relation, *tcAux, bool) {
-	if aux == nil {
-		return nil, nil, false
-	}
-	// exit is the relation the pass reads, own the private copy the carried
-	// state keeps (nil when exit is the database's relation).
-	exit, own := aux.exit, aux.exit
-	var exitDelta []storage.Tuple
-	if own == nil {
-		var private bool
-		if exit, private, _ = shape.exitOf(sys, db); private {
-			return nil, nil, false
-		}
-		exitDelta = diff.Inserted[shape.exitPred]
-	} else {
-		// Exit rules reading a changed predicate grow the private copy;
-		// negation over a changed predicate breaks insert-only monotonicity.
-		exitChanged := false
-		for _, er := range sys.Exits {
-			for _, a := range er.Body {
-				if len(diff.Inserted[a.Pred]) == 0 {
-					continue
-				}
-				if a.Neg {
-					return nil, nil, false
-				}
-				exitChanged = true
-			}
-		}
-		if exitChanged {
-			// Delta-evaluate only the affected exit rules — one diff-seeded
-			// round over the nonrecursive exit rules. Rematerializing the whole
-			// exit relation would make every write O(database), swamping the
-			// delta pass it feeds.
-			rules, err := compileRules(db.Syms, sys.Exits, nil)
-			if err != nil {
-				return nil, nil, false
-			}
-			grown := exit.CowClone()
-			run := fixRun{full: DBRels(db), workers: 1}
-			fr := make(frontier)
-			tasks := diffTasks(rules, nil, diff, func(string) *storage.Relation { return grown })
-			if _, err := run.run(0, tasks, 0, 0, fr); err != nil {
-				return nil, nil, false
-			}
-			if exitDelta = fr[sys.Pred()]; len(exitDelta) > 0 {
-				exit, own = grown, grown
-			}
-		}
-	}
-	edges := db.Rel(shape.edgePred)
-	if edges != nil && edges.Arity() != 2 {
-		return nil, nil, false
-	}
-	edgeDelta := diff.Inserted[shape.edgePred]
-	if len(edgeDelta) == 0 && len(exitDelta) == 0 {
-		// Nothing this entry reads grew: answers and state carry over.
-		return oldRel, aux, true
-	}
-
-	r := &tcRun{edges: edges, exit: exit, answers: oldRel, pred: q.Atom.Pred, jc: shape.joinCol(),
-		snk: sink{budget: budget}}
-	st := &r.st
-	bound, ok := r.bind(q, db.Syms)
-	if !ok {
-		return nil, nil, false
-	}
-	if !bound {
-		// All-free: the answers are the closure. The first delta is the new
-		// exit tuples plus the new edges composed against the frozen old
-		// closure — Δq(u, v) ∘ p_old(v, y) → p(u, y), resp. p_old(x, z) ∘
-		// Δq(z, y) → p(x, y); compose rounds against the full new edge
-		// relation do the rest.
-		var delta []storage.Tuple
-		grow := func(t storage.Tuple) {
-			st.Facts++
-			if r.answers == oldRel {
-				if oldRel.Contains(t) {
-					return
-				}
-				r.answers = oldRel.CowClone()
-			}
-			if fresh, _ := r.add(t); fresh != nil {
-				delta = append(delta, fresh)
-			}
-		}
-		for _, t := range exitDelta {
-			grow(t)
-		}
-		jc := r.jc
-		for _, e := range edgeDelta {
-			oldRel.EachCol(jc, e[1-jc], func(p storage.Tuple) bool {
-				r.buf[jc], r.buf[1-jc] = e[jc], p[1-jc]
-				grow(r.buf[:])
-				return true
-			})
-		}
-		if r.snk.over(st) || r.compose(delta) != nil {
-			return nil, nil, false
-		}
-		return r.answers, aux.with(own, nil), true
-	}
-
-	// Bound query: restart the sweep from the values the diff newly opens.
-	visited := aux.visited
+// maintainTC carries one bound TC-frontier entry across an insert-only diff
+// on the kernel of tc.go, reading the database's own exit relation. It
+// restarts the BFS from the frontier the new edges open up (sources already
+// visited, targets not yet) against the cloned visited set, adding answers
+// only for the newly visited values (plus the new exit tuples joined against
+// the old visited set for the closure-join cases); an entry with no such
+// frontier and no such exit tuple comes back as it is. Reports ok=false —
+// recompute instead — when the entry kept no visited set, the shapes don't
+// line up, or the budget is exceeded.
+func maintainTC(shape *tcShape, q ast.Query, oldRel *storage.Relation, visited *storage.ValueSet, db *storage.Database, diff *storage.SnapshotDiff, budget int) (*storage.Relation, *storage.ValueSet, bool) {
 	if visited == nil {
 		return nil, nil, false
 	}
+	exit, err := shape.exitOf(db)
+	edges := db.Rel(shape.edgePred)
+	if err != nil || edges != nil && edges.Arity() != 2 {
+		return nil, nil, false
+	}
+	exitDelta, edgeDelta := diff.Inserted[shape.exitPred], diff.Inserted[shape.edgePred]
+	if len(edgeDelta) == 0 && len(exitDelta) == 0 {
+		// Nothing this entry reads grew: answers and state carry over.
+		return oldRel, visited, true
+	}
+	r := &tcRun{edges: edges, exit: exit, answers: oldRel, pred: q.Atom.Pred, rightLinear: shape.rightLinear,
+		snk: sink{budget: budget}}
+	if !r.bind(q, db.Syms) {
+		return nil, nil, false
+	}
+	// Restart the sweep from the values the diff newly opens.
 	var seeds []storage.Value
 	open := func(v storage.Value) {
 		if !visited.Contains(v) {
@@ -534,7 +417,7 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 	}
 	if len(seeds) == 0 && len(hits) == 0 {
 		// The diff reaches nothing this entry has visited.
-		return oldRel, aux.with(own, visited), true
+		return oldRel, visited, true
 	}
 	if len(seeds) > 0 {
 		visited = visited.Clone()
@@ -544,13 +427,13 @@ func maintainTC(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, oldRel *s
 		return nil, nil, false
 	}
 	for _, t := range hits {
-		st.Facts++
+		r.st.Facts++
 		r.answer(t[1-r.bc])
 	}
-	if r.snk.over(st) {
+	if r.snk.over(&r.st) {
 		return nil, nil, false
 	}
-	return r.answers, aux.with(own, visited), true
+	return r.answers, visited, true
 }
 
 // maintainBounded carries one bounded-union entry across an insert-only

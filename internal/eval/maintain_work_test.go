@@ -496,11 +496,8 @@ func TestResultCacheChargesMaintenanceState(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := entryAt(t, rc, tc, q, snap)
-	aux := e.aux.(*tcAux)
-	if aux.exit != nil {
-		t.Error("a bare-renaming exit rule keeps a private exit copy")
-	}
-	if want := rel.SizeBytes() + aux.visited.SizeBytes(); e.size < want || rc.Bytes() != e.size {
+	visited := e.aux.(*storage.ValueSet)
+	if want := rel.SizeBytes() + visited.SizeBytes(); e.size < want || rc.Bytes() != e.size {
 		t.Errorf("TC entry charged %d (cache %d), want at least answers+visited = %d", e.size, rc.Bytes(), want)
 	}
 

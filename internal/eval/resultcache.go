@@ -59,8 +59,10 @@ type ResultCache struct {
 
 // resultKey names an entry. A view is keyed by its source's programKey and
 // the empty query, which no parsed query renders to: at one epoch every plan
-// of a source runs the same fixpoint program (compilePlan reads neither the
-// adornment nor the data, Plan.over only the epoch's data).
+// of a source that reaches a view runs the same fixpoint program: compilePlan's
+// reads neither the adornment nor the data, and Plan.over's, the original
+// rules, is chosen on the epoch's data or, for a TC plan, on an all-free
+// query (the only TC query that reaches a view).
 type resultKey struct {
 	program string
 	query   string
@@ -78,8 +80,8 @@ type resultEntry struct {
 	q        ast.Query
 	hasQuery bool
 	// aux is the plan-class-specific maintenance state captured at compute
-	// time (maintain.go): *tcAux for TC plans, *fixAux for a view, nil when
-	// the entry keeps none (bounded and fixpoint-plan answers).
+	// time (maintain.go): a TC entry's visited *storage.ValueSet, a view's
+	// *fixAux, nil for bounded and fixpoint-plan answers.
 	aux any
 }
 
@@ -182,7 +184,7 @@ func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage
 		if err != nil {
 			return nil, nil, st, err
 		}
-		if p = p.over(snap.DB()); p.Kind != PlanStable && p.Kind != PlanGeneric {
+		if p = p.over(snap.DB(), q); p.Kind != PlanStable && p.Kind != PlanGeneric {
 			rel, aux, st, err = p.run(q, snap.DB(), o, sink{})
 		} else {
 			var viewHit bool
@@ -202,27 +204,6 @@ func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage
 			st.Plan.CacheHit = planHit
 		}
 		return rel, aux, st, err
-	})
-	return rel, st, hit, err
-}
-
-// Do returns the cached answer for (program, query, epoch), computing and
-// inserting it on a miss. Concurrent Do calls with the same key share one
-// compute invocation: exactly one runs, the rest block until it finishes
-// and return its result. Errors are returned to every waiter but never
-// cached, so a transient failure is retried by the next caller. The empty
-// query is reserved: it names the programs' views.
-//
-// abort, when non-nil, is THIS caller's cancellation: a blocked waiter
-// unblocks with ErrCanceled, and the computing leader's evaluation is
-// stopped only once every interested caller has given up — compute receives
-// the flight's merged abort channel and must honor it (thread it into
-// Opts.Abort).
-func (c *ResultCache) Do(abort <-chan struct{}, program, query string, epoch uint64, compute func(abort <-chan struct{}) (*storage.Relation, Stats, error)) (*storage.Relation, Stats, bool, error) {
-	key := resultKey{program: program, query: query, epoch: epoch}
-	rel, _, st, hit, err := c.do(key, ast.Query{}, false, abort, func(fa <-chan struct{}) (*storage.Relation, any, Stats, error) {
-		rel, st, err := compute(fa)
-		return rel, nil, st, err
 	})
 	return rel, st, hit, err
 }
@@ -247,9 +228,20 @@ func (c *ResultCache) Lookup(program, query string, epoch uint64) (*storage.Rela
 	return e.rel, e.st, true
 }
 
-// do is the shared hit/flight/compute path. compute additionally returns
-// the plan-specific maintenance state stored alongside the entry, which do
-// hands back with the answers; a view's compute returns no relation.
+// do returns the cached entry for key, computing and inserting it on a miss;
+// the bool reports a hit or a ride on another caller's flight. Concurrent
+// calls with one key share one compute invocation: exactly one runs, the
+// rest block until it finishes and return its result. Errors are returned to
+// every waiter but never cached, so a transient failure is retried by the
+// next caller. compute additionally returns the plan-specific maintenance
+// state stored alongside the entry, which do hands back with the answers; a
+// view's compute returns no relation.
+//
+// callerAbort, when non-nil, is THIS caller's cancellation: a blocked waiter
+// unblocks with ErrCanceled, and the computing leader's evaluation is
+// stopped only once every interested caller has given up — compute receives
+// the flight's merged abort channel and must honor it (thread it into
+// Opts.Abort).
 func (c *ResultCache) do(key resultKey, q ast.Query, hasQuery bool, callerAbort <-chan struct{}, compute func(abort <-chan struct{}) (*storage.Relation, any, Stats, error)) (*storage.Relation, any, Stats, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/storage"
@@ -121,7 +122,8 @@ func TestResultCacheSingleflight(t *testing.T) {
 
 // TestResultCacheEpochInvalidation: a write advances the epoch, so the next
 // snapshot misses the cache and sees the new fact; the old epoch's entry
-// still serves readers pinned to the old snapshot.
+// still serves readers pinned to the old snapshot. The all-free TC query is
+// the program's fixpoint, so each epoch also keeps the view it selects from.
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	sys := mustSystem(t, "p(X, Y) :- a(X, Z), p(Z, Y).", "p(X, Y) :- e(X, Y).")
 	q, _ := parser.ParseQuery("?- p(X, Y).")
@@ -163,8 +165,10 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	if !cached || again != old {
 		t.Errorf("old epoch lookup: cached=%v same=%v, want true/true", cached, again == old)
 	}
-	if rc.Len() != 2 {
-		t.Errorf("cache holds %d entries, want 2 (one per epoch)", rc.Len())
+	viewAt(t, rc, snap1)
+	viewAt(t, rc, snap2)
+	if rc.Len() != 4 {
+		t.Errorf("cache holds %d entries, want 4 (an answer and a view per epoch)", rc.Len())
 	}
 }
 
@@ -219,7 +223,7 @@ func TestResultCacheErrorNotCached(t *testing.T) {
 		calls++
 		return nil, Stats{}, boom
 	}
-	if _, _, _, err := rc.Do(nil, "prog", "q", 1, fail); !errors.Is(err, boom) {
+	if _, _, _, err := doQ(rc, nil, fail); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if rc.Len() != 0 {
@@ -229,7 +233,7 @@ func TestResultCacheErrorNotCached(t *testing.T) {
 		calls++
 		return storage.NewRelation(1), Stats{}, nil
 	}
-	if _, _, cached, err := rc.Do(nil, "prog", "q", 1, ok); err != nil || cached {
+	if _, _, cached, err := doQ(rc, nil, ok); err != nil || cached {
 		t.Fatalf("retry: cached=%v err=%v, want fresh compute", cached, err)
 	}
 	if calls != 2 {
@@ -256,7 +260,7 @@ func TestResultCacheDoPanic(t *testing.T) {
 		// Let the compute proceed to its panic only once this goroutine is
 		// about to join the flight.
 		close(release)
-		_, _, _, err := rc.Do(nil, "prog", "q", 1, func(<-chan struct{}) (*storage.Relation, Stats, error) {
+		_, _, _, err := doQ(rc, nil, func(<-chan struct{}) (*storage.Relation, Stats, error) {
 			return storage.NewRelation(1), Stats{}, nil
 		})
 		waiterErr <- err
@@ -268,7 +272,7 @@ func TestResultCacheDoPanic(t *testing.T) {
 				t.Error("panic did not propagate to the computing caller")
 			}
 		}()
-		rc.Do(nil, "prog", "q", 1, func(<-chan struct{}) (*storage.Relation, Stats, error) {
+		doQ(rc, nil, func(<-chan struct{}) (*storage.Relation, Stats, error) {
 			close(entered)
 			<-release
 			panic("compute exploded")
@@ -284,7 +288,7 @@ func TestResultCacheDoPanic(t *testing.T) {
 		t.Fatalf("panicked compute left %d cached entries", rc.Len())
 	}
 	// The key is not wedged: a fresh compute succeeds and caches.
-	rel, _, cached, err := rc.Do(nil, "prog", "q", 1, func(<-chan struct{}) (*storage.Relation, Stats, error) {
+	rel, _, cached, err := doQ(rc, nil, func(<-chan struct{}) (*storage.Relation, Stats, error) {
 		return storage.NewRelation(1), Stats{}, nil
 	})
 	if err != nil || cached || rel == nil {
@@ -293,6 +297,17 @@ func TestResultCacheDoPanic(t *testing.T) {
 	if rc.Len() != 1 {
 		t.Fatalf("post-panic compute not cached (%d entries)", rc.Len())
 	}
+}
+
+// doQ runs do for the test key (prog, q, epoch 1) with a compute that keeps
+// no maintenance state.
+func doQ(rc *ResultCache, abort <-chan struct{}, compute func(abort <-chan struct{}) (*storage.Relation, Stats, error)) (*storage.Relation, Stats, bool, error) {
+	key := resultKey{program: "prog", query: "q", epoch: 1}
+	rel, _, st, hit, err := rc.do(key, ast.Query{}, false, abort, func(fa <-chan struct{}) (*storage.Relation, any, Stats, error) {
+		rel, st, err := compute(fa)
+		return rel, nil, st, err
+	})
+	return rel, st, hit, err
 }
 
 // flightState polls the cache's flight table for the key's live flight and
@@ -321,7 +336,7 @@ func TestResultCacheWaiterCancel(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := rc.Do(nil, "prog", "q", 1, func(abort <-chan struct{}) (*storage.Relation, Stats, error) {
+		_, _, _, err := doQ(rc, nil, func(abort <-chan struct{}) (*storage.Relation, Stats, error) {
 			close(started)
 			select {
 			case <-abort:
@@ -338,7 +353,7 @@ func TestResultCacheWaiterCancel(t *testing.T) {
 	waiterAbort := make(chan struct{})
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := rc.Do(waiterAbort, "prog", "q", 1, func(<-chan struct{}) (*storage.Relation, Stats, error) {
+		_, _, _, err := doQ(rc, waiterAbort, func(<-chan struct{}) (*storage.Relation, Stats, error) {
 			t.Error("waiter ran its own compute instead of joining the flight")
 			return nil, Stats{}, nil
 		})
@@ -382,7 +397,7 @@ func TestResultCacheAllCallersCancel(t *testing.T) {
 	leaderAbort := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, _, err := rc.Do(leaderAbort, "prog", "q", 1, func(abort <-chan struct{}) (*storage.Relation, Stats, error) {
+		_, _, _, err := doQ(rc, leaderAbort, func(abort <-chan struct{}) (*storage.Relation, Stats, error) {
 			close(started)
 			<-abort // the flight's merged abort, not the caller's channel
 			return nil, Stats{}, fmt.Errorf("compute: %w", ErrCanceled)
@@ -398,7 +413,7 @@ func TestResultCacheAllCallersCancel(t *testing.T) {
 		t.Fatalf("canceled compute was cached (%d entries)", rc.Len())
 	}
 	// The key computes fresh for the next caller.
-	rel, _, cached, err := rc.Do(nil, "prog", "q", 1, func(<-chan struct{}) (*storage.Relation, Stats, error) {
+	rel, _, cached, err := doQ(rc, nil, func(<-chan struct{}) (*storage.Relation, Stats, error) {
 		return storage.NewRelation(1), Stats{}, nil
 	})
 	if err != nil || cached || rel == nil {

@@ -60,8 +60,8 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 			"p(X, Y, Z) :- e3(X, Y, Z)."), "?- p(X, Y, Z)."},
 	}
 	// Pin the class each workload exercises, so the test keeps covering the
-	// TC kernel, the bounded unroller and the stabilized plan even if the
-	// shapes drift.
+	// TC kernel (and the generic route of its all-free query), the bounded
+	// unroller and the stabilized plan even if the shapes drift.
 	wantKinds := []PlanKind{PlanTC, PlanTC, PlanBounded, PlanStable}
 	for i, w := range workloads {
 		p, err := CompilePlanOpts(w.sys, Opts{})

@@ -95,8 +95,8 @@ func TestStreamDifferentialPaperPlans(t *testing.T) {
 					t.Errorf("%s %v (plan %v): streamed %d rows, materialized %d",
 						f.id, q, p.Kind, len(got), ref.Len())
 				}
-				if st := it.Stats(); st.Plan == nil || st.Plan.Strategy != p.Kind.String() {
-					t.Errorf("%s %v: stream stats plan %+v, want %v", f.id, q, st.Plan, p.Kind)
+				if st, want := it.Stats(), servedKind(p.Kind, q); st.Plan == nil || st.Plan.Strategy != want.String() || st.Plan.Class != p.Class {
+					t.Errorf("%s %v: stream stats plan %+v, want %v class %s", f.id, q, st.Plan, want, p.Class)
 				}
 			}
 		}

@@ -8,18 +8,19 @@ import (
 )
 
 // The frontier-BFS kernel for unit-rotational (transitive-closure-shaped)
-// rules. A rule of the form
+// rules over an exit that renames a stored relation. A system of the form
 //
 //	p(X, Y) :- q(X, Z), p(Z, Y).   (right-linear)
 //	p(X, Y) :- p(X, Z), q(Z, Y).   (left-linear)
+//	p(X, Y) :- e(X, Y).
 //
-// computes p = ∪_k q^k ∘ E (respectively ∪_k E ∘ q^k) over the exit
-// relation E. Instead of running generic conjunction joins round after
-// round, the kernel walks the q edge index directly: queries with a bound
-// argument become a breadth-first reachability sweep over a value frontier
-// (never touching the unreachable part of the graph), and the all-free
-// query becomes a semi-naive relational compose that joins only the
-// previous round's delta tuples against the edge index.
+// computes p = ∪_k q^k ∘ e (respectively ∪_k e ∘ q^k). A query with a bound
+// argument is PAPER.md §5's σ-chain plan ∪_k σ(q)^k − E: a breadth-first
+// reachability sweep over a value frontier that walks the q edge index
+// directly and never touches the unreachable part of the graph. The
+// all-free query has no selection to push down, so Plan.over hands it to the
+// generic plan (the program's view); so does a system whose exit is anything
+// but the rename.
 
 // tcShape records the detected orientation of a transitive-closure rule.
 type tcShape struct {
@@ -27,44 +28,31 @@ type tcShape struct {
 	// rightLinear: the edge literal precedes the recursive literal
 	// (p = ∪ q^k ∘ E); otherwise left-linear (p = ∪ E ∘ q^k).
 	rightLinear bool
-	// exitPred names the stored predicate the exit relation E is when the
-	// exit rules merely rename it (the one rule p(X, Y) :- e(X, Y)): the
-	// kernel and its maintenance then read the database's own relation. Empty
-	// when E has to be materialized from the exit rules.
+	// exitPred names the stored predicate the exit relation E is: the one
+	// exit rule p(X, Y) :- e(X, Y) renames it, and the kernel and its
+	// maintenance read the database's own relation.
 	exitPred string
 }
 
-// exitOf returns the exit relation E over db and whether it is a private
-// materialized copy (otherwise it is db's own relation, shared with every
-// reader of db and never written).
-func (s *tcShape) exitOf(sys *ast.RecursiveSystem, db *storage.Database) (exit *storage.Relation, private bool, err error) {
-	if s.exitPred != "" {
-		switch rel := db.Rel(s.exitPred); {
-		case rel == nil:
-			return storage.NewRelation(2), false, nil
-		case rel.Arity() == 2:
-			return rel, false, nil
-		}
+// exitOf returns the exit relation E over db: db's own relation, shared with
+// every reader of db and never written (an empty one when db has none).
+func (s *tcShape) exitOf(db *storage.Database) (*storage.Relation, error) {
+	switch rel := db.Rel(s.exitPred); {
+	case rel == nil:
+		return storage.NewRelation(2), nil
+	case rel.Arity() != 2:
+		return nil, fmt.Errorf("eval: exit relation %s has arity %d, want 2", s.exitPred, rel.Arity())
+	default:
+		return rel, nil
 	}
-	exit, err = MaterializeExit(sys, db)
-	return exit, true, err
 }
 
-// joinCol is the delta column the compose joins on: 0 for the right-linear
-// orientation (q ∘ Δ: new (x, y) from q(x, z), Δ(z, y)), 1 for the
-// left-linear one (Δ ∘ q).
-func (s *tcShape) joinCol() int {
-	if s.rightLinear {
-		return 0
-	}
-	return 1
-}
-
-// detectTC matches the recursive rule against the two transitive-closure
+// detectTC matches the system against the two transitive-closure
 // orientations: binary head, a body of exactly one positive binary edge
-// literal over a different predicate, and the chain variable linking the
-// edge to the recursive literal. Head and recursive arguments are distinct
-// variables by ValidateRecursive; the chain variable must be fresh.
+// literal over a different predicate, the chain variable linking the edge to
+// the recursive literal, and one exit rule renaming a stored binary relation.
+// Head and recursive arguments are distinct variables by ValidateRecursive;
+// the chain variable must be fresh.
 func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 	rule := sys.Recursive
 	if sys.Arity() != 2 || len(rule.Body) != 2 || !rule.IsLinearRecursive() {
@@ -83,16 +71,17 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 			return nil, false
 		}
 	}
-	shape := &tcShape{edgePred: edge.Pred}
-	if len(sys.Exits) == 1 {
-		// p(X, Y) :- e(X, Y) with X, Y distinct variables: E is e itself.
-		h, b := sys.Exits[0].Head, sys.Exits[0].Body
-		if len(b) == 1 && !b[0].Neg && b[0].Pred != h.Pred && b[0].Arity() == 2 &&
-			h.Args[0].IsVar() && h.Args[1].IsVar() && h.Args[0].Name != h.Args[1].Name &&
-			b[0].Args[0] == h.Args[0] && b[0].Args[1] == h.Args[1] {
-			shape.exitPred = b[0].Pred
-		}
+	// p(X, Y) :- e(X, Y) with X, Y distinct variables: E is e itself.
+	if len(sys.Exits) != 1 {
+		return nil, false
 	}
+	h, b := sys.Exits[0].Head, sys.Exits[0].Body
+	if len(b) != 1 || b[0].Neg || b[0].Pred == h.Pred || b[0].Arity() != 2 ||
+		!h.Args[0].IsVar() || !h.Args[1].IsVar() || h.Args[0].Name == h.Args[1].Name ||
+		b[0].Args[0] != h.Args[0] || b[0].Args[1] != h.Args[1] {
+		return nil, false
+	}
+	shape := &tcShape{edgePred: edge.Pred, exitPred: b[0].Pred}
 	hx, hy := rule.Head.Args[0].Name, rule.Head.Args[1].Name
 	// Right-linear: q(hx, Z), p(Z, hy) with Z fresh.
 	if z := edge.Args[1].Name; edge.Args[0].Name == hx &&
@@ -116,21 +105,20 @@ func detectTC(sys *ast.RecursiveSystem) (*tcShape, bool) {
 type tcRun struct {
 	edges, exit, answers *storage.Relation
 	pred                 string
-	// jc is the shape's joinCol.
-	jc   int
-	st   Stats
-	rs   roundSink
-	opts Opts
-	snk  sink
+	rightLinear          bool
+	st                   Stats
+	rs                   roundSink
+	opts                 Opts
+	snk                  sink
 
-	// The anchor of a bound query's sweep. The BFS follows edges from
-	// column bc (0 when the first argument is bound — it takes precedence —
-	// else 1) to the other one. With eJoin the sweep starts at the
-	// constant c and each visited value z answers through its exit tuples
-	// (right-linear from the front, left-linear from the back: p(x, y) ⟺
-	// x →q* z ∧ E(z, y), resp. E(x, z) ∧ z →q* y); otherwise the exit
-	// tuples matching c supply the seeds and each visited value v answers
-	// (c, v) itself. both filters on the second constant c1.
+	// The anchor of the sweep. The BFS follows edges from column bc (0 when
+	// the first argument is bound — it takes precedence — else 1) to the
+	// other one. With eJoin the sweep starts at the constant c and each
+	// visited value z answers through its exit tuples (right-linear from the
+	// front, left-linear from the back: p(x, y) ⟺ x →q* z ∧ E(z, y), resp.
+	// E(x, z) ∧ z →q* y); otherwise the exit tuples matching c supply the
+	// seeds and each visited value v answers (c, v) itself. both filters on
+	// the second constant c1.
 	bc    int
 	c, c1 storage.Value
 	eJoin bool
@@ -138,53 +126,45 @@ type tcRun struct {
 	buf   [2]storage.Value
 }
 
-// bind resolves the query's constants and fixes the sweep's anchor. bound is
-// false for the all-free query; ok is false when a constant was never
-// interned — no tuple can match.
-func (r *tcRun) bind(q ast.Query, syms *storage.Symbols) (bound, ok bool) {
+// bind resolves the query's constants and fixes the sweep's anchor. ok is
+// false when a constant was never interned — no tuple can match. The query
+// binds at least one argument: Plan.over routes the all-free one away.
+func (r *tcRun) bind(q ast.Query, syms *storage.Symbols) (ok bool) {
 	var b [2]bool
 	var c [2]storage.Value
 	for i, t := range q.Atom.Args {
 		if b[i] = !t.IsVar(); b[i] {
 			if c[i], ok = syms.Lookup(t.Name); !ok {
-				return false, false
+				return false
 			}
 		}
-	}
-	if !b[0] && !b[1] {
-		return false, true
 	}
 	if !b[0] {
 		r.bc = 1
 	}
 	r.c, r.c1, r.both = c[r.bc], c[1], b[0] && b[1]
-	r.eJoin = (r.jc == 0) == (r.bc == 0)
-	return true, true
+	r.eJoin = r.rightLinear == (r.bc == 0)
+	return true
 }
 
-// tcEvalAux runs the query on the kernel, additionally returning the
-// maintenance state: the exit relation when it had to be materialized
-// (tcShape.exitOf) plus, for bound queries, the BFS visited set. A nil aux
-// (the early return for constants the symbol table has never seen) tells the
-// maintenance pass to recompute instead.
+// tcEvalAux runs a bound query on the kernel, additionally returning the
+// maintenance state: the BFS visited set of a materialized sweep. A nil set
+// (the early return for constants the symbol table has never seen, or a
+// stream) tells the maintenance pass to recompute instead.
 //
-// With a streaming sink each answer is emitted the moment its BFS level (or
-// compose round) derives it, and — the goal-directed win — a fully bound
-// tc(a, b)? walks outward from a and ends with errStreamStop at the FIRST
-// frontier value proving the answer, never finishing the closure. Without
-// one the bound cases sweep the complete closure before answering, because
-// maintenance restarts from the complete visited set.
-func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, *tcAux, Stats, error) {
-	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 {
-		return nil, nil, Stats{}, fmt.Errorf("eval: query %v does not match predicate %s/2", q, sys.Pred())
+// With a streaming sink each answer is emitted the moment its BFS level
+// derives it, and — the goal-directed win — a fully bound tc(a, b)? walks
+// outward from a and ends with errStreamStop at the FIRST frontier value
+// proving the answer, never finishing the closure. Without one the sweep
+// covers the complete closure before answering, because maintenance
+// restarts from the complete visited set.
+func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storage.Database, opts Opts, snk sink) (*storage.Relation, *storage.ValueSet, Stats, error) {
+	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != 2 || q.Atom.Args[0].IsVar() && q.Atom.Args[1].IsVar() {
+		return nil, nil, Stats{}, fmt.Errorf("eval: query %v does not bind an argument of %s/2", q, sys.Pred())
 	}
-	exitRel, private, err := shape.exitOf(sys, db)
+	exitRel, err := shape.exitOf(db)
 	if err != nil {
 		return nil, nil, Stats{}, err
-	}
-	aux := &tcAux{}
-	if private {
-		aux.exit = exitRel
 	}
 	edges := db.Rel(shape.edgePred)
 	if edges != nil && edges.Arity() != 2 {
@@ -195,60 +175,52 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 		fix.SetStr("mode", "stream")
 	}
 	defer fix.End()
-	r := &tcRun{edges: edges, exit: exitRel, answers: storage.NewRelation(2), pred: q.Atom.Pred, jc: shape.joinCol(),
+	r := &tcRun{edges: edges, exit: exitRel, answers: storage.NewRelation(2), pred: q.Atom.Pred, rightLinear: shape.rightLinear,
 		opts: opts, snk: snk}
 	st := &r.st
 	r.rs = newRoundSink(st, opts, fix)
 	defer func() {
 		fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
 		r.rs.stratumDone(st.Rounds)
-		flushRels(opts, st, r.answers, aux.exit)
+		flushRels(opts, st, r.answers)
 	}()
-	bound, ok := r.bind(q, db.Syms)
-	if !ok {
+	if !r.bind(q, db.Syms) {
 		return r.answers, nil, *st, nil
 	}
-	if !bound {
-		// All free: semi-naive compose seeded with E.
-		var delta []storage.Tuple
-		if delta, err = r.seedExit(); err == nil {
-			err = r.compose(delta)
+	seeds := r.seeds()
+	visited := storage.NewValueSet(len(seeds))
+	var aux *storage.ValueSet
+	switch {
+	case snk.emit == nil:
+		aux = visited
+		if err = r.bfs(seeds, visited, nil); err == nil {
+			visited.Each(r.contribute)
 		}
-	} else {
-		seeds := r.seeds()
-		visited := storage.NewValueSet(len(seeds))
-		switch {
-		case snk.emit == nil:
-			aux.visited = visited
-			if err = r.bfs(seeds, visited, nil); err == nil {
-				visited.Each(r.contribute)
+	case r.both:
+		// Goal-directed point query: probe each newly reached value for the
+		// single exit tuple (resp. the target itself). The first hit IS the
+		// complete answer set — stop the sweep right there.
+		probe := storage.Tuple{0, r.c1}
+		found := false
+		err = r.bfs(seeds, visited, func(v storage.Value) bool {
+			st.Facts++
+			if r.eJoin {
+				probe[0] = v
+				found = exitRel.Contains(probe)
+			} else {
+				found = v == r.c1
 			}
-		case r.both:
-			// Goal-directed point query: probe each newly reached value for
-			// the single exit tuple (resp. the target itself). The first hit
-			// IS the complete answer set — stop the sweep right there.
-			probe := storage.Tuple{0, r.c1}
-			found := false
-			err = r.bfs(seeds, visited, func(v storage.Value) bool {
-				st.Facts++
-				if r.eJoin {
-					probe[0] = v
-					found = exitRel.Contains(probe)
-				} else {
-					found = v == r.c1
-				}
-				return !found
-			})
-			if err == nil || err == errStreamStop {
-				if found {
-					r.buf[0], r.buf[1] = r.c, r.c1
-					r.add(r.buf[:])
-				}
-				err = errStreamStop
+			return !found
+		})
+		if err == nil || err == errStreamStop {
+			if found {
+				r.buf[0], r.buf[1] = r.c, r.c1
+				r.add(r.buf[:])
 			}
-		default:
-			err = r.bfs(seeds, visited, r.contribute)
+			err = errStreamStop
 		}
+	default:
+		err = r.bfs(seeds, visited, r.contribute)
 	}
 	if err != nil && err != errStreamStop {
 		return nil, nil, *st, err
@@ -257,18 +229,16 @@ func tcEvalAux(sys *ast.RecursiveSystem, shape *tcShape, q ast.Query, db *storag
 }
 
 // add inserts the derivation t into the answers. A fresh tuple counts as
-// derived, is shown to the sink and is returned as its arena-backed header
-// (nil for a duplicate); ok is false when the sink's consumer stopped.
-func (r *tcRun) add(t storage.Tuple) (fresh storage.Tuple, ok bool) {
+// derived and is shown to the sink; false means the sink's consumer stopped.
+func (r *tcRun) add(t storage.Tuple) bool {
 	if !r.answers.Insert(t) {
-		return nil, true
+		return true
 	}
 	r.st.Derived++
-	fresh = r.answers.At(r.answers.Len() - 1)
-	return fresh, r.snk.fresh(r.pred, fresh)
+	return r.snk.fresh(r.pred, r.answers.At(r.answers.Len()-1))
 }
 
-// seeds returns the values a bound query's sweep starts from.
+// seeds returns the values the sweep starts from.
 func (r *tcRun) seeds() []storage.Value {
 	if r.eJoin {
 		return []storage.Value{r.c}
@@ -304,8 +274,7 @@ func (r *tcRun) answer(w storage.Value) bool {
 		return true
 	}
 	r.buf[r.bc], r.buf[1-r.bc] = r.c, w
-	_, ok := r.add(r.buf[:])
-	return ok
+	return r.add(r.buf[:])
 }
 
 // bfs sweeps breadth-first from the seeds not yet in visited (a
@@ -368,85 +337,6 @@ func (r *tcRun) bfs(seeds []storage.Value, visited *storage.ValueSet, visit func
 			return errOverBudget
 		}
 		frontier = next
-	}
-	return nil
-}
-
-// seedExit is the all-free query's seed round: the exit relation enters the
-// answers single-threaded (it is one pass of inserts) and its fresh tuples
-// are the first delta.
-func (r *tcRun) seedExit() ([]storage.Tuple, error) {
-	st := &r.st
-	r.rs.begin()
-	delta := make([]storage.Tuple, 0, r.exit.Len())
-	ok := true
-	r.exit.Each(func(t storage.Tuple) bool {
-		st.Facts++
-		var fresh storage.Tuple
-		if fresh, ok = r.add(t); fresh != nil {
-			delta = append(delta, fresh)
-		}
-		return ok
-	})
-	if len(delta) > 0 {
-		st.Rounds++
-	}
-	r.rs.end(RoundStats{Round: st.Rounds, Derived: len(delta), Attempted: r.exit.Len()})
-	if !ok {
-		return nil, errStreamStop
-	}
-	return delta, nil
-}
-
-// compose closes the answers under the edge relation semi-naively: each
-// round joins the previous round's delta against the edge index into a
-// pooled buffer, prefiltering tuples already in the answers, and merges the
-// buffer's fresh closure tuples into the answers as the next delta. Delta
-// entries alias the answers relation's arena (At after a successful Insert),
-// so no tuple is ever cloned.
-func (r *tcRun) compose(delta []storage.Tuple) error {
-	if r.edges == nil {
-		return nil
-	}
-	st, jc := &r.st, r.jc
-	var nt [2]storage.Value
-	for len(delta) > 0 {
-		if r.opts.canceled() {
-			return fmt.Errorf("tc-frontier compose: %w", ErrCanceled)
-		}
-		st.Rounds++
-		r.rs.begin()
-		out := getTaskBuffer(2)
-		attempted := 0
-		for _, d := range delta {
-			r.edges.EachCol(1-jc, d[jc], func(e storage.Tuple) bool {
-				attempted++
-				nt[jc], nt[1-jc] = e[jc], d[1-jc]
-				if !r.answers.Contains(nt[:]) {
-					out.Insert(nt[:])
-				}
-				return true
-			})
-		}
-		var next []storage.Tuple
-		ok := true
-		out.Each(func(t storage.Tuple) bool {
-			var fresh storage.Tuple
-			if fresh, ok = r.add(t); fresh != nil {
-				next = append(next, fresh)
-			}
-			return ok
-		})
-		taskBuffers.Put(out)
-		st.Facts += attempted
-		r.rs.end(RoundStats{Round: st.Rounds, Delta: len(delta), Derived: len(next), Attempted: attempted})
-		switch {
-		case !ok:
-			return errStreamStop
-		case r.snk.over(st):
-			return errOverBudget
-		}
-		delta = next
 	}
 	return nil
 }

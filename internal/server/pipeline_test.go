@@ -162,14 +162,18 @@ func askJSON(t *testing.T, ts *httptest.Server, params string) formResult {
 // same rows under the same summary, and each moves exactly its own counters.
 func TestServerResponseFormsAgree(t *testing.T) {
 	type fixture struct {
-		name, src, strategy string
-		queries             []string
+		name, src string
+		// queries[i] answers under strategies[i].
+		queries, strategies []string
 	}
 	var fixtures []fixture
-	for _, f := range [][2]string{
-		{"s1a", "tc-frontier"}, {"s10", "bounded-union"}, {"s4a", "stable-parallel"}, {"s11", "generic-parallel"},
+	// Each statement's all-free and bound strategy: a TC plan serves only
+	// bound queries, and runs the all-free one generically.
+	for _, f := range [][3]string{
+		{"s1a", "generic-parallel", "tc-frontier"}, {"s10", "bounded-union", "bounded-union"},
+		{"s4a", "stable-parallel", "stable-parallel"}, {"s11", "generic-parallel", "generic-parallel"},
 	} {
-		id, strategy := f[0], f[1]
+		id := f[0]
 		st, ok := paper.ByID(id)
 		if !ok {
 			t.Fatalf("unknown statement %s", id)
@@ -191,10 +195,10 @@ func TestServerResponseFormsAgree(t *testing.T) {
 		// The statement's own exit rule names its variables x1..xn, which
 		// would read back as constants: spell the same rule with variables.
 		src := fmt.Sprintf("%v\n%s(%[3]s) :- e(%[3]s).\n%s", st.Rule, sys.Pred(), strings.Join(free, ", "), facts.String())
-		fixtures = append(fixtures, fixture{id, src, strategy, []string{
+		fixtures = append(fixtures, fixture{id, src, []string{
 			fmt.Sprintf("?- %s(%s).", sys.Pred(), strings.Join(free, ", ")),
 			fmt.Sprintf("?- %s(%s).", sys.Pred(), strings.Join(bound, ", ")),
-		}})
+		}, f[1:]})
 	}
 	// The non-linear program of TestServerGenericFallback: no single system,
 	// so its plan is the classless generic one.
@@ -202,13 +206,14 @@ func TestServerResponseFormsAgree(t *testing.T) {
 t(X, Y) :- e(X, Y).
 t(X, Y) :- t(X, Z), t(Z, Y).
 e(a, b). e(b, c). e(c, d).
-`, "generic-parallel", []string{"?- t(X, Y).", "?- t(a, Y)."}})
+`, []string{"?- t(X, Y).", "?- t(a, Y)."}, []string{"generic-parallel", "generic-parallel"}})
 
 	counters := func(s *Server) [3]int64 {
 		return [3]int64{s.queries.Value(), s.rowsStreamed.Value(), s.earlyTerm.Value()}
 	}
 	for _, fx := range fixtures {
-		for _, q := range fx.queries {
+		for i, q := range fx.queries {
+			strategy := fx.strategies[i]
 			t.Run(fx.name+"/"+q, func(t *testing.T) {
 				first := map[string]*formResult{} // per cache state, what the first form answered
 				for _, form := range responseForms {
@@ -221,9 +226,9 @@ e(a, b). e(b, c). e(c, d).
 						before := counters(s)
 						got := form.ask(t, s, ts, q, limit)
 						after := counters(s)
-						if got.Cached != (state == "hit") || got.Strategy != fx.strategy || got.Truncated || got.Count != len(got.Rows) {
+						if got.Cached != (state == "hit") || got.Strategy != strategy || got.Truncated || got.Count != len(got.Rows) {
 							t.Fatalf("%s on a %s: cached=%v strategy=%q truncated=%v count=%d rows=%d, want strategy %q",
-								form.name, state, got.Cached, got.Strategy, got.Truncated, got.Count, len(got.Rows), fx.strategy)
+								form.name, state, got.Cached, got.Strategy, got.Truncated, got.Count, len(got.Rows), strategy)
 						}
 						if first[state] == nil {
 							first[state] = &got

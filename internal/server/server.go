@@ -353,9 +353,9 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": s.snap.Load().Epoch()})
 }
 
-// warmPlan compiles (and caches) the served system's all-free plan once:
-// readiness promises not just a published snapshot but a plan the first
-// real query can reuse from the plan cache.
+// warmPlan compiles the served system's all-free plan once, so a program
+// that fails to classify or compile keeps readiness at 503. Plans are keyed
+// by adornment: only an all-free query reuses the one it caches.
 func (s *Server) warmPlan() {
 	if s.sys == nil {
 		return // no one predicate to warm; the first query of each form compiles its plan
