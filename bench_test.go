@@ -484,11 +484,11 @@ func BenchmarkQ5Unfold(b *testing.B) {
 	}
 }
 
-// BenchmarkQ6ParallelSemiNaive measures the worker-pool semi-naive engine
-// against the sequential baseline on full transitive-closure
-// materialization (the Q6 harness experiment). On a single-CPU host the
-// pool is expected to tie with the sequential engine; the speedup shows
-// with 4+ cores.
+// BenchmarkQ6ParallelSemiNaive measures the round driver's worker pool
+// against the same driver on 1 worker (SemiNaiveOpts) on full
+// transitive-closure materialization (the Q6 harness experiment). On a
+// single-CPU host the pool is expected to tie with 1 worker; the speedup
+// shows with 4+ cores.
 func BenchmarkQ6ParallelSemiNaive(b *testing.B) {
 	prog, _, err := parser.ParseProgram(`
 		p(X, Y) :- e(X, Y).
@@ -501,7 +501,7 @@ func BenchmarkQ6ParallelSemiNaive(b *testing.B) {
 	if err := storage.GenRandomGraph(db, "e", 250, 500, 7); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("seq", func(b *testing.B) {
+	b.Run("1worker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := eval.SemiNaiveOpts(prog, db, eval.Opts{}); err != nil {
 				b.Fatal(err)

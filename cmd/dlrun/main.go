@@ -16,7 +16,8 @@
 // The compiled strategies (magic, state, class, auto) require the program to
 // be a single linear recursive system (one recursive rule plus exit rules);
 // the bottom-up strategies (naive, seminaive, parallel) evaluate arbitrary
-// Datalog. "auto" classifies the system per the paper's taxonomy and picks
+// Datalog: seminaive is the parallel engine's round driver on one worker, and
+// naive is the independent full re-evaluation oracle. "auto" classifies the system per the paper's taxonomy and picks
 // the fastest licensed plan (TC frontier kernel, bounded expansion union,
 // stabilized parallel, or generic parallel), caching the compiled plan per
 // (program, query form).

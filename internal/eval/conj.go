@@ -1,10 +1,11 @@
 // Package eval implements the query-evaluation engines of the reproduction:
 //
-//   - bottom-up naive and semi-naive fixpoint evaluation (the sequential
-//     reference oracles),
-//   - the round driver (driver.go): one seed-plus-delta-rounds loop behind
-//     the parallel engine, streaming and incremental maintenance, with
-//     per-round metrics (Stats.Trace),
+//   - bottom-up naive fixpoint evaluation (naive.go, the independent
+//     reference oracle),
+//   - the round driver (driver.go): the one seed-plus-delta-rounds loop
+//     behind semi-naive evaluation (one worker), the parallel engine,
+//     streaming and incremental maintenance, with per-round metrics
+//     (Stats.Trace),
 //   - the transitive-closure frontier kernel (tc.go) and the bounded
 //     expansion union (bounded.go) the auto planner compiles to,
 //   - a magic-sets baseline specialized to the paper's linear systems,

@@ -32,8 +32,9 @@ import (
 //     work budget that may run out (maintenance).
 //
 // A round's tasks are contiguous chunks of each predicate's frontier, three
-// per worker, unless the round is narrow (below). Answers are identical to
-// SemiNaive whatever the combination and the worker count: the chunks are
+// per worker, unless the round is narrow (below). SemiNaiveOpts is this loop
+// on one worker, and answers are identical to NaiveOpts' (the independent
+// oracle) whatever the combination and the worker count: the chunks are
 // exhaustive and disjoint, the fixpoint is confluent and the merge order is
 // deterministic (an unchunked task derives, in order, what its chunks would).
 
@@ -580,11 +581,23 @@ func fixpoint(prog *ast.Program, cache *atomic.Pointer[compiledProgram], db *sto
 	return work, *st, nil
 }
 
-// ParallelSemiNaiveOpts is SemiNaive on the round driver — the cold path of
-// every auto-planned fixpoint: each round's delta is fanned out across a
-// worker pool as (rule, delta-occurrence, chunk) tasks and merged
-// single-threaded before the deltas swap. Answers are identical to
-// SemiNaive; per-round metrics are recorded in Stats.Trace.
+// SemiNaiveOpts computes the program's fixpoint with delta relations on the
+// round driver with one worker: each round evaluates every rule once per
+// positive occurrence of a predicate of its stratum, with that occurrence
+// restricted to the previous round's delta — for the paper's linear rules
+// the classic one-delta evaluation. Programs with negated body literals are
+// evaluated stratum by stratum. NaiveOpts is the independent oracle it is
+// checked against.
+func SemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
+	opts.workers = 1
+	return fixpoint(prog, nil, db, opts, sink{})
+}
+
+// ParallelSemiNaiveOpts is SemiNaiveOpts with a worker pool — the cold path
+// of every auto-planned fixpoint: each round's delta is fanned out as (rule,
+// delta-occurrence, chunk) tasks and merged single-threaded before the
+// deltas swap. Answers, rounds and derivations are those of SemiNaiveOpts
+// at any pool size; per-round metrics are recorded in Stats.Trace.
 func ParallelSemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
 	return fixpoint(prog, nil, db, opts, sink{})
 }

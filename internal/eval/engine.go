@@ -13,9 +13,11 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyNaive is bottom-up full re-evaluation.
+	// StrategyNaive is bottom-up full re-evaluation — the independent oracle
+	// every other strategy is checked against.
 	StrategyNaive Strategy = iota
-	// StrategySemiNaive is bottom-up delta evaluation.
+	// StrategySemiNaive is bottom-up delta evaluation: the round driver on
+	// one worker (see SemiNaiveOpts).
 	StrategySemiNaive
 	// StrategyMagic is the magic-sets rewriting baseline.
 	StrategyMagic

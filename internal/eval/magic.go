@@ -115,10 +115,10 @@ func (m *magicProgram) seeded(q ast.Query, db *storage.Database) (*storage.Datab
 }
 
 // MagicSetsOpts answers the query by evaluating the system's magic-sets
-// rewrite for the query's adornment semi-naively, the rewriting recorded
-// under a "magic-rewrite" span (adornment count, generated rules). Like the
-// paper, it assumes the database stores no tuples under the recursive
-// predicate itself.
+// rewrite for the query's adornment with SemiNaiveOpts (the round driver on
+// one worker), the rewriting recorded under a "magic-rewrite" span
+// (adornment count, generated rules). Like the paper, it assumes the
+// database stores no tuples under the recursive predicate itself.
 func MagicSetsOpts(sys *ast.RecursiveSystem, q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
 	n := sys.Arity()
 	if q.Atom.Pred != sys.Pred() || q.Atom.Arity() != n {

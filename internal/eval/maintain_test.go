@@ -136,7 +136,7 @@ func seedWorkload(t *testing.T, w maintWorkload, r *rand.Rand, db *storage.Datab
 // k, apply a random insert batch, Maintain, and require (a) every entry was
 // carried forward (maintained, not recomputed, for these negation-free
 // systems), (b) the carried entry is served as a cache hit flagged
-// Maintained, and (c) it equals a from-scratch semi-naive evaluation of the
+// Maintained, and (c) it equals a from-scratch naive evaluation of the
 // new database. Four chained rounds per workload prove maintained entries
 // stay maintainable.
 func TestMaintainDifferential(t *testing.T) {
@@ -188,7 +188,7 @@ func TestMaintainDifferential(t *testing.T) {
 						t.Fatalf("round %d %s: cached=%v maintained=%v, want true/true",
 							round, w.queries[i], cached, st.Maintained)
 					}
-					want, _, err := Answer(StrategySemiNaive, w.sys, q, db)
+					want, _, err := Answer(StrategyNaive, w.sys, q, db)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -247,7 +247,7 @@ func TestMaintainProgramEntries(t *testing.T) {
 		if res.Maintained != len(queries) || res.Recomputed != 0 {
 			t.Fatalf("round %d: Maintain = %+v, want %d maintained", round, res, len(queries))
 		}
-		out, _, err := ParallelSemiNaiveOpts(prog, snap.DB(), Opts{})
+		out, _, err := NaiveOpts(prog, snap.DB(), Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestMaintainBudgetFallback(t *testing.T) {
 	if !cached || st.Maintained {
 		t.Fatalf("cached=%v maintained=%v, want cached recompute", cached, st.Maintained)
 	}
-	want, _, err := Answer(StrategySemiNaive, sys, q, db)
+	want, _, err := Answer(StrategyNaive, sys, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestMaintainConcurrentReaders(t *testing.T) {
 		}
 	}
 	newSnap := db.Snapshot()
-	want, _, err := Answer(StrategySemiNaive, sys, q, db)
+	want, _, err := Answer(StrategyNaive, sys, q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

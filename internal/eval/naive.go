@@ -127,7 +127,7 @@ func NaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Dat
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	strata, err := strataOf(prog)
+	cp, err := compileProgram(prog, db.Syms, opts.book, nil)
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -136,11 +136,7 @@ func NaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Dat
 	var st Stats
 	sink := newRoundSink(&st, opts, fix)
 	round := 0
-	for si, group := range strata {
-		rules, err := compileRules(db.Syms, group, opts.book)
-		if err != nil {
-			return nil, st, err
-		}
+	for si, rules := range cp.strata {
 		r0 := round
 		if err := naiveFixpoint(work, rules, si, &round, &st, &sink); err != nil {
 			return nil, st, err
@@ -180,13 +176,7 @@ func naiveFixpoint(work *storage.Database, rules []compiledRule, stratum int, ro
 			head := work.Rel(cr.rule.Head.Pred)
 			buf := make(storage.Tuple, len(cr.slots))
 			cr.conj.EvalWith(rels, cr.conj.NewBinding(), cr.fullOrder(), &st.Visited, func(b []storage.Value) bool {
-				for i, s := range cr.slots {
-					if s >= 0 {
-						buf[i] = b[s]
-					} else {
-						buf[i] = cr.fixed[i]
-					}
-				}
+				project(buf, cr.slots, cr.fixed, b)
 				st.Facts++
 				if head.Insert(buf) {
 					added++
@@ -201,191 +191,6 @@ func naiveFixpoint(work *storage.Database, rules []compiledRule, stratum int, ro
 		if added == 0 {
 			return nil
 		}
-	}
-}
-
-// SemiNaiveOpts computes the same fixpoint with delta relations: each
-// round, every rule is evaluated once per recursive body literal with that
-// literal restricted to the previous round's delta. For the paper's linear
-// rules this is the classic one-delta evaluation. Programs with negated body
-// literals are evaluated stratum by stratum; within a stratum, negated
-// literals and lower-strata predicates read fully materialized relations.
-// Instrumented like NaiveOpts.
-func SemiNaiveOpts(prog *ast.Program, db *storage.Database, opts Opts) (*storage.Database, Stats, error) {
-	work, idb, err := prepare(prog, db)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	strata, err := strataOf(prog)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	fix := opts.parent().Child("fixpoint").SetStr("engine", "seminaive")
-	defer fix.End()
-	var st Stats
-	sink := newRoundSink(&st, opts, fix)
-	round := 0
-	for si, group := range strata {
-		rules, err := compileRules(db.Syms, group, opts.book)
-		if err != nil {
-			return nil, st, err
-		}
-		// Delta bookkeeping is scoped to the predicates this stratum
-		// defines; everything below is already saturated and acts as EDB.
-		local := make(map[string]bool)
-		for _, r := range group {
-			local[r.Head.Pred] = true
-		}
-		r0 := round
-		if err := semiNaiveFixpoint(work, rules, local, si, &round, &st, &sink); err != nil {
-			return nil, st, err
-		}
-		sink.stratumDone(round - r0)
-	}
-	fix.SetInt("rounds", int64(st.Rounds)).SetInt("derived", int64(st.Derived))
-	flushDB(opts, &st, work, idb)
-	return work, st, nil
-}
-
-// semiNaiveFixpoint saturates one rule group with delta evaluation over the
-// group's own head predicates.
-func semiNaiveFixpoint(work *storage.Database, rules []compiledRule, local map[string]bool, stratum int, round *int, st *Stats, sink *roundSink) error {
-	delta := make(map[string]*storage.Relation)
-	for pred := range local {
-		delta[pred] = storage.NewRelation(work.Rel(pred).Arity())
-		// Seed with anything already present (program facts).
-		delta[pred].InsertAll(work.Rel(pred))
-	}
-	full := DBRels(work)
-
-	// Round 0: rules with no positive local literal run once in full. The
-	// whole pass is a single fixpoint round no matter how many such rules
-	// the group has, and its insertions are accumulated through the same
-	// per-round counter as the delta rounds below.
-	seeded := false
-	for i := range rules {
-		if !hasLocalLit(&rules[i], local) {
-			seeded = true
-			break
-		}
-	}
-	if seeded {
-		st.Rounds++
-		*round++
-		sink.begin()
-		facts0, visited0 := st.Facts, st.Visited
-		added0 := 0
-		var est int64
-		for i := range rules {
-			cr := &rules[i]
-			if hasLocalLit(cr, local) {
-				continue
-			}
-			var rsp *obs.Span
-			if sink.traced() {
-				rsp = sink.rule(cr.rule.String())
-			}
-			ruleAdded, ruleFacts, ruleVisited := added0, st.Facts, st.Visited
-			if cr.ord != nil && cr.ord.full != nil {
-				est += int64(cr.ord.fullCost)
-			}
-			head := work.Rel(cr.rule.Head.Pred)
-			buf := make(storage.Tuple, len(cr.slots))
-			cr.conj.EvalWith(full, cr.conj.NewBinding(), cr.fullOrder(), &st.Visited, func(b []storage.Value) bool {
-				for i, s := range cr.slots {
-					if s >= 0 {
-						buf[i] = b[s]
-					} else {
-						buf[i] = cr.fixed[i]
-					}
-				}
-				st.Facts++
-				if head.Insert(buf) {
-					added0++
-					delta[cr.rule.Head.Pred].Insert(buf)
-				}
-				return true
-			})
-			rsp.SetInt("derived", int64(added0-ruleAdded)).SetInt("attempted", int64(st.Facts-ruleFacts)).SetInt("visited", st.Visited-ruleVisited).End()
-		}
-		st.Derived += added0
-		sink.end(RoundStats{Round: *round, Stratum: stratum, Derived: added0, Attempted: st.Facts - facts0,
-			Estimated: est, Visited: st.Visited - visited0})
-	}
-
-	for {
-		st.Rounds++
-		*round++
-		sink.begin()
-		facts0, visited0 := st.Facts, st.Visited
-		deltaSize := 0
-		for _, d := range delta {
-			deltaSize += d.Len()
-		}
-		next := make(map[string]*storage.Relation)
-		for pred := range local {
-			next[pred] = storage.NewRelation(work.Rel(pred).Arity())
-		}
-		added := 0
-		var est int64
-		for ri := range rules {
-			cr := &rules[ri]
-			for bi, a := range cr.rule.Body {
-				if a.Neg || !local[a.Pred] {
-					continue
-				}
-				deltaIdx := bi
-				deltaPred := a.Pred
-				if delta[deltaPred].Len() == 0 {
-					continue
-				}
-				var rsp *obs.Span
-				if sink.traced() {
-					rsp = sink.rule(cr.rule.String())
-				}
-				ruleAdded, ruleFacts, ruleVisited := added, st.Facts, st.Visited
-				rels := func(pred string, atomIdx int) *storage.Relation {
-					if atomIdx == deltaIdx {
-						return delta[deltaPred]
-					}
-					return work.Rel(pred)
-				}
-				// The compiled order for a delta round leads with the delta
-				// occurrence (the frontier is the selective input); the
-				// round estimate is the per-tuple continuation cost times
-				// the frontier size.
-				ord, perTuple := cr.seededOrder(bi)
-				if ord != nil {
-					// +1 per frontier tuple: enumerating the delta itself.
-					est += int64((perTuple + 1) * float64(delta[deltaPred].Len()))
-				}
-				head := work.Rel(cr.rule.Head.Pred)
-				buf := make(storage.Tuple, len(cr.slots))
-				cr.conj.EvalWith(rels, cr.conj.NewBinding(), ord, &st.Visited, func(b []storage.Value) bool {
-					for i, s := range cr.slots {
-						if s >= 0 {
-							buf[i] = b[s]
-						} else {
-							buf[i] = cr.fixed[i]
-						}
-					}
-					st.Facts++
-					if head.Insert(buf) {
-						added++
-						next[cr.rule.Head.Pred].Insert(buf)
-					}
-					return true
-				})
-				rsp.SetInt("derived", int64(added-ruleAdded)).SetInt("attempted", int64(st.Facts-ruleFacts)).SetInt("visited", st.Visited-ruleVisited).End()
-			}
-		}
-		st.Derived += added
-		sink.end(RoundStats{Round: *round, Stratum: stratum, Delta: deltaSize, Derived: added, Attempted: st.Facts - facts0,
-			Estimated: est, Visited: st.Visited - visited0})
-		if added == 0 {
-			return nil
-		}
-		delta = next
 	}
 }
 

@@ -46,8 +46,8 @@ type Opts struct {
 	// value everywhere, so plans can attach it without callers forging one.
 	book *orderBook
 	// workers overrides the round driver's pool size (0 = GOMAXPROCS). Only
-	// the in-package determinism tests set it, to run one evaluation on
-	// several pool sizes.
+	// SemiNaiveOpts (one worker) and the in-package determinism tests set
+	// it, the tests to run one evaluation on several pool sizes.
 	workers int
 }
 

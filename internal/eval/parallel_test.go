@@ -20,10 +20,11 @@ func dumpIDB(prog *ast.Program, out *storage.Database) string {
 	return s
 }
 
-// TestParallelMatchesSemiNaiveOnRandomSystems: the parallel engine must
-// produce byte-for-byte the same IDB as sequential SemiNaive on randomly
-// generated recursive systems across all classes.
-func TestParallelMatchesSemiNaiveOnRandomSystems(t *testing.T) {
+// TestParallelMatchesNaiveOnRandomSystems: the round driver must produce
+// byte-for-byte the same IDB as the naive oracle on randomly generated
+// recursive systems across all classes, at every pool size from 1 (the
+// SemiNaiveOpts configuration) to 4.
+func TestParallelMatchesNaiveOnRandomSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	trials := 80
 	if testing.Short() {
@@ -36,27 +37,27 @@ func TestParallelMatchesSemiNaiveOnRandomSystems(t *testing.T) {
 			t.Fatal(err)
 		}
 		prog := sys.Program()
-		seq, seqStats, err := SemiNaiveOpts(prog, db, Opts{})
+		ref, refStats, err := NaiveOpts(prog, db, Opts{})
 		if err != nil {
-			t.Fatalf("trial %d seminaive: %v", trial, err)
+			t.Fatalf("trial %d naive: %v", trial, err)
 		}
 		par, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{workers: 1 + trial%4})
 		if err != nil {
 			t.Fatalf("trial %d parallel: %v", trial, err)
 		}
-		if a, b := dumpIDB(prog, seq), dumpIDB(prog, par); a != b {
-			t.Fatalf("trial %d (%v): parallel IDB differs from sequential\nseq:\n%s\npar:\n%s",
+		if a, b := dumpIDB(prog, ref), dumpIDB(prog, par); a != b {
+			t.Fatalf("trial %d (%v): parallel IDB differs from naive\nnaive:\n%s\npar:\n%s",
 				trial, sys.Recursive, a, b)
 		}
-		if seqStats.Derived != parStats.Derived {
-			t.Errorf("trial %d: derived %d (seq) vs %d (par)", trial, seqStats.Derived, parStats.Derived)
+		if refStats.Derived != parStats.Derived {
+			t.Errorf("trial %d: derived %d (naive) vs %d (par)", trial, refStats.Derived, parStats.Derived)
 		}
 	}
 }
 
-// TestParallelMatchesSemiNaiveWithNegation: multi-strata programs with
+// TestParallelMatchesNaiveWithNegation: multi-strata programs with
 // negation over random graphs — same byte-for-byte agreement.
-func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
+func TestParallelMatchesNaiveWithNegation(t *testing.T) {
 	prog, _ := parseProg(t, `
 		tc(X, Y) :- e(X, Y).
 		tc(X, Y) :- e(X, Z), tc(Z, Y).
@@ -76,7 +77,7 @@ func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err := storage.GenRandomGraph(db, "e", 10+trial, 18+2*trial, int64(trial)); err != nil {
 			t.Fatal(err)
 		}
-		seq, _, err := SemiNaiveOpts(prog, db, Opts{})
+		ref, _, err := NaiveOpts(prog, db, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,8 +85,8 @@ func TestParallelMatchesSemiNaiveWithNegation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := dumpIDB(prog, seq), dumpIDB(prog, par); a != b {
-			t.Fatalf("trial %d: negation program differs\nseq:\n%s\npar:\n%s", trial, a, b)
+		if a, b := dumpIDB(prog, ref), dumpIDB(prog, par); a != b {
+			t.Fatalf("trial %d: negation program differs\nnaive:\n%s\npar:\n%s", trial, a, b)
 		}
 	}
 }
@@ -119,7 +120,8 @@ func TestParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 // TestSemiNaiveRoundCounts is the regression test for the round-0 counter:
 // a stratum's seed pass is one fixpoint round no matter how many
 // non-recursive rules it has, and the parallel engine reports the same
-// round structure as the sequential one on single-rule recursion.
+// round structure as SemiNaiveOpts on single-rule recursion. SemiNaiveOpts
+// is the round driver on exactly one worker: every round reports one.
 func TestSemiNaiveRoundCounts(t *testing.T) {
 	prog, _ := parseProg(t, `
 		p(X, Y) :- e(X, Y).
@@ -145,6 +147,14 @@ func TestSemiNaiveRoundCounts(t *testing.T) {
 	}
 	if seqStats.Derived != wantDerived {
 		t.Errorf("seminaive derived = %d, want %d", seqStats.Derived, wantDerived)
+	}
+	if len(seqStats.Trace) != wantRounds {
+		t.Errorf("seminaive trace has %d records, want %d", len(seqStats.Trace), wantRounds)
+	}
+	for _, r := range seqStats.Trace {
+		if r.Workers != 1 {
+			t.Errorf("seminaive round %d ran on %d workers, want 1", r.Round, r.Workers)
+		}
 	}
 	_, parStats, err := ParallelSemiNaiveOpts(prog, db, Opts{})
 	if err != nil {
@@ -299,7 +309,7 @@ func TestParallelManyStrataStress(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		db.Insert(fmt.Sprintf("skip%d", i), fmt.Sprintf("n%d", i))
 	}
-	seq, _, err := SemiNaiveOpts(prog, db, Opts{})
+	ref, _, err := NaiveOpts(prog, db, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +317,7 @@ func TestParallelManyStrataStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := dumpIDB(prog, seq), dumpIDB(prog, par); a != b {
-		t.Fatalf("stratified pyramid differs\nseq:\n%s\npar:\n%s", a, b)
+	if a, b := dumpIDB(prog, ref), dumpIDB(prog, par); a != b {
+		t.Fatalf("stratified pyramid differs\nnaive:\n%s\npar:\n%s", a, b)
 	}
 }

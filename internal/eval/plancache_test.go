@@ -197,7 +197,7 @@ func TestPlannerConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				ref, _, err := Answer(StrategySemiNaive, sys, q, db)
+				ref, _, err := Answer(StrategyNaive, sys, q, db)
 				if err != nil {
 					errs <- err
 					return

@@ -45,8 +45,10 @@ func raceRound(db *storage.Database, i int) error {
 // rounds and advancing the epoch while concurrent readers evaluate TC,
 // bounded and stable queries against pinned snapshots — through the shared
 // planner and result cache, exactly the serving path. Every answer must
-// equal a serial semi-naive replay of the first k rounds, where k is the
-// round count the reader's snapshot pinned.
+// equal a serial naive replay of the first k rounds, where k is the
+// round count the reader's snapshot pinned. The replays run after the
+// readers finish, once per (workload, k), so the oracle's cost does not
+// stretch the race window the writer fills.
 func TestSnapshotRaceSerialReplay(t *testing.T) {
 	type workload struct {
 		sys *ast.RecursiveSystem
@@ -126,6 +128,14 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 		}
 	}()
 
+	// seen is one reader answer awaiting its replay.
+	type seen struct {
+		r, i, wi, k int
+		epoch       uint64
+		got         *storage.Relation
+	}
+	var seenMu sync.Mutex
+	var answers []seen
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -139,28 +149,36 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
-				// Serial replay of the same k rounds in a private database.
-				ref := storage.NewDatabase()
-				for j := 0; j < k; j++ {
-					if err := raceRound(ref, j); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				want, _, err := Answer(StrategySemiNaive, workloads[wi].sys, queries[wi], ref)
-				if err != nil {
-					t.Errorf("reader %d replay: %v", r, err)
-					return
-				}
-				if !got.Equal(want) {
-					t.Errorf("reader %d round %d (workload %d, epoch %d, k=%d): snapshot answer %d tuples, serial replay %d",
-						r, i, wi, snap.Epoch(), k, got.Len(), want.Len())
-					return
-				}
+				seenMu.Lock()
+				answers = append(answers, seen{r, i, wi, k, snap.Epoch(), got})
+				seenMu.Unlock()
 			}
 		}(r)
 	}
 	wg.Wait()
 	close(stop)
 	<-writerDone
+
+	replays := make(map[[2]int]*storage.Relation)
+	for _, a := range answers {
+		want, ok := replays[[2]int{a.wi, a.k}]
+		if !ok {
+			// Serial replay of the same k rounds in a private database.
+			ref := storage.NewDatabase()
+			for j := 0; j < a.k; j++ {
+				if err := raceRound(ref, j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if want, _, err = Answer(StrategyNaive, workloads[a.wi].sys, queries[a.wi], ref); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			replays[[2]int{a.wi, a.k}] = want
+		}
+		if !a.got.Equal(want) {
+			t.Errorf("reader %d round %d (workload %d, epoch %d, k=%d): snapshot answer %d tuples, serial replay %d",
+				a.r, a.i, a.wi, a.epoch, a.k, a.got.Len(), want.Len())
+		}
+	}
 }

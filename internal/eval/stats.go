@@ -111,7 +111,7 @@ func (p PlanInfo) String() string {
 // split into tasks and how well the worker pool was used. Every engine
 // (naive, semi-naive, parallel, the compiled kernels) emits one RoundStats
 // per round into Stats.Trace; the task/worker fields stay zero for the
-// sequential engines.
+// engines that do not run on the round driver (naive and the kernels).
 type RoundStats struct {
 	// Round is the 1-based global round number across all strata.
 	Round int

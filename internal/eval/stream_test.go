@@ -146,7 +146,7 @@ func TestStreamTCAllAdornments(t *testing.T) {
 }
 
 // TestStreamDifferentialRandomSystems: whatever the compiler picks for a
-// random system, streaming must agree with the semi-naive fixpoint.
+// random system, streaming must agree with the naive oracle.
 func TestStreamDifferentialRandomSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 25; trial++ {
@@ -161,13 +161,13 @@ func TestStreamDifferentialRandomSystems(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			q := dlgen.RandomQuery(rng, sys, 4)
-			ref, _, err := Answer(StrategySemiNaive, sys, q, db)
+			ref, _, err := Answer(StrategyNaive, sys, q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := drainStream(t, p.Stream(q, db, Opts{}, 0))
 			if !rowsEqual(got, relRows(ref)) {
-				t.Errorf("%v %v (plan %v): streamed %d rows, semi-naive %d",
+				t.Errorf("%v %v (plan %v): streamed %d rows, naive %d",
 					sys.Recursive, q, p.Kind, len(got), ref.Len())
 			}
 		}
@@ -175,8 +175,8 @@ func TestStreamDifferentialRandomSystems(t *testing.T) {
 }
 
 // TestStreamProgramMatchesParallel: a multi-predicate program (no single
-// recursive system, so a classless generic plan) streams the same rows the
-// parallel engine materializes.
+// recursive system, so a classless generic plan) streams, on the parallel
+// engine, the same rows the naive oracle materializes.
 func TestStreamProgramMatchesParallel(t *testing.T) {
 	prog, _, err := parser.ParseProgram(`
 t(X, Y) :- e(X, Y).
@@ -195,7 +195,7 @@ s(X) :- t(n0, X).
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, _, err := ParallelSemiNaiveOpts(prog, db, Opts{})
+		out, _, err := NaiveOpts(prog, db, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ s(X) :- t(n0, X).
 		}
 		got := drainStream(t, p.Stream(q, db, Opts{}, 0))
 		if !rowsEqual(got, relRows(ref)) {
-			t.Errorf("%s: streamed %d rows, parallel %d", qs, len(got), ref.Len())
+			t.Errorf("%s: streamed %d rows, naive %d", qs, len(got), ref.Len())
 		}
 	}
 }

@@ -65,11 +65,6 @@ func TestSpanTreeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"seminaive", func(t *testing.T, opts Opts) {
-			if _, _, err := AnswerOpts(StrategySemiNaive, tcSys, q, chainDB(t, 4), opts); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"parallel", func(t *testing.T, opts Opts) {
 			// One worker keeps task execution (and span attachment) in feed
 			// order, so the tree is byte-for-byte reproducible.

@@ -14,7 +14,7 @@ import (
 )
 
 // The differential suite: NonRecursiveExpansions and ToStable outputs are
-// evaluated against the direct semi-naive fixpoint of the original system
+// evaluated against the direct naive fixpoint of the original system
 // on generated EDBs. The exit variants below exercise SubstituteExit on
 // exactly the head forms ValidateExit admits but the §2 recursive-rule
 // restrictions forbid — repeated head variables (an equality constraint on
@@ -70,7 +70,7 @@ func evalDB(t *testing.T, sys *ast.RecursiveSystem, seed int64) *storage.Databas
 
 // TestDifferentialBoundedExpansions: for every bounded (rule, exit) pair,
 // the finite expansion union — evaluated both as a plain program and
-// through eval.BoundedEval's selection pushdown — matches the semi-naive
+// through eval.BoundedEval's selection pushdown — matches the naive
 // fixpoint of the original system.
 func TestDifferentialBoundedExpansions(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -97,7 +97,7 @@ func TestDifferentialBoundedExpansions(t *testing.T) {
 			{Atom: ast.NewAtom("p", ast.C("n0"), ast.V("QB"))},
 		}
 		for _, q := range queries {
-			ref, _, err := eval.Answer(eval.StrategySemiNaive, sys, q, db)
+			ref, _, err := eval.Answer(eval.StrategyNaive, sys, q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestDifferentialToStable(t *testing.T) {
 			{Atom: ast.NewAtom("p", ast.V("QA"), ast.V("QB"))},
 			dlgen.RandomQuery(rng, sys, 4),
 		} {
-			ref, _, err := eval.Answer(eval.StrategySemiNaive, sys, q, db)
+			ref, _, err := eval.Answer(eval.StrategyNaive, sys, q, db)
 			if err != nil {
 				t.Fatal(err)
 			}

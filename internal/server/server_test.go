@@ -277,7 +277,7 @@ func TestServerConcurrentReadWrite(t *testing.T) {
 		t.Errorf("final query epoch %d != snapshot epoch %d", final.Epoch, snap.Epoch())
 	}
 	q, _ := parser.ParseQuery("?- p(X, Y).")
-	ref, _, err := eval.Answer(eval.StrategySemiNaive, s.sys, q, snap.DB())
+	ref, _, err := eval.Answer(eval.StrategyNaive, s.sys, q, snap.DB())
 	if err != nil {
 		t.Fatal(err)
 	}
