@@ -132,7 +132,8 @@ func (r *runner) examples() {
 	}
 }
 
-// crossCheck runs all engines on a random database for the query pattern.
+// crossCheck runs every engine on a random database for the query pattern
+// and compares each with the naive one.
 func (r *runner) crossCheck(sys *ast.RecursiveSystem, res *classify.Result, pattern string) (bool, string) {
 	size := 12
 	if sys.Arity() > 4 {
@@ -155,7 +156,8 @@ func (r *runner) crossCheck(sys *ast.RecursiveSystem, res *classify.Result, patt
 	if err != nil {
 		return false, err.Error()
 	}
-	for _, st := range []eval.Strategy{eval.StrategySemiNaive, eval.StrategyMagic, eval.StrategyState, eval.StrategyClass} {
+	engines := []eval.Strategy{eval.StrategySemiNaive, eval.StrategyParallel, eval.StrategyMagic, eval.StrategyState, eval.StrategyClass, eval.StrategyAuto}
+	for _, st := range engines {
 		got, _, err := eval.Answer(st, sys, q, db)
 		if err != nil {
 			return false, fmt.Sprintf("%v: %v", st, err)
@@ -164,7 +166,7 @@ func (r *runner) crossCheck(sys *ast.RecursiveSystem, res *classify.Result, patt
 			return false, fmt.Sprintf("%v disagrees (%d vs %d tuples)", st, got.Len(), ref.Len())
 		}
 	}
-	return true, fmt.Sprintf("5 engines agree on %v (%d answers)", q, ref.Len())
+	return true, fmt.Sprintf("%d engines agree on %v (%d answers)", 1+len(engines), q, ref.Len())
 }
 
 func min(a, b int) int {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -19,10 +20,11 @@ import (
 // gets the evaluation strategy the paper's analysis licenses, with the
 // database-independent rewriting artifacts (the bounded expansion union, the
 // stabilized system) materialized so that answering only does per-database
-// work; every other program gets the classless generic plan. Plan.run is the
-// one place a plan's kernel is chosen. Plans are immutable after compilation
-// and safe for concurrent use on distinct databases; the Planner in
-// plancache.go caches them per (program, adornment).
+// work; every other program gets the classless generic plan. Plan.over is the
+// one place a query is routed to a kernel, and it picks only among what the
+// plan compiled. Plans are immutable after compilation and safe for
+// concurrent use on distinct databases; the Planner in plancache.go caches
+// them per (program, adornment).
 
 // Source is a rule set a plan can be compiled from: an *ast.RecursiveSystem
 // (used as is) or an *ast.Program (planned as the linear system it forms,
@@ -89,8 +91,11 @@ type Plan struct {
 	// database's statistics epoch, so a book never outlives its statistics.
 	book *orderBook
 	// magic is what a bound stream of a classified stable or generic plan
-	// runs (magicStream): the adornment's magic-sets program; else nil.
+	// runs (Plan.run): the adornment's magic-sets program; else nil.
 	magic *magicProgram
+	// generic is the plan Plan.over falls back to: the original rules on
+	// the parallel engine, with their own book; nil for a PlanGeneric plan.
+	generic *Plan
 }
 
 // CompilePlanOpts compiles the plan for the source's rules. A linear
@@ -113,8 +118,9 @@ func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
 // supplies a constant there); the bounded path pre-binds those variables
 // when costing its expansion rules, and a classified stable or generic plan
 // compiles its magic-sets program for them, which is why the plan cache
-// keys plans by adornment. The chosen orders and the summed cost estimate
-// land on the "plan-compile" span and in PlanInfo.
+// keys plans by adornment. The generic fallback gets its own book. The
+// plan's orders and summed cost land on the "plan-compile" span and in
+// PlanInfo.
 func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
 	p, pc, err := compilePlan(src, opts)
 	if err != nil {
@@ -126,6 +132,9 @@ func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*
 	}
 	if db != nil {
 		p.compileBook(db, bound)
+		if p.generic != nil {
+			p.generic.compileBook(db, bound)
+		}
 		if p.book != nil {
 			pc.SetInt("cost", int64(p.book.cost))
 			if len(p.book.desc) > 0 {
@@ -221,71 +230,84 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 		pc.End()
 		return nil, nil, err
 	}
+	if p.Kind != PlanGeneric {
+		p.generic = &Plan{Class: p.Class, Kind: PlanGeneric, fix: sys}
+	}
 	return p, pc, nil
 }
 
-// over returns the plan that serves q on db; it is the one place a plan is
-// routed, so run, ResultCache.Answer and the maintenance pass agree. The
-// generic plan over the original rules (class unchanged) replaces the
-// compiled one in two cases. The TC kernel, the expansion union and the
-// stabilized system all compute p = exits ∪ recursion over exits, so they
-// are only right while the database stores nothing under the planned
-// predicate itself; once it does (a fact for p in the program text, or
-// loaded later), the generic plan seeds stored tuples like any other. And
-// the TC kernel is a selection pushed down the σ-chain: an all-free query
-// has none, so its answer is the program's fixpoint.
-func (p *Plan) over(db *storage.Database, q ast.Query) *Plan {
-	if p.Kind == PlanGeneric {
-		return p
+// over is the one place a query is routed: it returns the plan whose kernel
+// serves q on db and, for a bound stream of a classified stable or generic
+// plan, the magic program it runs (Plan.run), else nil; on a plan from the
+// Planner, only what the plan compiled. The generic fallback serves when the
+// database stores tuples under p itself, which the TC kernel, the expansion
+// union, the stabilized system and the adorned predicates all assume absent
+// (p = exits ∪ recursion over exits), and for a TC plan's all-free query,
+// which has no selection to push down the σ-chain.
+func (p *Plan) over(q ast.Query, db *storage.Database, stream bool) (*Plan, *magicProgram) {
+	if p.sys == nil {
+		return p, nil
 	}
 	bound := slices.ContainsFunc(q.Atom.Args, func(t ast.Term) bool { return !t.IsVar() })
-	if stored := db.Rel(p.sys.Pred()); (stored == nil || stored.Len() == 0) && (p.Kind != PlanTC || bound) {
-		return p
+	if stored := db.Rel(p.sys.Pred()); stored != nil && stored.Len() > 0 || p.Kind == PlanTC && !bound {
+		return cmp.Or(p.generic, p), nil // a PlanGeneric plan is its own fallback
 	}
-	return &Plan{Class: p.Class, Kind: PlanGeneric, fix: p.sys}
+	sys, fixpoint := p.fix.(*ast.RecursiveSystem)
+	if !stream || !bound || !fixpoint || q.Atom.Pred != sys.Pred() || len(q.Atom.Args) != sys.Arity() {
+		return p, nil
+	}
+	m := p.magic
+	for i, t := range q.Atom.Args {
+		if m != nil && t.IsVar() != (m.adorn[i] == 'v') {
+			m = nil
+		}
+	}
+	if m == nil { // a plan compiled for another adornment
+		m = compileMagic(sys, adorn.FromQuery(q), nil, nil)
+	}
+	return p, m
 }
 
 // AnswerOpts evaluates the query over the database along the compiled path.
 // Stats.Plan carries the plan's class and strategy; the planner overwrites
 // its CacheHit field when the plan came from the cache.
 func (p *Plan) AnswerOpts(q ast.Query, db *storage.Database, opts Opts) (*storage.Relation, Stats, error) {
-	rel, _, st, err := p.run(q, db, opts, sink{})
+	p, _ = p.over(q, db, false)
+	rel, _, st, err := p.run(nil, q, db, opts, sink{})
 	return rel, st, err
 }
 
-// run is the one switch from a plan's kind to its kernel, whoever consumes
-// the answers. With the zero sink it materializes: the answer relation comes
-// back with the kind-specific state the result cache needs to maintain it
-// incrementally across writes (maintain.go) — the BFS visited set of a TC
-// entry, the materialized IDB fixpoint of the parallel plans
-// (the program's view), nil for bounded plans (their answers alone
-// suffice). With an emit sink it streams: every answer is handed to the sink
-// as its round derives it, a declined emit ends the evaluation with
-// errStreamStop (returned with the stats, not an error to the consumer) and
-// no state is kept. The result
-// cache's compute, AnswerOpts, Stream and the maintenance pass's recompute
-// fallback are all this function.
-func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel *storage.Relation, aux any, st Stats, err error) {
-	p = p.over(db, q)
+// run hands a routed plan (p and m as Plan.over returned them) to its
+// kernel. With the zero sink it materializes: the answers come back with the
+// state the result cache maintains them by (maintain.go) — a TC entry's BFS
+// visited set, the parallel plans' IDB fixpoint (the program's view), nil
+// for bounded plans. With an emit sink it streams each answer as its round
+// derives it; a declined emit ends the evaluation with errStreamStop
+// (returned with the stats, not an error to the consumer).
+func (p *Plan) run(m *magicProgram, q ast.Query, db *storage.Database, opts Opts, snk sink) (rel *storage.Relation, aux any, st Stats, err error) {
 	if opts.book == nil {
 		opts.book = p.book
 	}
-	switch p.Kind {
-	case PlanTC:
+	switch {
+	case m != nil:
+		// A bound stream through the query's magic-sets program (magic.go):
+		// the magic relation holds the query's constants, so the rounds
+		// derive only what they reach (PAPER.md §5's selections before
+		// joins), and the sink watches the adorned query predicate. A
+		// constant the database never interned ends the stream at once.
+		if seeded, known := m.seeded(q, db); known {
+			snk.pred, snk.magic, opts.book = m.pred, m.adorn, m.book
+			_, _, st, err = fixpointAnswer(m.Program, &m.compiled, q, seeded, opts, snk)
+		}
+	case p.Kind == PlanTC:
 		var visited *storage.ValueSet
 		if rel, visited, st, err = tcEvalAux(p.sys, p.tc, q, db, opts, snk); visited != nil {
 			aux = visited
 		}
-	case PlanBounded:
+	case p.Kind == PlanBounded:
 		rel, st, err = boundedAnswer(p.sys, p.rules, q, db, opts, snk)
 	default:
-		magic := false
-		if snk.emit != nil {
-			st, magic, err = p.magicStream(q, db, opts, snk)
-		}
-		if !magic {
-			rel, aux, st, err = fixpointAnswer(p.fix.Program(), nil, q, db, opts, snk)
-		}
+		rel, aux, st, err = fixpointAnswer(p.fix.Program(), nil, q, db, opts, snk)
 	}
 	if err != nil && err != errStreamStop {
 		return nil, nil, st, err
@@ -293,6 +315,10 @@ func (p *Plan) run(q ast.Query, db *storage.Database, opts Opts, snk sink) (rel 
 	st.Plan = p.planInfo()
 	return rel, aux, st, err
 }
+
+// viewed reports whether a routed plan runs the round driver over a program
+// (the stable and generic kinds): the result cache keeps its fixpoint.
+func (p *Plan) viewed() bool { return p.fix != nil }
 
 // fixpointAnswer runs the round driver over the program. Materializing, it
 // selects the query's answers from the finished fixpoint, which it hands
@@ -325,31 +351,4 @@ func fixpointAnswer(prog *ast.Program, cache *atomic.Pointer[compiledProgram], q
 		return nil, nil, st, err
 	}
 	return ans, newFixAux(prog, out), st, nil
-}
-
-// magicStream streams a bound query of a classified system through the
-// query's magic-sets program (magic.go) on the round driver: the magic
-// relation holds the query's constants, so the rounds derive only what they
-// reach (PAPER.md §5's selections before joins), and the sink watches the
-// adorned query predicate through the same constant filter. A constant the
-// database never interned ends the stream at once. ok is false, and nothing
-// ran, for an all-free query, a classless program, or a database storing
-// tuples under the planned predicate (which the adorned predicates would
-// miss): those stream the full fixpoint.
-func (p *Plan) magicStream(q ast.Query, db *storage.Database, opts Opts, snk sink) (st Stats, ok bool, err error) {
-	sys, ok := p.fix.(*ast.RecursiveSystem)
-	a := adorn.FromQuery(q)
-	stored := db.Rel(q.Atom.Pred)
-	if !ok || q.Atom.Pred != sys.Pred() || len(a) != sys.Arity() || a.BoundCount() == 0 || stored != nil && stored.Len() > 0 {
-		return st, false, nil
-	}
-	m := p.magic
-	if m == nil || m.adorn != a.String() { // a plan not from the Planner
-		m = compileMagic(sys, a, nil, opts.parent())
-	}
-	if seeded, known := m.seeded(q, db); known {
-		snk.pred, snk.magic, opts.book = m.pred, m.adorn, m.book
-		_, _, st, err = fixpointAnswer(m.Program, &m.compiled, q, seeded, opts, snk)
-	}
-	return st, true, err
 }

@@ -271,6 +271,89 @@ func TestAutoDifferentialRandomSystems(t *testing.T) {
 	t.Logf("plan mix over random systems: %v", kinds)
 }
 
+// TestOverRoutingTable pins Plan.over, the one routing point, on plans from
+// the Planner over every plan kind × adornment (all-free, bound) × a tuple
+// stored under the planned predicate (absent, present) × materialised or
+// streamed: the kind that serves the query, whether a magic program runs
+// (a bound stream of a classified fixpoint plan with nothing stored), that
+// the routed plan carries an order book (all were compiled with a database;
+// the TC kernel enumerates no conjunction and has none), and that routing
+// allocates nothing. Answered through the Planner, each materialised case
+// agrees with naive evaluation and reports the routed plan's strategy and,
+// when it has a book, its cost and orders — a TC plan's all-free query
+// (s1a) included, which the generic fallback serves.
+func TestOverRoutingTable(t *testing.T) {
+	for _, f := range []struct {
+		name  string
+		kind  PlanKind
+		build func(t *testing.T) (Source, *storage.Database, []ast.Query)
+	}{
+		{"s1a", PlanTC, paperFixture("s1a", 6, 14)},
+		{"s10", PlanBounded, paperFixture("s10", 6, 14)},
+		{"s4a", PlanStable, paperFixture("s4a", 6, 14)},
+		{"s11", PlanGeneric, paperFixture("s11", 6, 14)},
+		{"nonlinear", PlanGeneric, programFixture("t(X, Y) :- e(X, Y). t(X, Y) :- t(X, Z), t(Z, Y).",
+			[][]string{{"e", "a", "b"}, {"e", "b", "c"}}, "?- t(X, Y).", "?- t(a, Y).")},
+	} {
+		for _, stored := range []bool{false, true} {
+			src, db, queries := f.build(t)
+			_, classified := src.(*ast.RecursiveSystem)
+			if stored {
+				args := make([]string, queries[0].Atom.Arity())
+				for i := range args {
+					args[i] = "zz"
+				}
+				if _, err := db.Insert(queries[0].Atom.Pred, args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, q := range queries { // all-free, then bound
+				bound := i == 1
+				pl := NewPlanner()
+				p, _, err := pl.planFor(src, q, db, Opts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, stream := range []bool{false, true} {
+					name := fmt.Sprintf("%s/bound=%v/stored=%v/stream=%v", f.name, bound, stored, stream)
+					want := f.kind
+					if classified && stored || f.kind == PlanTC && !bound {
+						want = PlanGeneric
+					}
+					wantMagic := classified && stream && bound && !stored && (f.kind == PlanStable || f.kind == PlanGeneric)
+					rp, m := p.over(q, db, stream)
+					if rp.Kind != want || rp.Class != p.Class || (m != nil) != wantMagic {
+						t.Errorf("%s: routed to %v (class %q, magic %v), want %v (class %q, magic %v)",
+							name, rp.Kind, rp.Class, m != nil, want, p.Class, wantMagic)
+					}
+					if m != nil && (m != p.magic || m.book == nil) {
+						t.Errorf("%s: magic program %p (book %v), want the plan's %p with a book", name, m, m.book != nil, p.magic)
+					}
+					if rp.book == nil && rp.Kind != PlanTC {
+						t.Errorf("%s: routed %v plan has no order book", name, rp.Kind)
+					}
+					if n := testing.AllocsPerRun(50, func() { p.over(q, db, stream) }); n != 0 {
+						t.Errorf("%s: over allocates %v times", name, n)
+					}
+					if stream {
+						continue
+					}
+					ans, st, err := pl.AnswerOpts(src, q, db, Opts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := oracleRows(t, src, q, db); !rowsEqual(relRows(ans), want) {
+						t.Errorf("%s: answered %d rows, oracle %d", name, ans.Len(), len(want))
+					}
+					if pi := st.Plan; pi.Strategy != want.String() || (pi.Cost > 0 && len(pi.Orders) > 0) != (rp.book != nil) {
+						t.Errorf("%s: plan info %+v (cost %d, orders %q), want %v with a cost and orders iff it has a book", name, pi, pi.Cost, pi.Orders, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlanKindStrings keeps the trace vocabulary stable.
 func TestPlanKindStrings(t *testing.T) {
 	want := map[PlanKind]string{

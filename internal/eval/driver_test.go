@@ -367,7 +367,8 @@ func intAttr(sp *obs.Span, key string) int64 {
 // force every round to fan out. A below-grain delta round runs one task per
 // (rule, occurrence) over that occurrence's whole delta: its join spans
 // are the fanned-out round's units before chunking, each of which the
-// fanned-out round cuts into min(|delta|, workers*3) tasks.
+// fanned-out round cuts into ⌈|delta|/per⌉ tasks of per = ⌈|delta|/(workers*3)⌉
+// tuples (the last one shorter).
 func TestDriverNarrowRoundsInline(t *testing.T) {
 	const workers = 4
 	narrowRounds := 0
@@ -387,6 +388,11 @@ func TestDriverNarrowRoundsInline(t *testing.T) {
 			}
 			forced := *p
 			forced.book = inflated(p.book)
+			if g := p.generic; g != nil {
+				fg := *g
+				fg.book = inflated(g.book)
+				forced.generic = &fg
+			}
 			if m := p.magic; m != nil {
 				forced.magic = &magicProgram{Program: m.Program, pred: m.pred, seed: m.seed, adorn: m.adorn, book: inflated(m.book)}
 			}
@@ -403,9 +409,10 @@ func TestDriverNarrowRoundsInline(t *testing.T) {
 			}
 			// occs[rule] counts the rule's positive derived literals: the
 			// most tasks one unchunked round can give it.
-			prog := p.over(snap.DB(), q).fix.Program()
-			if magicStreamed(p, q, snap.DB()) {
-				prog = p.magic.Program
+			rp, m := p.over(q, snap.DB(), true)
+			prog := rp.fix.Program()
+			if m != nil {
+				prog = m.Program
 			}
 			occs := make(map[string]int)
 			for _, r := range prog.Rules {
@@ -431,7 +438,9 @@ func TestDriverNarrowRoundsInline(t *testing.T) {
 				joins := spans[i].Children()
 				perRule := make(map[string]int)
 				for _, js := range joins {
-					cut += min(int(intAttr(js, "chunk")), workers*3)
+					n := int(intAttr(js, "chunk"))
+					per := max(1, (n+workers*3-1)/(workers*3))
+					cut += (n + per - 1) / per
 					perRule[spanAttr(js, "rule")]++
 				}
 				for rule, n := range perRule {

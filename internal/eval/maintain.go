@@ -220,9 +220,9 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 		res.Skipped++
 		return
 	}
-	np := p.over(m.cur.DB(), e.q)
+	np, _ := p.over(e.q, m.cur.DB(), false)
 	switch {
-	case np.Kind == PlanStable || np.Kind == PlanGeneric:
+	case np.viewed():
 		m.fromView(np, e, res)
 		return
 	case m.diffOK && m.diff.Empty():
@@ -243,7 +243,7 @@ func (m *maintainer) entry(e *resultEntry, res *MaintResult) {
 		}
 	}
 	// Fallback: recompute the entry from scratch at the new epoch.
-	rel, aux, st, err := np.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
+	rel, aux, st, err := np.run(nil, e.q, m.cur.DB(), m.spec.Opts, sink{})
 	if err != nil {
 		res.Skipped++
 		return
@@ -275,7 +275,7 @@ func (m *maintainer) fromView(np *Plan, e *resultEntry, res *MaintResult) {
 				return nil, v, oe.st, nil
 			}
 		}
-		_, aux, st, err := np.run(e.q, m.cur.DB(), m.spec.Opts, sink{})
+		_, aux, st, err := np.run(nil, e.q, m.cur.DB(), m.spec.Opts, sink{})
 		return nil, aux, st, err
 	})
 	if err != nil {

@@ -184,14 +184,14 @@ func (c *ResultCache) Answer(pl *Planner, src Source, q ast.Query, snap *storage
 		if err != nil {
 			return nil, nil, st, err
 		}
-		if p = p.over(snap.DB(), q); p.Kind != PlanStable && p.Kind != PlanGeneric {
-			rel, aux, st, err = p.run(q, snap.DB(), o, sink{})
+		if p, _ = p.over(q, snap.DB(), false); !p.viewed() {
+			rel, aux, st, err = p.run(nil, q, snap.DB(), o, sink{})
 		} else {
 			var viewHit bool
 			vk := resultKey{program: key.program, epoch: key.epoch}
 			_, aux, st, viewHit, err = c.do(vk, ast.Query{}, false, abort, func(abort <-chan struct{}) (_ *storage.Relation, vaux any, _ Stats, _ error) {
 				o.Abort = abort
-				rel, vaux, st, err = p.run(q, snap.DB(), o, sink{})
+				rel, vaux, st, err = p.run(nil, q, snap.DB(), o, sink{})
 				return nil, vaux, st, err
 			})
 			if viewHit && err == nil {

@@ -41,8 +41,8 @@ func raceRound(db *storage.Database, i int) error {
 }
 
 // TestSnapshotRaceSerialReplay is the isolation correctness test (run under
-// -race by `make race`): one writer keeps applying deterministic write
-// rounds and advancing the epoch while concurrent readers evaluate TC,
+// -race by `make race`): one writer applies a deterministic write round per
+// recorded answer, advancing the epoch, while concurrent readers evaluate TC,
 // bounded and stable queries against pinned snapshots — through the shared
 // planner and result cache, exactly the serving path. Every answer must
 // equal a serial naive replay of the first k rounds, where k is the
@@ -103,27 +103,22 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 
 	const readers = 6
 	const rounds = 12
-	const maxWrites = 200
-	stop := make(chan struct{})
+	// The writer applies one round per recorded reader answer, taken as an
+	// unbuffered hand-off: the readers cannot run ahead of it, so their
+	// snapshots keep pinning new rounds while writes land.
+	tick := make(chan struct{})
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for range tick {
 			mu.Lock()
-			if written < maxWrites {
-				if err := raceRound(db, written); err != nil {
-					t.Error(err)
-					mu.Unlock()
-					return
-				}
-				written++
-				db.Snapshot() // advance the epoch under the writer lock
+			if err := raceRound(db, written); err != nil {
+				t.Error(err)
+				mu.Unlock()
+				return
 			}
+			written++
+			db.Snapshot() // advance the epoch under the writer lock
 			mu.Unlock()
 		}
 	}()
@@ -152,11 +147,12 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 				seenMu.Lock()
 				answers = append(answers, seen{r, i, wi, k, snap.Epoch(), got})
 				seenMu.Unlock()
+				tick <- struct{}{}
 			}
 		}(r)
 	}
 	wg.Wait()
-	close(stop)
+	close(tick)
 	<-writerDone
 
 	replays := make(map[[2]int]*storage.Relation)
@@ -180,5 +176,9 @@ func TestSnapshotRaceSerialReplay(t *testing.T) {
 			t.Errorf("reader %d round %d (workload %d, epoch %d, k=%d): snapshot answer %d tuples, serial replay %d",
 				a.r, a.i, a.wi, a.epoch, a.k, a.got.Len(), want.Len())
 		}
+	}
+	t.Logf("%d answers over %d distinct (workload, k) pairs", len(answers), len(replays))
+	if 4*len(replays) < len(answers) {
+		t.Errorf("only %d distinct (workload, k) pairs among %d answers: the reads did not race the writes", len(replays), len(answers))
 	}
 }

@@ -159,10 +159,11 @@ func (p *Plan) Stream(q ast.Query, db *storage.Database, opts Opts, limit int) I
 		}()
 	}
 
+	p, m := p.over(q, db, true)
 	it.wg.Add(1)
 	go func() {
 		defer it.wg.Done()
-		_, _, st, err := p.run(q, db, ro, sink{pred: q.Atom.Pred, emit: emit})
+		_, _, st, err := p.run(m, q, db, ro, sink{pred: q.Atom.Pred, emit: emit})
 		if truncated {
 			st.Truncated = true
 		}

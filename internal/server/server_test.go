@@ -685,6 +685,25 @@ func TestServerStoredFactUnderHead(t *testing.T) {
 	}
 }
 
+// TestServerTCAllFreeReportsCost: the all-free query of a TC plan runs the
+// generic plan compiled with it, whose order book puts a cost on the /query
+// response; the bound query stays on the TC kernel, which has none.
+func TestServerTCAllFreeReportsCost(t *testing.T) {
+	_, ts := newTestServer(t, `
+p(X, Y) :- a(X, Z), p(Z, Y).
+p(X, Y) :- e(X, Y).
+a(a, b). a(b, c). a(c, d). e(b, x). e(d, y).
+`)
+	free := getQuery(t, ts, "?- p(X, Y).")
+	if free.Strategy != "generic-parallel" || free.Class != "A5" || free.Cost <= 0 || free.Count != 6 {
+		t.Errorf("all-free: strategy=%q class=%q cost=%d count=%d, want generic-parallel A5 with a cost and 6 answers",
+			free.Strategy, free.Class, free.Cost, free.Count)
+	}
+	if bound := getQuery(t, ts, "?- p(a, Y)."); bound.Strategy != "tc-frontier" || bound.Cost != 0 || bound.Count != 2 {
+		t.Errorf("bound: strategy=%q cost=%d count=%d, want tc-frontier with no cost and 2 answers", bound.Strategy, bound.Cost, bound.Count)
+	}
+}
+
 // TestServerPlanSurvivesWrite: plans are keyed by program, adornment and
 // statistics epoch — not by snapshot epoch — so one compile serves the cold
 // query, the maintenance pass of a one-fact write and the next cold query of
