@@ -36,7 +36,7 @@ race:
 # internal/eval (so X/XOpts twins cannot quietly come back), may not pass the
 # ceilings the last shrinking PR left behind. Raise one only in a PR that
 # says what the new lines or names buy.
-EVAL_SIZE_MAX = 5461
+EVAL_SIZE_MAX = 5459
 SERVER_SIZE_MAX = 1025
 STORAGE_SIZE_MAX = 1894
 EVAL_SURFACE_MAX = 51

@@ -19,7 +19,7 @@
 // Datalog: seminaive is the parallel engine's round driver on one worker, and
 // naive is the independent full re-evaluation oracle. "auto" classifies the system per the paper's taxonomy and picks
 // the fastest licensed plan (TC frontier kernel, bounded expansion union,
-// stabilized parallel, or generic parallel), caching the compiled plan per
+// stable parallel, or generic parallel), caching the compiled plan per
 // (program, query form).
 //
 // Observability: -trace prints one line per fixpoint round for every

@@ -19,10 +19,10 @@ import (
 // for any rule set: a single linear recursive system is classified once and
 // gets the evaluation strategy the paper's analysis licenses, with the
 // database-independent rewriting artifacts (the bounded expansion union, the
-// stabilized system) materialized so that answering only does per-database
-// work; every other program gets the classless generic plan. Plan.over is the
-// one place a query is routed to a kernel, and it picks only among what the
-// plan compiled. Plans are immutable after compilation and safe for
+// magic program) materialized so that answering only does per-database work;
+// every other program gets the classless generic plan. Plan.over is the one
+// place a query is routed to a kernel, and it picks only among what the plan
+// compiled. Plans are immutable after compilation and safe for
 // concurrent use on distinct databases; the Planner in plancache.go caches
 // them per (program, adornment).
 
@@ -43,8 +43,8 @@ const (
 	// PlanBounded evaluates the finite non-recursive expansion union in a
 	// single stratified pass (§5; no fixpoint).
 	PlanBounded
-	// PlanStable runs the parallel semi-naive engine on the Theorem-2/4
-	// stabilized system.
+	// PlanStable is PlanGeneric for a transformable system, whose bound
+	// streams run the Theorem-2/4 stabilized system's magic program.
 	PlanStable
 	// PlanGeneric runs the parallel semi-naive engine on the original rules
 	// (classes C, E, F, for which the paper gives no closed plan, and every
@@ -80,8 +80,7 @@ type Plan struct {
 	sys   *ast.RecursiveSystem // the classified system; nil for a classless plan
 	tc    *tcShape             // PlanTC
 	rules []ast.Rule           // PlanBounded: exit + substituted expansions
-	// fix is what the fixpoint kinds run: the stabilized system for
-	// PlanStable, the source as given for PlanGeneric.
+	// fix is what the fixpoint kinds run: the source as given.
 	fix Source
 
 	// book holds the cost-based join orders compiled from the plan
@@ -93,8 +92,8 @@ type Plan struct {
 	// magic is what a bound stream of a classified stable or generic plan
 	// runs (Plan.run): the adornment's magic-sets program; else nil.
 	magic *magicProgram
-	// generic is the plan Plan.over falls back to: the original rules on
-	// the parallel engine, with their own book; nil for a PlanGeneric plan.
+	// generic is a TC or bounded plan's fallback (Plan.over): the original
+	// rules on the parallel engine, with their own book.
 	generic *Plan
 }
 
@@ -102,9 +101,9 @@ type Plan struct {
 // recursive system is classified and gets, in selection order: the
 // transitive-closure shape over a stored exit relation (its kernel beats
 // every generic engine on bound queries), then boundedness (recursion
-// elimination), then transformability (stabilize, then parallel
-// semi-naive), then the generic parallel engine; the classification is
-// recorded under a "classify" span (class code, rank when bounded). Any
+// elimination), then transformability (stabilize, for the magic program),
+// then the generic parallel engine; the classification is recorded under a
+// "classify" span (class code, rank when bounded). Any
 // other program compiles to the generic engine unclassified. The strategy
 // selection plus rewriting land under a "plan-compile" span (kind).
 func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
@@ -117,19 +116,17 @@ func CompilePlanOpts(src Source, opts Opts) (*Plan, error) {
 // bound flags the query's adorned head argument positions (true = the query
 // supplies a constant there); the bounded path pre-binds those variables
 // when costing its expansion rules, and a classified stable or generic plan
-// compiles its magic-sets program for them, which is why the plan cache
-// keys plans by adornment. The generic fallback gets its own book. The
+// compiles its magic-sets program for them (a stable plan's from the
+// stabilized system), which is why the plan cache keys plans by adornment. A
+// TC or bounded plan's generic fallback gets its own book. The
 // plan's orders and summed cost land on the "plan-compile" span and in
 // PlanInfo.
 func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*Plan, error) {
-	p, pc, err := compilePlan(src, opts)
+	p, pc, err := compilePlan(src, db, bound, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer pc.End()
-	if sys, ok := p.fix.(*ast.RecursiveSystem); ok && len(bound) == sys.Arity() && adorn.Adornment(bound).BoundCount() > 0 {
-		p.magic = compileMagic(sys, bound, db, pc)
-	}
 	if db != nil {
 		p.compileBook(db, bound)
 		if p.generic != nil {
@@ -147,8 +144,8 @@ func CompilePlanDB(src Source, db *storage.Database, bound []bool, opts Opts) (*
 }
 
 // compileBook attaches the kind-appropriate order book: the rules the
-// chosen engine will actually enumerate (the stabilized system's for
-// PlanStable, the expansion union's for PlanBounded), costed against db's
+// chosen engine will actually enumerate (the source's for the fixpoint
+// kinds, the expansion union's for PlanBounded), costed against db's
 // current statistics. The TC kernel gets none — its frontier BFS never
 // runs a conjunction.
 func (p *Plan) compileBook(db *storage.Database, bound []bool) {
@@ -185,8 +182,11 @@ func (p *Plan) planInfo() *PlanInfo {
 // one when ast.SystemOf extracts it and it carries no facts of its own (the
 // classified kernels read the database only). The system is classified under
 // a "classify" span and rewritten under "plan-compile", returned open for the
-// caller to record the order book on; anything else runs generically.
-func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
+// caller to record the order book on; anything else runs generically. A
+// classified fixpoint plan gets the bound adornment's magic program there, a
+// stable plan's rewritten from the stabilized system: the one reader of its
+// unfolded rule.
+func compilePlan(src Source, db *storage.Database, bound []bool, opts Opts) (*Plan, *obs.Span, error) {
 	var sys *ast.RecursiveSystem
 	switch s := src.(type) {
 	case *ast.RecursiveSystem:
@@ -211,7 +211,7 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 	}
 	cls.End()
 	pc := opts.parent().Child("plan-compile")
-	p := &Plan{Class: res.Class.Code(), sys: sys}
+	p, msys := &Plan{Class: res.Class.Code(), sys: sys}, sys
 	switch shape, isTC := detectTC(sys); {
 	case isTC:
 		p.Kind, p.tc = PlanTC, shape
@@ -219,10 +219,8 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 		p.Kind = PlanBounded
 		p.rules, err = rewrite.NonRecursiveExpansions(sys, res.RankBound)
 	case res.Transformable && !res.Stable:
-		var stable *ast.RecursiveSystem
-		if stable, err = rewrite.ToStableClassified(sys, res); err == nil {
-			p.Kind, p.fix = PlanStable, stable
-		}
+		p.Kind, p.fix = PlanStable, sys
+		msys, err = rewrite.ToStableClassified(sys, res)
 	default:
 		p.Kind, p.fix = PlanGeneric, sys
 	}
@@ -230,8 +228,10 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 		pc.End()
 		return nil, nil, err
 	}
-	if p.Kind != PlanGeneric {
+	if p.fix == nil {
 		p.generic = &Plan{Class: p.Class, Kind: PlanGeneric, fix: sys}
+	} else if len(bound) == sys.Arity() && adorn.Adornment(bound).BoundCount() > 0 {
+		p.magic = compileMagic(msys, bound, db, pc)
 	}
 	return p, pc, nil
 }
@@ -239,18 +239,19 @@ func compilePlan(src Source, opts Opts) (*Plan, *obs.Span, error) {
 // over is the one place a query is routed: it returns the plan whose kernel
 // serves q on db and, for a bound stream of a classified stable or generic
 // plan, the magic program it runs (Plan.run), else nil; on a plan from the
-// Planner, only what the plan compiled. The generic fallback serves when the
-// database stores tuples under p itself, which the TC kernel, the expansion
-// union, the stabilized system and the adorned predicates all assume absent
-// (p = exits ∪ recursion over exits), and for a TC plan's all-free query,
-// which has no selection to push down the σ-chain.
+// Planner, only what the plan compiled. When the database stores tuples under
+// p itself, which the TC kernel, the expansion union and the adorned
+// predicates all assume absent (p = exits ∪ recursion over exits), the
+// original rules serve: a fixpoint plan's own, a TC or bounded plan's generic
+// fallback; the fallback also serves a TC plan's all-free query, which has no
+// selection to push down the σ-chain.
 func (p *Plan) over(q ast.Query, db *storage.Database, stream bool) (*Plan, *magicProgram) {
 	if p.sys == nil {
 		return p, nil
 	}
 	bound := slices.ContainsFunc(q.Atom.Args, func(t ast.Term) bool { return !t.IsVar() })
 	if stored := db.Rel(p.sys.Pred()); stored != nil && stored.Len() > 0 || p.Kind == PlanTC && !bound {
-		return cmp.Or(p.generic, p), nil // a PlanGeneric plan is its own fallback
+		return cmp.Or(p.generic, p), nil // a fixpoint plan is its own fallback
 	}
 	sys, fixpoint := p.fix.(*ast.RecursiveSystem)
 	if !stream || !bound || !fixpoint || q.Atom.Pred != sys.Pred() || len(q.Atom.Args) != sys.Arity() {
@@ -262,7 +263,7 @@ func (p *Plan) over(q ast.Query, db *storage.Database, stream bool) (*Plan, *mag
 			m = nil
 		}
 	}
-	if m == nil { // a plan compiled for another adornment
+	if m == nil { // a plan compiled for another adornment: rewrite its own rules
 		m = compileMagic(sys, adorn.FromQuery(q), nil, nil)
 	}
 	return p, m

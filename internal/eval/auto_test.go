@@ -274,14 +274,15 @@ func TestAutoDifferentialRandomSystems(t *testing.T) {
 // TestOverRoutingTable pins Plan.over, the one routing point, on plans from
 // the Planner over every plan kind × adornment (all-free, bound) × a tuple
 // stored under the planned predicate (absent, present) × materialised or
-// streamed: the kind that serves the query, whether a magic program runs
-// (a bound stream of a classified fixpoint plan with nothing stored), that
-// the routed plan carries an order book (all were compiled with a database;
-// the TC kernel enumerates no conjunction and has none), and that routing
-// allocates nothing. Answered through the Planner, each materialised case
-// agrees with naive evaluation and reports the routed plan's strategy and,
-// when it has a book, its cost and orders — a TC plan's all-free query
-// (s1a) included, which the generic fallback serves.
+// streamed: the kind that serves the query (stored tuples route a TC or
+// bounded plan to its generic fallback and a fixpoint plan to itself), whether
+// a magic program runs (a bound stream of a classified fixpoint plan with
+// nothing stored), that the routed plan carries an order book (all were
+// compiled with a database; the TC kernel enumerates no conjunction and has
+// none), and that routing allocates nothing. Answered through the Planner,
+// each materialised case agrees with naive evaluation and reports the routed
+// plan's strategy and, when it has a book, its cost and orders — a TC plan's
+// all-free query (s1a) included, which the generic fallback serves.
 func TestOverRoutingTable(t *testing.T) {
 	for _, f := range []struct {
 		name  string
@@ -317,7 +318,7 @@ func TestOverRoutingTable(t *testing.T) {
 				for _, stream := range []bool{false, true} {
 					name := fmt.Sprintf("%s/bound=%v/stored=%v/stream=%v", f.name, bound, stored, stream)
 					want := f.kind
-					if classified && stored || f.kind == PlanTC && !bound {
+					if (f.kind == PlanTC || f.kind == PlanBounded) && stored || f.kind == PlanTC && !bound {
 						want = PlanGeneric
 					}
 					wantMagic := classified && stream && bound && !stored && (f.kind == PlanStable || f.kind == PlanGeneric)
@@ -349,6 +350,44 @@ func TestOverRoutingTable(t *testing.T) {
 						t.Errorf("%s: plan info %+v (cost %d, orders %q), want %v with a cost and orders iff it has a book", name, pi, pi.Cost, pi.Orders, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestStablePlanRunsSourceRules: a stable plan materialises the source's
+// own fixpoint. On transformable paper statements, its all-free and bound
+// answers through the Planner agree with naive evaluation and take the
+// rounds and derivations of the parallel engine over the source's rules, at
+// no more than twice its visited tuples (the plan's order book against the
+// greedy order), while the plan's bound-adornment magic program, rewritten
+// from the stabilized system, still reaches a single adornment.
+func TestStablePlanRunsSourceRules(t *testing.T) {
+	for _, id := range []string{"s4a", "s7"} {
+		src, db, queries := paperFixture(id, 6, 14)(t)
+		_, ref, err := ParallelSemiNaiveOpts(src.Program(), db, Opts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := NewPlanner()
+		for _, q := range queries {
+			ans, st, err := pl.AnswerOpts(src, q, db, Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleRows(t, src, q, db); len(want) == 0 || !rowsEqual(relRows(ans), want) {
+				t.Errorf("%s %v: answered %d rows, naive %d", id, q, ans.Len(), len(want))
+			}
+			if st.Plan.Strategy != PlanStable.String() || st.Rounds != ref.Rounds || st.Derived != ref.Derived || st.Visited > 2*ref.Visited {
+				t.Errorf("%s %v: %s plan took rounds=%d derived=%d visited=%d, the source's rules rounds=%d derived=%d visited=%d",
+					id, q, st.Plan.Strategy, st.Rounds, st.Derived, st.Visited, ref.Rounds, ref.Derived, ref.Visited)
+			}
+			p, _, err := pl.planFor(src, q, db, Opts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound := adorn.FromQuery(q).BoundCount() > 0; bound && (p.magic == nil || p.magic.adornments != 1) {
+				t.Errorf("%s %v: magic program %+v, want one adornment", id, q, p.magic)
 			}
 		}
 	}

@@ -184,20 +184,20 @@ func modeFixtures() []modeFixture {
 				}
 			}},
 	}
-	// A fact stored under the planned predicate itself: the TC kernel, the
-	// expansion union and the stabilized system all assume there is none, so
-	// the plan must run generically (class unchanged) — whether the fact is
-	// there when the plan compiles or arrives in the maintained diff, which
-	// retires the bounded delta (recompute) while the original rules carry
-	// on the program's view: a stable plan's, and a TC plan's, which its
-	// all-free query made.
+	// A fact stored under the planned predicate itself: the TC kernel and the
+	// expansion union assume there is none, so a TC or bounded plan must run
+	// generically (class unchanged) and a stable plan runs its own rules, as
+	// it always does — whether the fact is there when the plan compiles or
+	// arrives in the maintained diff, which retires the bounded delta
+	// (recompute) while the original rules carry on the program's view: a
+	// stable plan's, and a TC plan's, which its all-free query made.
 	for _, f := range []struct {
-		id   string
-		kind PlanKind
-	}{{"s1a", PlanTC}, {"s10", PlanBounded}, {"s4a", PlanStable}} {
+		id           string
+		kind, stored PlanKind // stored: the kind that serves with p stored
+	}{{"s1a", PlanTC, PlanGeneric}, {"s10", PlanBounded, PlanGeneric}, {"s4a", PlanStable, PlanStable}} {
 		build := paperFixture(f.id, 6, 14)
 		fixtures = append(fixtures,
-			modeFixture{name: f.id + "/stored-at-compile", kind: PlanGeneric, grow: growEDB,
+			modeFixture{name: f.id + "/stored-at-compile", kind: f.stored, grow: growEDB,
 				build: func(t *testing.T) (Source, *storage.Database, []ast.Query) {
 					src, db, qs := build(t)
 					storeUnderHead(t, src, db)
@@ -268,7 +268,7 @@ func TestDriverModesAgree(t *testing.T) {
 						// query's magic-sets program instead: the derivations of
 						// the magic strategy, whose magic set may be the whole
 						// domain on a fixture this dense.
-						_, rst, err := MagicSetsOpts(p.fix.(*ast.RecursiveSystem), q, snap.DB(), Opts{})
+						_, rst, err := MagicSetsOpts(magicSource(t, p), q, snap.DB(), Opts{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -483,9 +483,9 @@ func TestDriverBudgetFallsBack(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap = db.Snapshot()
-			res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, Budget: 1})
+			res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, budget: 1})
 			if res.Recomputed != 1 || res.Maintained != 0 {
-				t.Fatalf("Maintain = %+v, want 1 recomputed under Budget=1", res)
+				t.Fatalf("Maintain = %+v, want 1 recomputed under budget=1", res)
 			}
 			got, st, cached, err := rc.Answer(pl, sys, q, snap, Opts{})
 			if err != nil {

@@ -35,9 +35,9 @@ const (
 	StrategyParallel
 	// StrategyAuto classifies the system once, compiles the fast path the
 	// classification licenses (the transitive-closure frontier kernel, the
-	// bounded expansion union, or the Theorem-2/4 stabilization feeding the
-	// parallel engine) and caches the plan per (program, adornment) in
-	// DefaultPlanner so repeated queries skip classification and rewriting.
+	// bounded expansion union, or the parallel engine) and caches the plan
+	// per (program, adornment) in DefaultPlanner so repeated queries skip
+	// classification and rewriting.
 	StrategyAuto
 )
 

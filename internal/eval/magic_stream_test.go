@@ -9,10 +9,12 @@ import (
 
 	"repro/internal/adorn"
 	"repro/internal/ast"
+	"repro/internal/classify"
 	"repro/internal/dlgen"
 	"repro/internal/obs"
 	"repro/internal/paper"
 	"repro/internal/parser"
+	"repro/internal/rewrite"
 	"repro/internal/storage"
 )
 
@@ -31,6 +33,26 @@ func magicStreamed(p *Plan, q ast.Query, db *storage.Database) bool {
 	stored := db.Rel(q.Atom.Pred)
 	return classified && (p.Kind == PlanStable || p.Kind == PlanGeneric) &&
 		adorn.FromQuery(q).BoundCount() > 0 && (stored == nil || stored.Len() == 0)
+}
+
+// magicSource is the system a classified fixpoint plan's bound-adornment
+// magic program is rewritten from: the Theorem-2/4 stabilized system for a
+// stable plan, the plan's own rules for a generic one.
+func magicSource(t *testing.T, p *Plan) *ast.RecursiveSystem {
+	t.Helper()
+	sys := p.fix.(*ast.RecursiveSystem)
+	if p.Kind != PlanStable {
+		return sys
+	}
+	res, err := classify.Classify(sys.Recursive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, err := rewrite.ToStableClassified(sys, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stable
 }
 
 // streamSpan plans q through the planner, as the server's streamed miss
@@ -225,7 +247,7 @@ func TestMagicStreamDoesLessWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := rewriteMagic(p.fix.(*ast.RecursiveSystem), adorn.Adornment{true, false, false})
+	m := rewriteMagic(magicSource(t, p), adorn.Adornment{true, false, false})
 	if prop := m.Rules[0]; m.adornments != 1 || len(prop.Body) != 4 || p.Kind != PlanStable {
 		t.Errorf("stabilized s4a: %v plan, %d adornments, propagation %v", p.Kind, m.adornments, prop)
 	}

@@ -51,10 +51,10 @@ type MaintSpec struct {
 	// Opts carries metrics and tracing into the delta passes and fallback
 	// recomputes.
 	Opts Opts
-	// Budget caps the number of derivation attempts a delta pass may make
-	// before falling back to a full recompute; 0 means an adaptive default
-	// proportional to the entry size plus the diff size.
-	Budget int
+	// budget, a test seam, caps the derivation attempts a delta pass may
+	// make before falling back to a full recompute; 0 means an adaptive
+	// default proportional to the entry size plus the diff size.
+	budget int
 }
 
 // MaintResult reports what happened to the maintainable entries.
@@ -203,8 +203,8 @@ type maintainer struct {
 // budget returns the derivation-attempt cap for a delta pass over an entry
 // of the given size.
 func (m *maintainer) budget(oldSize int) int {
-	if m.spec.Budget > 0 {
-		return m.spec.Budget
+	if m.spec.budget > 0 {
+		return m.spec.budget
 	}
 	return 1<<14 + 32*(oldSize+m.diffSize)
 }

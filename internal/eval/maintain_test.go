@@ -337,9 +337,9 @@ func TestMaintainBudgetFallback(t *testing.T) {
 		}
 	}
 	snap = db.Snapshot()
-	res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, Budget: 1, Opts: Opts{}})
+	res := rc.Maintain(old, snap, MaintSpec{Planner: pl, Sys: sys, budget: 1, Opts: Opts{}})
 	if res.Recomputed != 1 || res.Maintained != 0 {
-		t.Fatalf("Maintain = %+v, want 1 recomputed under Budget=1", res)
+		t.Fatalf("Maintain = %+v, want 1 recomputed under budget=1", res)
 	}
 	got, st, cached, err := rc.Answer(pl, sys, q, snap, Opts{})
 	if err != nil {

@@ -58,11 +58,8 @@ type ResultCache struct {
 }
 
 // resultKey names an entry. A view is keyed by its source's programKey and
-// the empty query, which no parsed query renders to: at one epoch every plan
-// of a source that reaches a view runs the same fixpoint program: compilePlan's
-// reads neither the adornment nor the data, and Plan.over's, the original
-// rules, is chosen on the epoch's data or, for a TC plan, on an all-free
-// query (the only TC query that reaches a view).
+// the empty query, which no parsed query renders to: every viewed plan of a
+// source runs the source's rules.
 type resultKey struct {
 	program string
 	query   string

@@ -110,10 +110,10 @@ type Config struct {
 	// MaxQueryBytes caps the POST /query request body; 0 means
 	// DefaultMaxQueryBytes, negative means no limit.
 	MaxQueryBytes int64
-	// DisableMaintenance turns off the result cache's incremental
-	// maintenance pass on writes (every write then cold-starts the cache).
-	// A test seam: the suites use it to pin the cold-start behaviour.
-	DisableMaintenance bool
+	// disableMaintenance turns off the result cache's incremental
+	// maintenance pass on writes (every write then cold-starts the cache):
+	// a test seam that pins the cold-start behaviour.
+	disableMaintenance bool
 	// JournalSize caps the query journal's recent and slow rings; 0 means
 	// obs.DefaultJournalSize, negative disables the journal entirely (the
 	// /debug/queries endpoints then serve empty lists).
@@ -297,7 +297,7 @@ func (s *Server) loadFacts(src string) (uint64, eval.MaintResult, time.Duration,
 	}
 	snap := s.db.Snapshot()
 	var maintDur time.Duration
-	if !s.cfg.DisableMaintenance && snap != old {
+	if !s.cfg.disableMaintenance && snap != old {
 		t0 := time.Now()
 		mres = s.cache.Maintain(old, snap, eval.MaintSpec{Planner: s.planner, Sys: s.src, Opts: s.evalOpts(nil, nil)})
 		maintDur = time.Since(t0)

@@ -466,7 +466,7 @@ func TestServerFactsBodyLimit(t *testing.T) {
 
 // TestServerMaintenanceAcrossWrites: repeated writes keep the cached entry
 // warm (maintained hits with correct counts), the maintenance counters
-// move, and DisableMaintenance restores the cold-start behavior.
+// move, and disableMaintenance restores the cold-start behavior.
 func TestServerMaintenanceAcrossWrites(t *testing.T) {
 	s, ts := newTestServer(t, tcProgram)
 	first := getQuery(t, ts, "?- p(a, Y).")
@@ -492,7 +492,7 @@ func TestServerMaintenanceAcrossWrites(t *testing.T) {
 
 	// With maintenance disabled, a write cold-starts the entry again.
 	s2, ts2 := func() (*Server, *httptest.Server) {
-		srv, err := New(tcProgram, Config{DisableMaintenance: true})
+		srv, err := New(tcProgram, Config{disableMaintenance: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -565,16 +565,19 @@ func TestServerQueryValidation(t *testing.T) {
 
 // TestServerStoredFactUnderHead: a fact stored under the planned predicate
 // itself — in the program text, or accepted later by POST /facts — must be
-// built on like any derived tuple, whatever the plan class. The classified
-// kernels assume there is none, so the plan runs generically from then on
-// (class unchanged): streamed, cold, hit and after a further write all equal
-// the naive oracle over the server's own snapshot.
+// built on like any derived tuple, whatever the plan class. The TC kernel and
+// the expansion union assume there is none, so a TC or bounded plan runs
+// generically from then on (class unchanged), while a stable plan runs the
+// source's rules as it always does: streamed, cold, hit and after a further
+// write all equal the naive oracle over the server's own snapshot.
 func TestServerStoredFactUnderHead(t *testing.T) {
 	// Each statement's strategy for its all-free and its bound query before
-	// the fact: a TC plan runs the all-free one generically.
-	for _, f := range [][3]string{
-		{"s1a", "generic-parallel", "tc-frontier"}, {"s10", "bounded-union", "bounded-union"},
-		{"s4a", "stable-parallel", "stable-parallel"},
+	// the fact (a TC plan runs the all-free one generically), then for both
+	// after it.
+	for _, f := range [][4]string{
+		{"s1a", "generic-parallel", "tc-frontier", "generic-parallel"},
+		{"s10", "bounded-union", "bounded-union", "generic-parallel"},
+		{"s4a", "stable-parallel", "stable-parallel", "stable-parallel"},
 	} {
 		id := f[0]
 		st, _ := paper.ByID(id)
@@ -653,12 +656,11 @@ func TestServerStoredFactUnderHead(t *testing.T) {
 					if resp.StatusCode != http.StatusOK {
 						t.Fatalf("POST /facts %s: status %d", fact, resp.StatusCode)
 					}
-					// Every entry is carried on by the generic plan: the bounded
-					// ones recomputed, the others by the original rules' delta
-					// pass over the program's view. Each reports the plan that
-					// carried it.
+					// Every entry is carried on by the original rules: the
+					// bounded ones recomputed, the others by the delta pass over
+					// the program's view. Each reports the plan that carried it.
 					for _, q := range queries {
-						check("carried across the fact", q, responseForms[0].ask(t, s, ts, q, 0), true, "generic-parallel")
+						check("carried across the fact", q, responseForms[0].ask(t, s, ts, q, 0), true, f[3])
 					}
 					s, ts = newTestServer(t, src) // and the same arrival with nothing cached
 					if _, err := s.LoadFacts(fact); err != nil {
@@ -666,9 +668,9 @@ func TestServerStoredFactUnderHead(t *testing.T) {
 					}
 				}
 				for _, q := range queries {
-					check("streamed", q, responseForms[1].ask(t, s, ts, q, 0), false, "generic-parallel")
-					check("cold", q, responseForms[2].ask(t, s, ts, q, 0), false, "generic-parallel")
-					check("hit", q, responseForms[4].ask(t, s, ts, q, 0), true, "generic-parallel")
+					check("streamed", q, responseForms[1].ask(t, s, ts, q, 0), false, f[3])
+					check("cold", q, responseForms[2].ask(t, s, ts, q, 0), false, f[3])
+					check("hit", q, responseForms[4].ask(t, s, ts, q, 0), true, f[3])
 				}
 				if _, err := s.LoadFacts("e(" + strings.Join(stored, ", ") + ")."); err != nil {
 					t.Fatal(err)
@@ -676,9 +678,9 @@ func TestServerStoredFactUnderHead(t *testing.T) {
 				for _, q := range queries {
 					got := getQuery(t, ts, q)
 					if !got.Maintained {
-						t.Errorf("after a write %s: maintained=false, want the generic delta pass", q)
+						t.Errorf("after a write %s: maintained=false, want the delta pass", q)
 					}
-					check("after a write", q, summarise(&got, got.Answers), true, "generic-parallel")
+					check("after a write", q, summarise(&got, got.Answers), true, f[3])
 				}
 			})
 		}

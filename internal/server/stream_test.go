@@ -281,7 +281,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // becomes collectible after the next write.
 func TestServerStreamDisconnect(t *testing.T) {
 	s, err := New("p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).",
-		Config{DisableMaintenance: true})
+		Config{disableMaintenance: true})
 	if err != nil {
 		t.Fatal(err)
 	}
